@@ -3,8 +3,9 @@
 Every subcommand is deterministic: the same flags produce byte-identical
 CSV.  Reals are written with 17 significant digits, UTF-8, LF line endings.
 
-Exit codes: 0 success, 1 failed verification, 2 bad flags or invalid
-parameters, 3 memory budget exceeded, 4 tail truncation reached.
+Exit codes: 0 success, 1 failed verification, 2 bad flags, invalid
+parameters or a file that cannot be read or written, 3 memory budget
+exceeded, 4 tail truncation reached.
 """
 
 from __future__ import annotations
@@ -423,8 +424,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "steps", 0) < 0:
+            raise ValidationError(f"step count must be >= 0 (got {args.steps})")
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryCapError as exc:

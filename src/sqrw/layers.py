@@ -149,18 +149,33 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     with out-of-range coefficients contributing zero.  Conserves the
     edge-counting norm.
     """
-    d = s.d
-    if c.degree != d:
-        raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
-    r, t = c.r, c.t
+    if c.degree != s.d:
+        raise ValidationError(f"coefficient degree {c.degree} != dimension {s.d}")
+    new_up, new_down = _layer_kernel(s.up, s.down, c.r, c.t)
+    return LayerState(s.d, new_up, new_down)
+
+
+def _layer_kernel(
+    up: NDArray[np.complex128],
+    down: NDArray[np.complex128],
+    r: complex | NDArray[np.complex128],
+    t: complex | NDArray[np.complex128],
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """The ``reduced_step`` formula on raw layer arrays, with no validation.
+
+    ``r`` and ``t`` are either scalars or length-(d+1) arrays indexed by
+    the layer of the scattering vertex, so one layer (the marked vertex of
+    a search) can carry its own coefficients.
+    """
+    d = up.shape[0] - 1
     w = np.arange(d + 1)
-    up_prev = np.concatenate(([0.0], s.up[:d]))  # up[w-1]
-    down_next = np.concatenate((s.down[1:], [0.0]))  # down[w+1]
+    up_prev = np.concatenate(([0.0], up[:d]))  # up[w-1]
+    down_next = np.concatenate((down[1:], [0.0]))  # down[w+1]
     new_up = t * w * up_prev + (t * (d - w - 1) + r) * down_next
     new_down = t * (d - w) * down_next + (t * (w - 1) + r) * up_prev
     new_up[d] = 0.0
     new_down[0] = 0.0
-    return LayerState(d, new_up, new_down)
+    return new_up, new_down
 
 
 def evolve_layers(s: LayerState, c: MultiportCoeffs, n: int) -> LayerState:

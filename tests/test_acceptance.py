@@ -52,7 +52,7 @@ from sqrw.scattering import (
     scatter_step,
     simulate_interferometer_amplitude,
 )
-from sqrw.search import SearchConfig, run_search, uniform_edge_state
+from sqrw.search import SearchConfig, full_search_series, run_search, uniform_edge_state
 from sqrw.spectral import (
     dense_spectrum,
     fourier_offblock_deviation,
@@ -264,8 +264,8 @@ def test_c11_search():
     assert result.peak_probability == pytest.approx(
         SEARCH_REFERENCE_D8["peak_probability"], abs=1e-12
     )
-    shifted = run_search(SearchConfig(dim=d, marked=173, steps=steps))
-    assert np.max(np.abs(result.probabilities - shifted.probabilities)) <= 1e-12
+    shifted = full_search_series(SearchConfig(dim=d, marked=173, steps=steps))
+    assert np.max(np.abs(result.probabilities - shifted)) <= 1e-12
     cfg = EvolutionConfig(d, grover_coeffs(d))
     s = uniform_edge_state(d)
     for _ in range(steps):

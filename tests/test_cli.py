@@ -8,6 +8,7 @@ import pytest
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
 from sqrw.multiport import grover_coeffs
+from sqrw.search import MAX_SEARCH_DIM
 
 
 def run(args):
@@ -176,3 +177,47 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["layers", "--bogus"])
     assert exc.value.code == 2
+
+
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("command", ["layers", "full", "scatter"])
+def test_negative_steps_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    assert run([command, "--dim", 4, "--steps", -1, "--out", out]) == 2
+    assert "step count" in _error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["layers", "--dim", 4, "--steps", 2],
+        ["search", "--dim", 4, "--marked", "0110", "--steps", 2],
+        ["repro", "fig3"],
+    ],
+)
+def test_missing_output_directory_exit_2(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "missing" / "x.csv"]) == 2
+    assert "No such file or directory" in _error_line(capsys)
+
+
+def test_search_dim_cap_exit_2(tmp_path, capsys):
+    d = MAX_SEARCH_DIM + 1
+    args = ["search", "--dim", d, "--marked", "0" * d, "--steps", 1, "--out", tmp_path / "x.csv"]
+    assert run(args) == 2
+    assert str(MAX_SEARCH_DIM) in _error_line(capsys)
+
+
+def test_search_runs_past_the_full_state_memory_budget(tmp_path, capsys):
+    # d = 40 would need a 2**40-vertex full state; the layer search needs O(d)
+    out = tmp_path / "s.csv"
+    assert run(["search", "--dim", 40, "--marked", "1" * 40, "--steps", 4096, "--out", out]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (4097, 2)
+    assert rows[0, 1] == pytest.approx(2.0**-40, rel=1e-12)
+    assert capsys.readouterr().out.startswith("peak_step=")

@@ -1,15 +1,21 @@
 """Marked-vertex walk: stationarity, covariance, amplification."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step, vertex_probability
 from sqrw.hypercube import direction_mask, state_norm, zero_full_state
-from sqrw.multiport import grover_coeffs, phase_coeffs
+from sqrw.layers import LayerState, edge_counting_norm
+from sqrw.multiport import grover_coeffs, phase_coeffs, symmetric_coeffs
 from sqrw.search import (
+    MAX_SEARCH_DIM,
     SearchConfig,
-    oracle_marked_step,
+    _layer_search_states,
+    full_search_series,
     run_search,
     success_probability,
     uniform_edge_state,
@@ -27,7 +33,7 @@ def test_marked_vertex_reflects_with_phase():
     state = zero_full_state(d)
     entering = marked ^ direction_mask(d, 2)
     state[entering, 1] = 1.0  # edge entering the marked vertex along direction 2
-    out = oracle_marked_step(state, cfg)
+    out = step(state, cfg.evolution_config())
     assert out[marked, 1] == pytest.approx(-1.0, abs=1e-15)
     assert np.count_nonzero(out) == 1
 
@@ -61,13 +67,13 @@ def test_symmetry_breaking_onset():
     cfg_in = SearchConfig(dim=d, marked=0, steps=0, metric="in")
     baseline = 1 / (1 << d)
     s = uniform_edge_state(d)
-    s = oracle_marked_step(s, cfg_out)
+    s = step(s, cfg_out.evolution_config())
     assert success_probability(s, cfg_out) == pytest.approx(baseline, abs=1e-12)
     assert success_probability(s, cfg_in) == pytest.approx(baseline, abs=1e-12)
-    s = oracle_marked_step(s, cfg_out)
+    s = step(s, cfg_out.evolution_config())
     assert success_probability(s, cfg_out) == pytest.approx(baseline, abs=1e-12)
     assert abs(success_probability(s, cfg_in) - baseline) > 1e-3
-    s = oracle_marked_step(s, cfg_out)
+    s = step(s, cfg_out.evolution_config())
     assert abs(success_probability(s, cfg_out) - baseline) > 1e-3
 
 
@@ -91,7 +97,7 @@ def test_norm_conserved_with_marked_vertex():
     cfg = SearchConfig(dim=d, marked=7, steps=0)
     s = uniform_edge_state(d)
     for _ in range(50):
-        s = oracle_marked_step(s, cfg)
+        s = step(s, cfg.evolution_config())
     assert abs(state_norm(s) - 1.0) <= 1e-12
 
 
@@ -121,3 +127,32 @@ def test_config_validation():
         SearchConfig(dim=3, marked=0, steps=-1)
     with pytest.raises(ValidationError):
         SearchConfig(dim=3, marked=0, steps=5, metric="sideways")
+    with pytest.raises(ValidationError):
+        SearchConfig(dim=MAX_SEARCH_DIM + 1, marked=0, steps=5)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_layer_search_matches_full_state_oracle(d):
+    steps = int(3 * math.sqrt(1 << d)) + 4
+    marks = sorted({0, 173 % (1 << d), (1 << d) - 1})
+    families = (grover_coeffs(d), symmetric_coeffs(d, 1.0))
+    for mark, metric, phase, coeffs in itertools.product(marks, ("out", "in"), (-1.0, 1j), families):
+        cfg = SearchConfig(
+            dim=d,
+            marked=mark,
+            steps=steps,
+            marked_coeffs=phase_coeffs(d, phase),
+            coeffs=coeffs,
+            metric=metric,
+        )
+        got = run_search(cfg)
+        ref = full_search_series(cfg)
+        assert np.max(np.abs(got.probabilities - ref)) <= 1e-12
+        assert abs(got.peak_probability - ref.max()) <= 1e-12
+
+
+def test_layer_search_state_keeps_unit_norm():
+    d = 30
+    for up, down in _layer_search_states(SearchConfig(dim=d, marked=0, steps=2000)):
+        assert abs(edge_counting_norm(LayerState(d, up, down)) - 1.0) <= 1e-10
+
