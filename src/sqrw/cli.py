@@ -11,6 +11,8 @@ exceeded, 4 tail truncation reached.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -18,9 +20,11 @@ import numpy as np
 
 from .circuit import operator_deviation
 from .errors import MemoryCapError, TruncationError, ValidationError
-from .evolution import EvolutionConfig, layer_distribution_full, step
+from .evolution import EvolutionConfig, _full_kernel, layer_distribution_full
+from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
 from .hypercube import embed_layer_state, initial_symmetric_state, parse_vertex
 from .layers import (
+    MAX_LAYER_DIM,
     corner_pair_state,
     hitting_ratio_table,
     layer_distribution_series,
@@ -107,6 +111,8 @@ def _surface_rows(series: np.ndarray) -> Iterable[str]:
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
+    if args.dim > MAX_LAYER_DIM:
+        raise ValidationError(f"layers dimension must be at most {MAX_LAYER_DIM} (got {args.dim})")
     c = parse_multiport(args.multiport, args.dim)
     init = _layer_init(args.init, args.dim)
     series = layer_distribution_series(args.dim, c, init, args.steps)
@@ -121,11 +127,14 @@ def _cmd_full(args: argparse.Namespace) -> int:
         state = initial_symmetric_state(args.dim)
     else:
         state = embed_layer_state(_layer_init(args.init, args.dim))
+    # direction-major (d, 2**d); the constructors already store it so, no copy
+    psi = np.ascontiguousarray(state.T)
+    buf = np.empty((2, 1 << args.dim), dtype=np.complex128)
     series = np.empty((args.steps + 1, args.dim + 1))
-    series[0] = layer_distribution_full(state)
+    series[0] = layer_distribution_full(psi.T)
     for n in range(1, args.steps + 1):
-        state = step(state, cfg)
-        series[n] = layer_distribution_full(state)
+        _full_kernel(psi, cfg, buf)
+        series[n] = layer_distribution_full(psi.T)
     _write_rows(args.out, "step,w,probability", _surface_rows(series))
     return 0
 
@@ -156,12 +165,12 @@ def _cmd_mz(args: argparse.Namespace) -> int:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if len(parts) == 1:
-                gamma.append(complex(float(parts[0]), 0.0))
-            elif len(parts) == 2:
-                gamma.append(complex(float(parts[0]), float(parts[1])))
-            else:
+            if len(parts) > 2:
                 raise ValidationError(f"gamma rows must be 're' or 're,im', got {line!r}")
+            try:
+                gamma.append(complex(*(float(p) for p in parts)))
+            except ValueError as exc:
+                raise ValidationError(f"gamma row {line!r} is not 're' or 're,im' reals") from exc
     if len(gamma) != args.dim:
         raise ValidationError(f"gamma file has {len(gamma)} entries, need {args.dim}")
     c = parse_multiport(args.multiport, args.dim)
@@ -426,6 +435,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "steps", 0) < 0:
             raise ValidationError(f"step count must be >= 0 (got {args.steps})")
+        # fail before the computation, not when the CSV is opened after it
+        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

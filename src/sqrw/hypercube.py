@@ -6,7 +6,10 @@ of that string, i.e. bit ``1 << (d - a)`` of the integer.  A full state is a
 complex array of shape (2**d, d): entry [x, a-1] is the amplitude of the
 photon leaving vertex x along direction a.  Flattening in C order gives the
 documented linear layout index(x, a) = x*d + (a - 1), which is also the CSV
-row order.
+row order.  The constructors here store that array direction-major, so
+``state.T`` is a C-contiguous (d, 2**d) array whose row j holds direction
+j + 1: the layout the in-place step kernel (``sqrw.evolution``) works in.
+Indexing and ``np.ravel`` see the same (2**d, d) values either way.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable) are refused
@@ -147,7 +150,7 @@ def vertex_weights(d: int) -> NDArray[np.int64]:
 
 def zero_full_state(d: int) -> NDArray[np.complex128]:
     ensure_full_state_fits(d)
-    return np.zeros((1 << d, d), dtype=np.complex128)
+    return np.zeros((d, 1 << d), dtype=np.complex128).T
 
 
 def initial_symmetric_state(d: int) -> NDArray[np.complex128]:
@@ -181,11 +184,11 @@ def embed_layer_state(s: LayerState, d: int | None = None) -> NDArray[np.complex
     n = 1 << d
     w = vertex_weights(d)
     x = np.arange(n)
-    state = np.empty((n, d), dtype=np.complex128)
+    psi = np.empty((d, n), dtype=np.complex128)
     for j in range(d):
         bit = (x >> (d - 1 - j)) & 1
-        state[:, j] = np.where(bit == 0, s.up[w], s.down[w])
-    return state
+        psi[j] = np.where(bit == 0, s.up[w], s.down[w])
+    return psi.T
 
 
 def extract_layer_state(

@@ -33,6 +33,7 @@ from .errors import ValidationError
 from .multiport import MultiportCoeffs, grover_coeffs
 
 __all__ = [
+    "MAX_LAYER_DIM",
     "LayerState",
     "zero_layer_state",
     "origin_state",
@@ -53,6 +54,12 @@ __all__ = [
     "per_vertex_probabilities",
     "hitting_ratio_table",
 ]
+
+# Largest dimension the ``layers`` command and ``run_search`` accept.  The
+# layer distribution weighs each layer by C(d, w) as a float, which
+# overflows above d = 1029; the uniform search start puts 1/(d * 2**d) on
+# each edge, which stops being a normal float above d = 1012.
+MAX_LAYER_DIM = 1000
 
 
 @dataclass

@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 from .errors import ValidationError
 from .evolution import EvolutionConfig, step, vertex_probability
 from .hypercube import direction_mask, ensure_full_state_fits
-from .layers import _layer_kernel
+from .layers import MAX_LAYER_DIM, _layer_kernel
 from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_valid
 
 __all__ = [
@@ -46,10 +46,8 @@ __all__ = [
     "MAX_SEARCH_DIM",
 ]
 
-# Largest dimension ``run_search`` accepts.  The uniform start puts
-# probability 1/(d * 2**d) on each edge, which stops being a normal float
-# above d = 1012.
-MAX_SEARCH_DIM = 1000
+# Largest dimension ``run_search`` accepts: it runs on the layer walk.
+MAX_SEARCH_DIM = MAX_LAYER_DIM
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from sqrw.evolution import EvolutionConfig
 from sqrw.multiport import MultiportCoeffs
 
 
@@ -11,6 +12,28 @@ def random_unit_state(d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     state = rng.normal(size=(1 << d, d)) + 1j * rng.normal(size=(1 << d, d))
     return (state / np.linalg.norm(state)).astype(np.complex128)
+
+
+def reference_step(state: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+    """The full step as an explicit gather and combine (reference for ``step``).
+
+    incoming[y, a-1] = state[y ^ mask(a), a-1] is copied out of the d-cube
+    view, summed per vertex with numpy's ``sum``, and combined row by row
+    with the vertex matrix, overrides included.  Shares no code with the
+    in-place kernel.
+    """
+    n, d = state.shape
+    cube = state.reshape((2,) * d + (d,))
+    incoming = np.empty((n, d), dtype=np.complex128)
+    inc_cube = incoming.reshape((2,) * d + (d,))
+    for j in range(d):
+        inc_cube[..., j] = np.flip(cube[..., j], axis=j)
+    totals = incoming.sum(axis=1)
+    r, t = cfg.coeffs.r, cfg.coeffs.t
+    out = (r - t) * incoming + t * totals[:, None]
+    for vertex, c in (cfg.overrides or {}).items():
+        out[vertex, :] = (c.r - c.t) * incoming[vertex, :] + c.t * totals[vertex]
+    return out
 
 
 def random_layer_coeffs(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

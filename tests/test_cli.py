@@ -7,6 +7,7 @@ import pytest
 
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
+from sqrw.layers import MAX_LAYER_DIM
 from sqrw.multiport import grover_coeffs
 from sqrw.search import MAX_SEARCH_DIM
 
@@ -57,6 +58,18 @@ def test_full_and_layers_agree(tmp_path):
     a = np.loadtxt(la, delimiter=",", skiprows=1)
     b = np.loadtxt(fu, delimiter=",", skiprows=1)
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+@pytest.mark.parametrize("init", ["origin-symmetric", "origin", "corners", "middle"])
+def test_full_matches_layers_for_every_init(tmp_path, init):
+    la, fu = tmp_path / "a.csv", tmp_path / "b.csv"
+    layer_init = "origin" if init == "origin-symmetric" else init
+    assert run(["layers", "--dim", 10, "--steps", 25, "--init", layer_init, "--out", la]) == 0
+    assert run(["full", "--dim", 10, "--steps", 25, "--init", init, "--out", fu]) == 0
+    a = np.loadtxt(la, delimiter=",", skiprows=1)
+    b = np.loadtxt(fu, delimiter=",", skiprows=1)
+    assert a.shape == b.shape == (26 * 11, 3)
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_csv_determinism(tmp_path):
@@ -204,6 +217,31 @@ def test_negative_steps_exit_2(tmp_path, capsys, command):
 def test_missing_output_directory_exit_2(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "missing" / "x.csv"]) == 2
     assert "No such file or directory" in _error_line(capsys)
+
+
+def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkeypatch):
+    import sqrw.cli
+
+    calls = []
+    monkeypatch.setattr(sqrw.cli, "_full_kernel", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["full", "--dim", 20, "--steps", 2, "--out", out]) == 2
+    assert "No such file or directory" in _error_line(capsys)
+    assert calls == []
+
+
+def test_mz_non_numeric_gamma_exit_2(tmp_path, capsys):
+    gamma = tmp_path / "gamma.csv"
+    gamma.write_text("0.5\nabc\n")
+    assert run(["mz", "--dim", 2, "--gamma", gamma]) == 2
+    assert "abc" in _error_line(capsys)
+
+
+def test_layers_dim_cap_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["layers", "--dim", 1100, "--steps", 1, "--out", out]) == 2
+    assert str(MAX_LAYER_DIM) in _error_line(capsys)
+    assert not out.exists()
 
 
 def test_search_dim_cap_exit_2(tmp_path, capsys):

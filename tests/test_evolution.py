@@ -12,6 +12,7 @@ from sqrw.evolution import (
     EvolutionConfig,
     dense_operator,
     evolve,
+    gather_incoming,
     layer_distribution_full,
     layer_probability,
     quantum_hitting_probability,
@@ -76,6 +77,22 @@ def test_evolve_zero_steps_is_copy():
     out = evolve(s, EvolutionConfig(4, grover_coeffs(4)), 0)
     assert np.array_equal(out, s)
     assert out is not s
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_evolve_equals_chained_steps_bit_for_bit(d):
+    cfg = EvolutionConfig(d, grover_coeffs(d), overrides={5: MultiportCoeffs(-1.0, 0.0, d)})
+    s = random_unit_state(d, 11)
+    chained = s
+    for _ in range(7):
+        chained = step(chained, cfg)
+    assert np.array_equal(evolve(s, cfg, 7), chained)
+
+
+def test_gather_incoming_reads_either_memory_order():
+    s = random_unit_state(5, 12)
+    direction_major = np.ascontiguousarray(s.T).T
+    assert np.array_equal(gather_incoming(direction_major), gather_incoming(s))
 
 
 def test_two_steps_d2_all_on_far_corner():

@@ -2,7 +2,8 @@
 
 The ``repro`` hashes were recorded before the layer step formula moved into
 its shared kernel, so they also pin that refactor to the old bytes.  The
-``search`` hashes were recorded from the layer-reduced search.
+``search`` hashes were recorded from the layer-reduced search, the ``full``
+hashes from the in-place direction-major step kernel.
 """
 
 import hashlib
@@ -36,6 +37,19 @@ SEARCH_GOLDENS = [
 ]
 
 
+# (flags, CSV hash)
+FULL_GOLDENS = [
+    (
+        ["--dim", "6", "--steps", "20", "--init", "origin-symmetric", "--multiport", "grover"],
+        "cf308d0b0ca3cd8242629a27a8c16db4b4cf4cbe21db4f6e905e98db229f0a57",
+    ),
+    (
+        ["--dim", "9", "--steps", "30", "--init", "corners", "--multiport", "symmetric:p=1"],
+        "de353e6b7d1859be101712ea52be73d95fd01fd6db14b1a8a2c946100a24f158",
+    ),
+]
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -53,3 +67,10 @@ def test_search_bytes(tmp_path, capsys, flags, csv_hash, stdout):
     assert main(["search", *flags, "--out", str(out)]) == 0
     assert sha256(out) == csv_hash
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("flags,csv_hash", FULL_GOLDENS, ids=["d6-origin-grover", "d9-corners-symmetric"])
+def test_full_bytes(tmp_path, flags, csv_hash):
+    out = tmp_path / "full.csv"
+    assert main(["full", *flags, "--out", str(out)]) == 0
+    assert sha256(out) == csv_hash
