@@ -22,7 +22,7 @@ from .circuit import operator_deviation
 from .errors import MemoryCapError, TruncationError, ValidationError
 from .evolution import EvolutionConfig, _full_kernel, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
-from .hypercube import embed_layer_state, initial_symmetric_state, parse_vertex
+from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state, parse_vertex
 from .layers import (
     MAX_LAYER_DIM,
     corner_pair_state,
@@ -39,7 +39,8 @@ from .multiport import (
 )
 from .scattering import boundary_coeffs, detection_probability_series, interferometer_amplitude
 from .search import SearchConfig, run_search
-from .spectral import block_matrix
+from .spectral import block_matrix  # noqa: F401  (perfbench/spans.py wraps it)
+from .spectral import weight_class_spectra
 
 __all__ = ["main", "cli_entry", "parse_multiport", "emit_plot_script"]
 
@@ -195,15 +196,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    c = parse_multiport(args.multiport, args.dim)
     d = args.dim
+    # one row per full-state amplitude, so the full-state budget bounds the CSV
+    ensure_full_state_fits(d)
+    c = parse_multiport(args.multiport, d)
+    # blocks with the same momentum weight share one spectrum; format each once
+    cached = [
+        [f",{_fmt(v.real)},{_fmt(v.imag)}" for v in vals] for vals in weight_class_spectra(c)
+    ]
 
     def rows():
         for k in range(1 << d):
-            vals = np.sort_complex(np.linalg.eigvals(block_matrix(c, k)))
             bits = format(k, f"0{d}b")
-            for v in vals:
-                yield f"{bits},{_fmt(v.real)},{_fmt(v.imag)}"
+            yield "\n".join([bits + tail for tail in cached[k.bit_count()]])
 
     _write_rows(args.out, "k_bits,eigenvalue_re,eigenvalue_im", rows())
     return 0

@@ -133,12 +133,18 @@ def _binomials(d: int) -> NDArray[np.float64]:
     return np.array([math.comb(d, w) for w in range(d + 1)], dtype=np.float64)
 
 
+def _distribution(
+    up: NDArray[np.complex128], down: NDArray[np.complex128], b: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """C(d,w)[(d-w)|up[w]|^2 + w|down[w]|^2] on raw layer arrays, ``b`` = ``_binomials(d)``."""
+    d = up.shape[0] - 1
+    w = np.arange(d + 1, dtype=np.float64)
+    return b * ((d - w) * np.abs(up) ** 2 + w * np.abs(down) ** 2)
+
+
 def edge_counting_norm(s: LayerState) -> float:
     """Squared norm of the embedded state: sum_w C(d,w)[(d-w)|up|^2 + w|down|^2]."""
-    d = s.d
-    w = np.arange(d + 1, dtype=np.float64)
-    b = _binomials(d)
-    return float(np.sum(b * ((d - w) * np.abs(s.up) ** 2 + w * np.abs(s.down) ** 2)))
+    return float(np.sum(_distribution(s.up, s.down, _binomials(s.d))))
 
 
 def squared_binomial_product(s: LayerState) -> float:
@@ -158,28 +164,38 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     """
     if c.degree != s.d:
         raise ValidationError(f"coefficient degree {c.degree} != dimension {s.d}")
-    new_up, new_down = _layer_kernel(s.up, s.down, c.r, c.t)
+    new_up, new_down = _layer_kernel(s.up, s.down, _layer_factors(s.d, c.r, c.t))
     return LayerState(s.d, new_up, new_down)
+
+
+def _layer_factors(
+    d: int, r: complex | NDArray[np.complex128], t: complex | NDArray[np.complex128]
+) -> tuple[NDArray[np.complex128], ...]:
+    """The four per-layer factors of the ``reduced_step`` formula, w = 0..d.
+
+    ``(t*w, t*(d-w-1) + r, t*(d-w), t*(w-1) + r)``: the weights of up[w-1]
+    and down[w+1] in new_up[w], then of down[w+1] and up[w-1] in
+    new_down[w].  ``r`` and ``t`` are either scalars or length-(d+1) arrays
+    indexed by the layer of the scattering vertex, so one layer (the marked
+    vertex of a search) can carry its own coefficients.  They depend only on
+    the walk, so a stepping loop computes them once.
+    """
+    w = np.arange(d + 1)
+    return t * w, t * (d - w - 1) + r, t * (d - w), t * (w - 1) + r
 
 
 def _layer_kernel(
     up: NDArray[np.complex128],
     down: NDArray[np.complex128],
-    r: complex | NDArray[np.complex128],
-    t: complex | NDArray[np.complex128],
+    factors: tuple[NDArray[np.complex128], ...],
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """The ``reduced_step`` formula on raw layer arrays, with no validation.
-
-    ``r`` and ``t`` are either scalars or length-(d+1) arrays indexed by
-    the layer of the scattering vertex, so one layer (the marked vertex of
-    a search) can carry its own coefficients.
-    """
+    """The ``reduced_step`` formula on raw layer arrays, with no validation."""
     d = up.shape[0] - 1
-    w = np.arange(d + 1)
+    up_from_below, up_from_above, down_from_above, down_from_below = factors
     up_prev = np.concatenate(([0.0], up[:d]))  # up[w-1]
     down_next = np.concatenate((down[1:], [0.0]))  # down[w+1]
-    new_up = t * w * up_prev + (t * (d - w - 1) + r) * down_next
-    new_down = t * (d - w) * down_next + (t * (w - 1) + r) * up_prev
+    new_up = up_from_below * up_prev + up_from_above * down_next
+    new_down = down_from_above * down_next + down_from_below * up_prev
     new_up[d] = 0.0
     new_down[0] = 0.0
     return new_up, new_down
@@ -196,10 +212,7 @@ def evolve_layers(s: LayerState, c: MultiportCoeffs, n: int) -> LayerState:
 
 def layer_distribution(s: LayerState) -> NDArray[np.float64]:
     """Probability per layer: C(d,w)[(d-w)|up[w]|^2 + w|down[w]|^2]."""
-    d = s.d
-    w = np.arange(d + 1, dtype=np.float64)
-    b = _binomials(d)
-    return b * ((d - w) * np.abs(s.up) ** 2 + w * np.abs(s.down) ** 2)
+    return _distribution(s.up, s.down, _binomials(s.d))
 
 
 def layer_distribution_series(
@@ -208,12 +221,18 @@ def layer_distribution_series(
     """Matrix of layer probabilities, row n = distribution after n steps."""
     if init.d != d:
         raise ValidationError(f"initial state dimension {init.d} != {d}")
+    if c.degree != d:
+        raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
+    if n_max < 0:
+        raise ValidationError(f"step count must be >= 0 (got {n_max})")
+    b = _binomials(d)
+    factors = _layer_factors(d, c.r, c.t)
     out = np.empty((n_max + 1, d + 1), dtype=np.float64)
-    s = init.copy()
-    out[0] = layer_distribution(s)
+    up, down = init.up, init.down
+    out[0] = _distribution(up, down, b)
     for n in range(1, n_max + 1):
-        s = reduced_step(s, c)
-        out[n] = layer_distribution(s)
+        up, down = _layer_kernel(up, down, factors)
+        out[n] = _distribution(up, down, b)
     return out
 
 

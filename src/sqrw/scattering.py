@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
 from .hypercube import ensure_full_state_fits, state_dimension, zero_full_state
-from .layers import LayerState, edge_counting_norm
+from .layers import LayerState, _layer_factors, _layer_kernel, edge_counting_norm
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -85,6 +85,13 @@ def _check_coeffs(d: int, c: MultiportCoeffs, b: MultiportCoeffs | None) -> None
         require_valid(b)
         if b.degree != d + 1:
             raise ValidationError(f"boundary coefficient degree {b.degree} != d + 1 = {d + 1}")
+
+
+def _truncation_message(tail_length: int) -> str:
+    return (
+        f"outgoing amplitude reached the tail cut at length {tail_length}; "
+        "increase the tail length beyond the step count"
+    )
 
 
 @dataclass
@@ -182,6 +189,24 @@ def scatter_norm(s: ScatterState) -> float:
     return total
 
 
+def _boundary_rows(
+    up: NDArray[np.complex128],
+    down: NDArray[np.complex128],
+    left_arriving: complex,
+    right_arriving: complex,
+    b: MultiportCoeffs,
+) -> tuple[complex, complex, complex, complex]:
+    """New ``up[0], down[0], up[d], down[d]``: the two (d+1)-port corners."""
+    d = up.shape[0] - 1
+    rb, tb = b.r, b.t
+    return (
+        tb * left_arriving + ((d - 1) * tb + rb) * down[1],
+        rb * left_arriving + d * tb * down[1],
+        d * tb * up[d - 1] + rb * right_arriving,
+        ((d - 1) * tb + rb) * up[d - 1] + tb * right_arriving,
+    )
+
+
 def scatter_step(
     s: ScatterState, c: MultiportCoeffs, b: MultiportCoeffs | None
 ) -> ScatterState:
@@ -195,8 +220,6 @@ def scatter_step(
     d = s.d
     _check_coeffs(d, c, b)
     L = s.tail_length
-    r, t = c.r, c.t
-
     if b is None:
         if any(
             np.any(arr != 0) for arr in (s.left_in, s.left_out, s.right_out, s.right_in)
@@ -204,35 +227,16 @@ def scatter_step(
             raise ValidationError("decoupled boundaries require empty tails")
 
     if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
-        raise TruncationError(
-            f"outgoing amplitude reached the tail cut at length {L}; "
-            "increase the tail length beyond the step count"
-        )
-
-    w = np.arange(d + 1)
-    up_prev = np.concatenate(([0.0], s.up[:d]))
-    down_next = np.concatenate((s.down[1:], [0.0]))
-    new_up = t * w * up_prev + (t * (d - w - 1) + r) * down_next
-    new_down = t * (d - w) * down_next + (t * (w - 1) + r) * up_prev
+        raise TruncationError(_truncation_message(L))
 
     out = _empty_scatter(d, L)
-    out.up[:] = new_up
-    out.down[:] = new_down
-
+    out.up[:], out.down[:] = _layer_kernel(s.up, s.down, _layer_factors(d, c.r, c.t))
     if b is None:
-        # Plain hypercube boundaries; the interior formula already produced
-        # the degree-d corner rows, only the non-edges get cleared.
-        out.up[d] = 0.0
-        out.down[0] = 0.0
+        # Plain hypercube boundaries: the kernel's degree-d corner rows stand.
         return out
-
-    rb, tb = b.r, b.t
-    left_arriving = s.left_in[0]
-    right_arriving = s.right_in[0]
-    out.up[0] = tb * left_arriving + ((d - 1) * tb + rb) * s.down[1]
-    out.down[0] = rb * left_arriving + d * tb * s.down[1]
-    out.up[d] = d * tb * s.up[d - 1] + rb * right_arriving
-    out.down[d] = ((d - 1) * tb + rb) * s.up[d - 1] + tb * right_arriving
+    out.up[0], out.down[0], out.up[d], out.down[d] = _boundary_rows(
+        s.up, s.down, s.left_in[0], s.right_in[0], b
+    )
 
     # Ballistic tails: one site per step, perfectly transmitting.
     out.left_in[: L - 1] = s.left_in[1:]
@@ -256,17 +260,31 @@ def detection_probability_series(
     Entry n is the instantaneous probability of occupying the detector edge
     after n steps; it is exactly zero through n = d (one layer per step).
     The cumulative detector reading is ``np.cumsum`` of this series.
+    Raises ``TruncationError`` exactly when stepping ``scatter_step`` for
+    ``n_max`` steps would: when amplitude leaving the cube has time to
+    reach the tail cut.
     """
     if b is None:
         b = boundary_coeffs(d)
     if tail_length is None:
         tail_length = n_max + 2
+    if n_max < 0:
+        raise ValidationError(f"step count must be >= 0 (got {n_max})")
     s = initial_tail_photon(d, tail_length)
-    series = np.empty(n_max + 1, dtype=np.float64)
-    series[0] = abs(s.up[d]) ** 2
+    _check_coeffs(d, c, b)
+    # Only step 1 takes amplitude from a tail (the photon at site -1).  What
+    # leaves onto a tail never comes back, so the tails are unstored sinks:
+    # an exit at step k reaches the cut at step k + L + 1.
+    factors = _layer_factors(d, c.r, c.t)
+    up, down, arriving = s.up, s.down, s.left_in[0]
+    series = np.zeros(n_max + 1, dtype=np.float64)
     for n in range(1, n_max + 1):
-        s = scatter_step(s, c, b)
-        series[n] = abs(s.up[d]) ** 2
+        new_up, new_down = _layer_kernel(up, down, factors)
+        new_up[0], new_down[0], new_up[d], new_down[d] = _boundary_rows(up, down, arriving, 0j, b)
+        up, down, arriving = new_up, new_down, 0j
+        series[n] = abs(up[d]) ** 2
+        if (up[d] != 0 or down[0] != 0) and n + tail_length + 1 <= n_max:
+            raise TruncationError(_truncation_message(tail_length))
     return series
 
 
@@ -346,10 +364,7 @@ def full_tail_step(
         b = boundary_coeffs(d)
     L = s.tail_length
     if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
-        raise TruncationError(
-            f"outgoing amplitude reached the tail cut at length {L}; "
-            "increase the tail length beyond the step count"
-        )
+        raise TruncationError(_truncation_message(L))
     far = (1 << d) - 1
     incoming = gather_incoming(s.cube)
     totals = incoming.sum(axis=1)

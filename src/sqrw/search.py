@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 from .errors import ValidationError
 from .evolution import EvolutionConfig, step, vertex_probability
 from .hypercube import direction_mask, ensure_full_state_fits
-from .layers import MAX_LAYER_DIM, _layer_kernel
+from .layers import MAX_LAYER_DIM, _layer_factors, _layer_kernel
 from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_valid
 
 __all__ = [
@@ -134,13 +134,14 @@ def _layer_search_states(
     r = np.full(d + 1, cfg.coeffs.r, dtype=np.complex128)
     t = np.full(d + 1, cfg.coeffs.t, dtype=np.complex128)
     r[0], t[0] = cfg.marked_coeffs.r, cfg.marked_coeffs.t
+    factors = _layer_factors(d, r, t)
     amp = 1.0 / math.sqrt(d * (1 << d))
     up = np.full(d + 1, amp, dtype=np.complex128)
     down = up.copy()
     up[d] = down[0] = 0.0
     yield up, down
     for _ in range(cfg.steps):
-        up, down = _layer_kernel(up, down, r, t)
+        up, down = _layer_kernel(up, down, factors)
         yield up, down
 
 

@@ -7,8 +7,12 @@ diagonal over the 2**d character vectors
 
 and on the d-dimensional momentum-k block it acts as the vertex matrix with
 column signs:  block(k)[i, j] = [r if i == j else t] * (-1)^(k_j).  The
-union of the 2**d block spectra is the full spectrum, which turns an
-exponential eigenproblem into 2**d problems of size d.
+union of the 2**d block spectra is the full spectrum.  The vertex matrix
+is invariant under permutations of the coordinates, and a permutation
+carries the sign pattern of k to that of any k' with the same Hamming
+weight, so those blocks are similar and share one spectrum: d + 1
+eigenproblems of size d, on the representatives k = 2**m - 1, give all
+d * 2**d eigenvalues.
 
 A further symmetry cyclically shifts the vertex bit string right by one
 place while advancing the direction index, a rotation about the axis
@@ -24,13 +28,15 @@ from numpy.typing import NDArray
 
 from .errors import ValidationError
 from .evolution import EvolutionConfig, dense_operator
-from .hypercube import check_dimension, state_dimension, vertex_weights, zero_full_state
+from .hypercube import check_dimension, ensure_full_state_fits, state_dimension
+from .hypercube import vertex_weights, zero_full_state
 from .multiport import MultiportCoeffs, multiport_matrix
 
 __all__ = [
     "translation_apply",
     "fourier_basis_state",
     "block_matrix",
+    "weight_class_spectra",
     "full_spectrum_via_blocks",
     "dense_spectrum",
     "spectrum_mismatch",
@@ -84,15 +90,24 @@ def block_matrix(c: MultiportCoeffs, k: int) -> NDArray[np.complex128]:
     return multiport_matrix(c) * signs[None, :]
 
 
+def weight_class_spectra(c: MultiportCoeffs) -> list[NDArray[np.complex128]]:
+    """Sorted eigenvalues of the momentum-k block for every weight |k| = 0..d.
+
+    Entry m is the spectrum of ``block_matrix(c, 2**m - 1)``, shared by all
+    C(d, m) blocks whose momentum has m ones.
+    """
+    return [
+        np.sort_complex(np.linalg.eigvals(block_matrix(c, (1 << m) - 1)))
+        for m in range(c.degree + 1)
+    ]
+
+
 def full_spectrum_via_blocks(d: int, c: MultiportCoeffs) -> NDArray[np.complex128]:
-    """All d * 2**d eigenvalues of the step, assembled block by block."""
-    check_dimension(d)
+    """All d * 2**d eigenvalues of the step; entries k*d .. k*d + d - 1 belong to block k."""
+    ensure_full_state_fits(d)
     if c.degree != d:
         raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
-    out = np.empty(d * (1 << d), dtype=np.complex128)
-    for k in range(1 << d):
-        out[k * d : (k + 1) * d] = np.linalg.eigvals(block_matrix(c, k))
-    return out
+    return np.stack(weight_class_spectra(c))[vertex_weights(d)].ravel()
 
 
 def dense_spectrum(d: int, c: MultiportCoeffs, cap: int = 8) -> NDArray[np.complex128]:

@@ -6,6 +6,8 @@ import numpy as np
 
 from sqrw.evolution import EvolutionConfig
 from sqrw.multiport import MultiportCoeffs
+from sqrw.scattering import initial_tail_photon, scatter_step
+from sqrw.spectral import block_matrix
 
 
 def random_unit_state(d: int, seed: int) -> np.ndarray:
@@ -34,6 +36,32 @@ def reference_step(state: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     for vertex, c in (cfg.overrides or {}).items():
         out[vertex, :] = (c.r - c.t) * incoming[vertex, :] + c.t * totals[vertex]
     return out
+
+
+def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
+    """Row k: sorted eigenvalues of the momentum-k block, one eigen-solve per block.
+
+    The 2**d-solve route the weight-class spectra replace (reference for
+    ``weight_class_spectra`` and the ``spectrum`` command).
+    """
+    return np.array([np.sort_complex(np.linalg.eigvals(block_matrix(c, k))) for k in range(1 << d)])
+
+
+def stepped_detection_series(
+    d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_max: int, tail_length: int
+) -> np.ndarray:
+    """Detection series by stepping ``scatter_step`` with stored, shifting tails.
+
+    Reference for ``detection_probability_series``, including where the
+    truncation error is raised.
+    """
+    s = initial_tail_photon(d, tail_length)
+    series = np.empty(n_max + 1, dtype=np.float64)
+    series[0] = abs(s.up[d]) ** 2
+    for n in range(1, n_max + 1):
+        s = scatter_step(s, c, b)
+        series[n] = abs(s.up[d]) ** 2
+    return series
 
 
 def random_layer_coeffs(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import per_block_spectra
+
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
 from sqrw.layers import MAX_LAYER_DIM
 from sqrw.multiport import grover_coeffs
 from sqrw.search import MAX_SEARCH_DIM
+from sqrw.spectral import spectrum_mismatch
 
 
 def run(args):
@@ -121,6 +124,35 @@ def test_spectrum_rows(tmp_path):
     assert len(lines) == 1 + 3 * 8
     vals = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(1, 2))
     assert np.max(np.abs(np.hypot(vals[:, 0], vals[:, 1]) - 1.0)) <= 1e-10
+
+
+def test_spectrum_rows_match_per_block_oracle(tmp_path):
+    d, spec = 8, "custom:0.125,0.875,0.125,-0.125"  # eigenphases 0 and pi/2
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--dim", d, "--multiport", spec, "--out", out]) == 0
+    oracle = per_block_spectra(d, parse_multiport(spec, d))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [format(k, f"0{d}b") for k in range(1 << d) for _ in range(d)]
+    got = np.array([complex(float(r[1]), float(r[2])) for r in rows]).reshape(1 << d, d)
+    for k in range(1 << d):
+        assert spectrum_mismatch(got[k], oracle[k]) <= 1e-13
+    for m in range(d + 1):
+        assert np.array_equal(got[(1 << m) - 1], oracle[(1 << m) - 1])
+
+
+def test_spectrum_solves_one_block_per_momentum_weight(tmp_path, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    assert run(["spectrum", "--dim", 12, "--out", tmp_path / "spec.csv"]) == 0
+    assert calls == [(12, 12)] * 13
+
+
+def test_spectrum_over_the_full_state_budget_exit_3(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--dim", 30, "--out", out]) == 3
+    assert "budget" in _error_line(capsys)
+    assert not out.exists()
 
 
 def test_mz_prints_amplitude(tmp_path, capsys):

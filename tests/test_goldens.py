@@ -3,7 +3,8 @@
 The ``repro`` hashes were recorded before the layer step formula moved into
 its shared kernel, so they also pin that refactor to the old bytes.  The
 ``search`` hashes were recorded from the layer-reduced search, the ``full``
-hashes from the in-place direction-major step kernel.
+hashes from the in-place direction-major step kernel, the ``spectrum``
+hashes from the one-solve-per-momentum-weight spectrum.
 """
 
 import hashlib
@@ -50,6 +51,16 @@ FULL_GOLDENS = [
 ]
 
 
+# (flags, CSV hash)
+SPECTRUM_GOLDENS = [
+    (["--dim", "3"], "06e4711926944e3eace48eeef89f5d24e548a19754f3ae33c9cf6d80e9502eda"),
+    (
+        ["--dim", "6", "--multiport", "symmetric:p=1"],
+        "c436320b76e61b52f0dd97b2a76c1391d4d16e3eca5b7ae44b6aebeaf07337a1",
+    ),
+]
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -73,4 +84,11 @@ def test_search_bytes(tmp_path, capsys, flags, csv_hash, stdout):
 def test_full_bytes(tmp_path, flags, csv_hash):
     out = tmp_path / "full.csv"
     assert main(["full", *flags, "--out", str(out)]) == 0
+    assert sha256(out) == csv_hash
+
+
+@pytest.mark.parametrize("flags,csv_hash", SPECTRUM_GOLDENS, ids=["d3-grover", "d6-symmetric"])
+def test_spectrum_bytes(tmp_path, flags, csv_hash):
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", *flags, "--out", str(out)]) == 0
     assert sha256(out) == csv_hash

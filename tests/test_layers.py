@@ -158,6 +158,28 @@ def test_series_rows_are_distributions():
     assert series[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("init", [origin_state, corner_pair_state, middle_state])
+def test_series_equals_stepping_layer_states_bit_for_bit(init):
+    d = 9
+    c = symmetric_coeffs(d, 1.0)
+    s = init(d)
+    expected = [layer_distribution(s)]
+    for _ in range(40):
+        s = reduced_step(s, c)
+        expected.append(layer_distribution(s))
+    assert np.array_equal(layer_distribution_series(d, c, init(d), 40), np.array(expected))
+
+
+def test_series_weighs_layers_once(monkeypatch):
+    import sqrw.layers
+
+    calls = []
+    binomials = sqrw.layers._binomials
+    monkeypatch.setattr(sqrw.layers, "_binomials", lambda d: calls.append(d) or binomials(d))
+    layer_distribution_series(50, grover_coeffs(50), origin_state(50), 250)
+    assert calls == [50]
+
+
 def test_packet_reaches_far_side_and_reflects():
     d = 50
     series = layer_distribution_series(d, grover_coeffs(d), origin_state(d), 100)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_first_detection
+from helpers import brute_force_first_detection, stepped_detection_series
 
 from sqrw.errors import TruncationError, ValidationError
 from sqrw.layers import origin_state, reduced_step
@@ -96,6 +96,26 @@ def test_truncation_error_raised():
     with pytest.raises(TruncationError):
         for _ in range(10):
             s = scatter_step(s, c, b)
+
+
+@pytest.mark.parametrize("family", ["grover", "symmetric"])
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_series_truncates_exactly_where_stepping_does(d, family):
+    c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
+    b = boundary_coeffs(d)
+    n = 3 * d
+    raised = 0
+    for tail_length in range(1, n + 3):
+        try:
+            expected = stepped_detection_series(d, c, b, n, tail_length)
+        except TruncationError:
+            raised += 1
+            with pytest.raises(TruncationError):
+                detection_probability_series(d, c, b, n, tail_length)
+            continue
+        got = detection_probability_series(d, c, b, n, tail_length)
+        assert np.array_equal(got, expected), f"tail length {tail_length}"
+    assert 0 < raised < n + 2  # both outcomes are exercised
 
 
 def test_norm_conserved_with_tails():

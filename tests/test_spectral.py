@@ -1,14 +1,17 @@
 """Translations, character basis, block spectra, and the rotation symmetry."""
 
+import cmath
+
 import numpy as np
 import pytest
 
-from helpers import random_unit_state
+from helpers import per_block_spectra, random_unit_state
 
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.hypercube import parse_vertex, zero_full_state
-from sqrw.multiport import grover_coeffs, symmetric_coeffs
+from sqrw.errors import MemoryCapError
+from sqrw.multiport import custom_coeffs, grover_coeffs, symmetric_coeffs
 from sqrw.spectral import (
     block_matrix,
     dense_spectrum,
@@ -21,7 +24,19 @@ from sqrw.spectral import (
     rotation_apply_about,
     spectrum_mismatch,
     translation_apply,
+    weight_class_spectra,
 )
+
+
+def family_coeffs(family, d):
+    if family == "grover":
+        return grover_coeffs(d)
+    if family == "symmetric":
+        return symmetric_coeffs(d, 1.0)
+    # eigenphases 0.7 on the uniform port state and -2.1 on its complement
+    uniform, rest = cmath.exp(0.7j), cmath.exp(-2.1j)
+    t = (uniform - rest) / d
+    return custom_coeffs(rest + t, t, d)
 
 
 def test_translation_identity_and_involution():
@@ -100,6 +115,33 @@ def test_spectrum_assembly_matches_dense(family, d):
     assert assembled.shape == (d * (1 << d),)
     assert np.max(np.abs(np.abs(assembled) - 1.0)) <= 1e-12
     assert spectrum_mismatch(assembled, dense_spectrum(d, c)) <= 1e-10
+
+
+# symmetric coefficients need degree >= 2
+ORACLE_CASES = [
+    (family, d)
+    for family in ("grover", "symmetric", "custom")
+    for d in range(1, 11)
+    if (family, d) != ("symmetric", 1)
+]
+
+
+@pytest.mark.parametrize("family,d", ORACLE_CASES)
+def test_weight_classes_match_per_block_oracle(family, d):
+    c = family_coeffs(family, d)
+    oracle = per_block_spectra(d, c)
+    classes = weight_class_spectra(c)
+    assembled = full_spectrum_via_blocks(d, c).reshape(1 << d, d)
+    for m in range(d + 1):
+        # the representative k = 2**m - 1 is solved itself: same bytes
+        assert np.array_equal(classes[m], oracle[(1 << m) - 1])
+    for k in range(1 << d):
+        assert spectrum_mismatch(assembled[k], oracle[k]) <= 1e-13, f"block {k}"
+
+
+def test_full_spectrum_via_blocks_refuses_oversized_dimension():
+    with pytest.raises(MemoryCapError):
+        full_spectrum_via_blocks(30, grover_coeffs(30))
 
 
 def test_offblock_elements_vanish():
