@@ -21,20 +21,10 @@ from .multiport import (
     symmetric_coeffs,
     validate_unitarity,
 )
-from .hypercube import (
-    embed_layer_state,
-    extract_layer_state,
-    flat_index,
-    hamming_layer,
-    initial_symmetric_state,
-    read_state_csv,
-    state_norm,
-    write_state_csv,
-)
+from .hypercube import embed_layer_state, initial_symmetric_state, state_norm
 from .layers import (
     LayerState,
     classical_hitting_probability,
-    classical_walk_step,
     corner_pair_state,
     edge_counting_norm,
     hitting_amplitude_closed_form,
@@ -44,32 +34,16 @@ from .layers import (
     origin_state,
     reduced_step,
 )
-from .evolution import (
-    EvolutionConfig,
-    evolve,
-    layer_distribution_full,
-    layer_probability,
-    quantum_hitting_probability,
-    step,
-    vertex_probability,
-)
+from .evolution import EvolutionConfig, evolve, layer_distribution_full, step, vertex_probability
 from .scattering import (
     ScatterState,
     boundary_coeffs,
     detection_probability_series,
     interferometer_amplitude,
     scatter_step,
-    simulate_interferometer_amplitude,
 )
-from .circuit import apply_coin, apply_phicnot, circuit_step, coin_eigensystem, coin_matrix
+from .circuit import apply_coin, apply_phicnot, circuit_step
 from .search import SearchConfig, SearchResult, run_search, uniform_edge_state
-from .spectral import (
-    block_matrix,
-    fourier_basis_state,
-    full_spectrum_via_blocks,
-    rotation_apply,
-    rotation_apply_about,
-    translation_apply,
-)
+from .spectral import block_matrix, full_spectrum_via_blocks, rotation_apply, translation_apply
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ with orthogonal accepting states, so they commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -22,23 +20,7 @@ from .evolution import EvolutionConfig, step
 from .hypercube import state_dimension
 from .multiport import MultiportCoeffs, multiport_matrix
 
-__all__ = [
-    "coin_matrix",
-    "apply_phicnot",
-    "apply_coin",
-    "circuit_step",
-    "coin_eigensystem",
-    "coin_fourier_vector",
-    "phicnot_dense",
-    "CaReport",
-    "verify_ca_eigenstructure",
-    "operator_deviation",
-]
-
-
-def coin_matrix(c: MultiportCoeffs) -> NDArray[np.complex128]:
-    """The coin acting on the direction register; identical to the vertex matrix."""
-    return multiport_matrix(c)
+__all__ = ["apply_phicnot", "apply_coin", "circuit_step", "operator_deviation"]
 
 
 def apply_phicnot(state: NDArray[np.complex128], a: int) -> NDArray[np.complex128]:
@@ -71,96 +53,6 @@ def circuit_step(state: NDArray[np.complex128], coin: NDArray[np.complex128]) ->
     return apply_coin(out, coin)
 
 
-def coin_eigensystem(coin: NDArray[np.complex128]) -> list[tuple[complex, int]]:
-    """Spectrum of an r/t coin: r + (d-1)t once, r - t with multiplicity d - 1.
-
-    The eigenvectors are the discrete Fourier vectors over the direction
-    register (``coin_fourier_vector``); the k = 0 vector carries the
-    non-degenerate eigenvalue.
-    """
-    if coin.ndim != 2 or coin.shape[0] != coin.shape[1]:
-        raise ValidationError(f"coin must be a square matrix, got {coin.shape}")
-    d = coin.shape[0]
-    r = complex(coin[0, 0])
-    if d == 1:
-        return [(r, 1)]
-    t = complex(coin[0, 1])
-    return [(r + (d - 1) * t, 1), (r - t, d - 1)]
-
-
-def coin_fourier_vector(d: int, k: int) -> NDArray[np.complex128]:
-    """Normalized Fourier eigenvector of the coin: entries exp(2*pi*i*k*a/d)/sqrt(d)."""
-    a = np.arange(d)
-    return np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
-
-
-def phicnot_dense(d: int, a: int) -> NDArray[np.complex128]:
-    """Dense matrix of the conditional flip gate in the flat |x; a> layout."""
-    if not 1 <= a <= d:
-        raise ValidationError(f"direction must be in 1..{d} (got {a})")
-    n = d * (1 << d)
-    mask = 1 << (d - a)
-    perm = np.arange(n)
-    for x in range(1 << d):
-        src = x * d + (a - 1)
-        perm[src] = (x ^ mask) * d + (a - 1)
-    op = np.zeros((n, n), dtype=np.complex128)
-    op[np.arange(n), perm] = 1.0
-    return op
-
-
-@dataclass(frozen=True)
-class CaReport:
-    """Numerical confirmation of the flip-gate structure."""
-
-    dim: int
-    max_commutator: float
-    max_eigenvector_residual: float
-    passed: bool
-
-
-def verify_ca_eigenstructure(d: int, tol: float = 1e-12) -> CaReport:
-    """Check that all flip gates commute and have the stated eigenvectors.
-
-    Eigenvectors of gate ``a``: |+/-> on position qubit a tensor |a> with
-    eigenvalue +/-1, and anything tensor |b>, b != a, with eigenvalue +1.
-    Verified on dense matrices, so d is limited to small values.
-    """
-    if d > 8:
-        raise ValidationError(f"dense verification capped at d = 8 (got {d})")
-    gates = [phicnot_dense(d, a) for a in range(1, d + 1)]
-    max_comm = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = gates[i] @ gates[j] - gates[j] @ gates[i]
-            max_comm = max(max_comm, float(np.max(np.abs(comm))))
-
-    n_vertices = 1 << d
-    max_resid = 0.0
-    for a in range(1, d + 1):
-        mask = 1 << (d - a)
-        gate = gates[a - 1]
-        for base in range(n_vertices):
-            if base & mask:
-                continue  # enumerate qubit-a |0> representatives once
-            partner = base ^ mask
-            for sign in (1.0, -1.0):
-                vec = np.zeros((1 << d, d), dtype=np.complex128)
-                vec[base, a - 1] = 1.0 / np.sqrt(2)
-                vec[partner, a - 1] = sign / np.sqrt(2)
-                resid = gate @ vec.ravel() - sign * vec.ravel()
-                max_resid = max(max_resid, float(np.max(np.abs(resid))))
-            for b in range(1, d + 1):
-                if b == a:
-                    continue
-                vec = np.zeros((1 << d, d), dtype=np.complex128)
-                vec[base, b - 1] = 1.0
-                resid = gate @ vec.ravel() - vec.ravel()
-                max_resid = max(max_resid, float(np.max(np.abs(resid))))
-    passed = max_comm <= tol and max_resid <= tol
-    return CaReport(d, max_comm, max_resid, passed)
-
-
 def operator_deviation(d: int, c: MultiportCoeffs, cap: int = 8) -> float:
     """Max elementwise difference between the gate step and the scattering step.
 
@@ -170,7 +62,7 @@ def operator_deviation(d: int, c: MultiportCoeffs, cap: int = 8) -> float:
     if d > cap:
         raise ValidationError(f"operator comparison capped at d = {cap} (got {d})")
     cfg = EvolutionConfig(d, c)
-    coin = coin_matrix(c)
+    coin = multiport_matrix(c)
     basis = np.zeros((1 << d, d), dtype=np.complex128)
     flat = basis.ravel()
     worst = 0.0

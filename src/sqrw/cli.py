@@ -5,7 +5,7 @@ CSV.  Reals are written with 17 significant digits, UTF-8, LF line endings.
 
 Exit codes: 0 success, 1 failed verification, 2 bad flags, invalid
 parameters or a file that cannot be read or written, 3 memory budget
-exceeded, 4 tail truncation reached.
+exceeded or a request too large to allocate, 4 tail truncation reached.
 """
 
 from __future__ import annotations
@@ -448,8 +448,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryCapError, MemoryError) as exc:
+        # a request too large to allocate ends like one over the budget
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)

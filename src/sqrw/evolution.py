@@ -20,12 +20,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import (
-    initial_symmetric_state,
-    state_dimension,
-    vertex_weights,
-)
-from .multiport import MultiportCoeffs, grover_coeffs, require_valid
+from .hypercube import state_dimension, vertex_weights
+from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
     "EvolutionConfig",
@@ -33,10 +29,7 @@ __all__ = [
     "evolve",
     "gather_incoming",
     "layer_distribution_full",
-    "layer_probability",
     "vertex_probability",
-    "quantum_hitting_probability",
-    "dense_operator",
 ]
 
 
@@ -142,48 +135,9 @@ def layer_distribution_full(state: NDArray[np.complex128]) -> NDArray[np.float64
     return np.bincount(vertex_weights(d), weights=per_vertex, minlength=d + 1)
 
 
-def layer_probability(state: NDArray[np.complex128], w: int) -> float:
-    d = state_dimension(state)
-    if not 0 <= w <= d:
-        raise ValidationError(f"layer must be in 0..{d} (got {w})")
-    return float(layer_distribution_full(state)[w])
-
-
 def vertex_probability(state: NDArray[np.complex128], x: int) -> float:
     """Probability on the d edges leaving vertex x."""
     d = state_dimension(state)
     if not 0 <= x < (1 << d):
         raise ValidationError(f"vertex {x} out of range for d={d}")
     return float(np.sum(np.abs(state[x, :]) ** 2))
-
-
-def quantum_hitting_probability(d: int, coeffs: MultiportCoeffs | None = None) -> float:
-    """Squared per-edge amplitude at the far corner after d steps from the origin state.
-
-    Simulated with the full walk; equals the squared closed-form hitting
-    amplitude of the layer-reduced picture.
-    """
-    cfg = EvolutionConfig(d, coeffs if coeffs is not None else grover_coeffs(d))
-    state = evolve(initial_symmetric_state(d), cfg, d)
-    far = (1 << d) - 1
-    return vertex_probability(state, far) / d
-
-
-def dense_operator(cfg: EvolutionConfig, cap: int = 8) -> NDArray[np.complex128]:
-    """Materialize the step as a dense matrix in the flat |x; a> layout.
-
-    Dimension is capped (default d <= 8, matrix side 2048); beyond that
-    only state-vector application is sensible.
-    """
-    if cfg.dim > cap:
-        raise ValidationError(f"dense operator requested for d={cfg.dim}, cap is {cap}")
-    d = cfg.dim
-    n = d * (1 << d)
-    op = np.empty((n, n), dtype=np.complex128)
-    basis = np.zeros((1 << d, d), dtype=np.complex128)
-    flat = basis.ravel()
-    for i in range(n):
-        flat[i] = 1.0
-        op[:, i] = step(basis, cfg).ravel()
-        flat[i] = 0.0
-    return op

@@ -11,13 +11,7 @@ The physical norm of the embedded state is the edge-counting form
     N = sum_w  C(d, w) * [ (d - w) |up[w]|^2 + w |down[w]|^2 ]
 
 (each layer-w vertex owns d-w up-edges and w down-edges).  This quantity is
-conserved exactly by ``reduced_step``.  The squared-binomial sum
-``sum_w C(d, w)^2 (|up[w]|^2 + |down[w]|^2)`` is also computed, for audit
-purposes only: it is *not* conserved (see ``conserved_quantity_series``).
-
-The layer projection of the classical simple random walk is kept here too,
-stored as the distribution over layers; the per-vertex convention divides by
-C(d, w) at output.
+conserved exactly by ``reduced_step``.
 """
 
 from __future__ import annotations
@@ -40,18 +34,11 @@ __all__ = [
     "corner_pair_state",
     "middle_state",
     "edge_counting_norm",
-    "squared_binomial_product",
     "reduced_step",
-    "evolve_layers",
     "layer_distribution",
     "layer_distribution_series",
-    "layer_mean",
-    "conserved_quantity_series",
     "hitting_amplitude_closed_form",
     "classical_hitting_probability",
-    "classical_initial_distribution",
-    "classical_walk_step",
-    "per_vertex_probabilities",
     "hitting_ratio_table",
 ]
 
@@ -147,12 +134,6 @@ def edge_counting_norm(s: LayerState) -> float:
     return float(np.sum(_distribution(s.up, s.down, _binomials(s.d))))
 
 
-def squared_binomial_product(s: LayerState) -> float:
-    """Audit quantity sum_w C(d,w)^2 (|up|^2 + |down|^2); not conserved in general."""
-    b = _binomials(s.d)
-    return float(np.sum(b * b * (np.abs(s.up) ** 2 + np.abs(s.down) ** 2)))
-
-
 def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     """One walk step on layer coefficients.
 
@@ -201,15 +182,6 @@ def _layer_kernel(
     return new_up, new_down
 
 
-def evolve_layers(s: LayerState, c: MultiportCoeffs, n: int) -> LayerState:
-    if n < 0:
-        raise ValidationError(f"step count must be >= 0 (got {n})")
-    out = s.copy()
-    for _ in range(n):
-        out = reduced_step(out, c)
-    return out
-
-
 def layer_distribution(s: LayerState) -> NDArray[np.float64]:
     """Probability per layer: C(d,w)[(d-w)|up[w]|^2 + w|down[w]|^2]."""
     return _distribution(s.up, s.down, _binomials(s.d))
@@ -234,32 +206,6 @@ def layer_distribution_series(
         up, down = _layer_kernel(up, down, factors)
         out[n] = _distribution(up, down, b)
     return out
-
-
-def layer_mean(dist: NDArray[np.float64]) -> float:
-    """Mean layer index of one distribution row."""
-    w = np.arange(dist.shape[-1], dtype=np.float64)
-    return float(np.sum(w * dist))
-
-
-def conserved_quantity_series(
-    d: int, c: MultiportCoeffs, init: LayerState, n_max: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Per-step log of the edge-counting norm and the squared-binomial sum.
-
-    The first series is conserved; the second is recorded so the question
-    can be settled numerically rather than argued.
-    """
-    edge = np.empty(n_max + 1)
-    squared = np.empty(n_max + 1)
-    s = init.copy()
-    edge[0] = edge_counting_norm(s)
-    squared[0] = squared_binomial_product(s)
-    for n in range(1, n_max + 1):
-        s = reduced_step(s, c)
-        edge[n] = edge_counting_norm(s)
-        squared[n] = squared_binomial_product(s)
-    return edge, squared
 
 
 def hitting_amplitude_closed_form(d: int, c: MultiportCoeffs) -> complex:
@@ -287,34 +233,6 @@ def classical_hitting_probability(d: int) -> float:
     if d <= 20:
         return math.factorial(d) / d**d
     return math.exp(math.lgamma(d + 1) - d * math.log(d))
-
-
-def classical_initial_distribution(d: int) -> NDArray[np.float64]:
-    p = np.zeros(d + 1, dtype=np.float64)
-    p[0] = 1.0
-    return p
-
-
-def classical_walk_step(p: NDArray[np.float64], d: int) -> NDArray[np.float64]:
-    """One step of the simple random walk projected on layers.
-
-    ``p`` holds layer probabilities (not per-vertex).  From layer w the
-    walker moves up with rate (d-w)/d and down with rate w/d, so
-
-        p'[w] = p[w-1]*(d-w+1)/d + p[w+1]*(w+1)/d.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (d + 1,):
-        raise ValidationError(f"distribution must have shape ({d + 1},), got {p.shape}")
-    w = np.arange(d + 1, dtype=np.float64)
-    from_below = np.concatenate(([0.0], p[:-1])) * (d - w + 1)
-    from_above = np.concatenate((p[1:], [0.0])) * (w + 1)
-    return (from_below + from_above) / d
-
-
-def per_vertex_probabilities(p: NDArray[np.float64], d: int) -> NDArray[np.float64]:
-    """Convert a layer distribution to the per-vertex probability p[w]/C(d,w)."""
-    return np.asarray(p, dtype=np.float64) / _binomials(d)
 
 
 def hitting_ratio_table(d_max: int) -> NDArray[np.float64]:

@@ -30,11 +30,15 @@ leaving the far vertex onto the right tail (``up[d]``); a cumulative
 running sum is the alternative detector reading, emitted next to it by the
 CLI since either convention is defensible.
 
-Non-symmetric initial states (one amplitude per direction at vertex 0...0)
-break the layer reduction, so a full-edge-state variant with tails is also
-provided; it backs the interferometer check, where the closed-form traversal
-amplitude sum(gamma_j) * (d-1)! * t**(d-1) * tb depends on the initial
-direction amplitudes only through their sum.
+Any start on the edges leaving 0...0 reduces to this walk.  Its exit
+amplitudes are linear in the start amplitudes gamma_j on |0...0; j>, and
+no permutation of the directions changes them, because a permutation maps
+the tailed cube onto itself and fixes both corners and both tails.  A
+linear functional that no permutation changes has equal coefficients, so
+it is sum(gamma) times one number.  Hence, exactly and at every step, the
+exit amplitudes of any such start are sum(gamma)/sqrt(d) times those of
+the layer walk from ``origin_state`` (gamma_j = 1/sqrt(d));
+``interferometer_amplitude`` is their closed form at step d.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .hypercube import ensure_full_state_fits, state_dimension, zero_full_state
 from .layers import LayerState, _layer_factors, _layer_kernel, edge_counting_norm
 from .multiport import MultiportCoeffs, require_valid
 
@@ -60,13 +63,7 @@ __all__ = [
     "scatter_step",
     "detection_probability_series",
     "count_local_maxima",
-    "FullTailState",
-    "full_tail_from_cube",
-    "full_tail_norm",
-    "full_tail_step",
-    "full_tail_detection_series",
     "interferometer_amplitude",
-    "simulate_interferometer_amplitude",
 ]
 
 
@@ -270,13 +267,17 @@ def detection_probability_series(
         tail_length = n_max + 2
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
-    s = initial_tail_photon(d, tail_length)
+    if tail_length < 1:
+        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
     _check_coeffs(d, c, b)
     # Only step 1 takes amplitude from a tail (the photon at site -1).  What
-    # leaves onto a tail never comes back, so the tails are unstored sinks:
-    # an exit at step k reaches the cut at step k + L + 1.
+    # leaves onto a tail never comes back, so the tails are unstored sinks
+    # and the tail length is only a number: an exit at step k reaches the
+    # cut at step k + L + 1.
     factors = _layer_factors(d, c.r, c.t)
-    up, down, arriving = s.up, s.down, s.left_in[0]
+    up = np.zeros(d + 1, dtype=np.complex128)
+    down = up.copy()
+    arriving = 1.0 + 0j
     series = np.zeros(n_max + 1, dtype=np.float64)
     for n in range(1, n_max + 1):
         new_up, new_down = _layer_kernel(up, down, factors)
@@ -303,114 +304,6 @@ def count_local_maxima(series: NDArray[np.float64], floor: float = 1e-12) -> int
     return count
 
 
-# ---------------------------------------------------------------------------
-# Full edge state with tails (non-symmetric initial conditions).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FullTailState:
-    """Full (2**d, d) cube state plus the two exit edges and truncated tails."""
-
-    cube: NDArray[np.complex128]
-    exit_left: complex
-    exit_right: complex
-    left_in: NDArray[np.complex128]
-    left_out: NDArray[np.complex128]
-    right_out: NDArray[np.complex128]
-    right_in: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        self.cube = np.asarray(self.cube, dtype=np.complex128)
-        state_dimension(self.cube)
-        L = self.left_in.shape[0]
-        for name in ("left_out", "right_out", "right_in"):
-            if getattr(self, name).shape != (L,):
-                raise ValidationError("all four tail arrays must share one length")
-
-    @property
-    def d(self) -> int:
-        return state_dimension(self.cube)
-
-    @property
-    def tail_length(self) -> int:
-        return int(self.left_in.shape[0])
-
-
-def full_tail_from_cube(cube: NDArray[np.complex128], tail_length: int) -> FullTailState:
-    if tail_length < 1:
-        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
-    z = np.zeros(tail_length, dtype=np.complex128)
-    return FullTailState(cube.copy(), 0.0, 0.0, z.copy(), z.copy(), z.copy(), z.copy())
-
-
-def full_tail_norm(s: FullTailState) -> float:
-    total = float(np.sum(np.abs(s.cube) ** 2))
-    total += abs(s.exit_left) ** 2 + abs(s.exit_right) ** 2
-    for arr in (s.left_in, s.left_out, s.right_out, s.right_in):
-        total += float(np.sum(np.abs(arr) ** 2))
-    return total
-
-
-def full_tail_step(
-    s: FullTailState, c: MultiportCoeffs, b: MultiportCoeffs | None = None
-) -> FullTailState:
-    """One step of the full walk with tails attached to 0...0 and 1...1."""
-    from .evolution import gather_incoming  # local import to keep module load light
-
-    d = s.d
-    _check_coeffs(d, c, b)
-    if b is None:
-        b = boundary_coeffs(d)
-    L = s.tail_length
-    if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
-        raise TruncationError(_truncation_message(L))
-    far = (1 << d) - 1
-    incoming = gather_incoming(s.cube)
-    totals = incoming.sum(axis=1)
-    out_cube = (c.r - c.t) * incoming + c.t * totals[:, None]
-
-    rb, tb = b.r, b.t
-    total_origin = totals[0] + s.left_in[0]
-    total_far = totals[far] + s.right_in[0]
-    out_cube[0, :] = (rb - tb) * incoming[0, :] + tb * total_origin
-    out_cube[far, :] = (rb - tb) * incoming[far, :] + tb * total_far
-    new_exit_left = (rb - tb) * s.left_in[0] + tb * total_origin
-    new_exit_right = (rb - tb) * s.right_in[0] + tb * total_far
-
-    out = full_tail_from_cube(out_cube, L)
-    out.exit_left = new_exit_left
-    out.exit_right = new_exit_right
-    out.left_in[: L - 1] = s.left_in[1:]
-    out.left_out[1:] = s.left_out[: L - 1]
-    out.left_out[0] = s.exit_left
-    out.right_in[: L - 1] = s.right_in[1:]
-    out.right_out[1:] = s.right_out[: L - 1]
-    out.right_out[0] = s.exit_right
-    return out
-
-
-def full_tail_detection_series(
-    d: int,
-    c: MultiportCoeffs,
-    b: MultiportCoeffs | None = None,
-    n_max: int = 100,
-    tail_length: int | None = None,
-) -> NDArray[np.float64]:
-    """Reference detection series from the full edge-state walk with tails."""
-    ensure_full_state_fits(d)
-    if tail_length is None:
-        tail_length = n_max + 2
-    s = full_tail_from_cube(zero_full_state(d), tail_length)
-    s.left_in[0] = 1.0
-    series = np.empty(n_max + 1, dtype=np.float64)
-    series[0] = abs(s.exit_right) ** 2
-    for n in range(1, n_max + 1):
-        s = full_tail_step(s, c, b)
-        series[n] = abs(s.exit_right) ** 2
-    return series
-
-
 def interferometer_amplitude(
     d: int,
     gamma: NDArray[np.complex128],
@@ -435,22 +328,3 @@ def interferometer_amplitude(
     if b is None:
         b = boundary_coeffs(d)
     return complex(np.sum(gamma) * math.factorial(d - 1) * c.t ** (d - 1) * b.t)
-
-
-def simulate_interferometer_amplitude(
-    d: int,
-    gamma: NDArray[np.complex128],
-    c: MultiportCoeffs,
-    b: MultiportCoeffs | None = None,
-) -> complex:
-    """Same amplitude from d steps of the full walk with tails."""
-    gamma = np.asarray(gamma, dtype=np.complex128)
-    if gamma.shape != (d,):
-        raise ValidationError(f"gamma must have shape ({d},), got {gamma.shape}")
-    ensure_full_state_fits(d)
-    cube = zero_full_state(d)
-    cube[0, :] = gamma
-    s = full_tail_from_cube(cube, d + 2)
-    for _ in range(d):
-        s = full_tail_step(s, c, b)
-    return complex(s.exit_right)

@@ -148,11 +148,11 @@ def _layer_search_states(
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Walk from the uniform state on the layer reduction, tracking success per step."""
     out = cfg.metric == "out"
+    # allocated before the walk, so a step count too large to store fails at once
+    series = np.empty(cfg.steps + 1, dtype=np.float64)
     # each of the mark's d out-edges (up[0]) or in-edges (down[1]) has the same amplitude
-    watched = np.array(
-        [up[0] if out else down[1] for up, down in _layer_search_states(cfg)],
-        dtype=np.complex128,
-    )
-    series = cfg.dim * np.abs(watched) ** 2
+    for n, (up, down) in enumerate(_layer_search_states(cfg)):
+        series[n] = abs(up[0] if out else down[1])
+    series = cfg.dim * series**2
     peak_step = int(np.argmax(series))
     return SearchResult(series, peak_step, float(series[peak_step]))

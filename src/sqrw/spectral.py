@@ -27,24 +27,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .evolution import EvolutionConfig, dense_operator
-from .hypercube import check_dimension, ensure_full_state_fits, state_dimension
-from .hypercube import vertex_weights, zero_full_state
+from .hypercube import ensure_full_state_fits, state_dimension, vertex_weights
 from .multiport import MultiportCoeffs, multiport_matrix
 
 __all__ = [
     "translation_apply",
-    "fourier_basis_state",
     "block_matrix",
     "weight_class_spectra",
     "full_spectrum_via_blocks",
-    "dense_spectrum",
-    "spectrum_mismatch",
-    "fourier_offblock_deviation",
     "rotation_apply",
-    "rotation_apply_about",
-    "lift_block_eigenvector",
-    "recurrence_residual",
 ]
 
 
@@ -55,26 +46,6 @@ def translation_apply(state: NDArray[np.complex128], b: int) -> NDArray[np.compl
     if not 0 <= b < n:
         raise ValidationError(f"translation vertex {b} out of range for d={d}")
     return state[np.arange(n) ^ b, :]
-
-
-def _sign_characters(d: int, k: int) -> NDArray[np.float64]:
-    """(-1)^(k.x) for every vertex x."""
-    n = 1 << d
-    parity = vertex_weights(d)[np.bitwise_and(np.arange(n), k)] & 1
-    return 1.0 - 2.0 * parity
-
-
-def fourier_basis_state(d: int, k: int, a: int) -> NDArray[np.complex128]:
-    """Normalized character vector |k~, a>, an eigenvector of every translation."""
-    check_dimension(d)
-    n = 1 << d
-    if not 0 <= k < n:
-        raise ValidationError(f"momentum label {k} out of range for d={d}")
-    if not 1 <= a <= d:
-        raise ValidationError(f"direction must be in 1..{d} (got {a})")
-    state = zero_full_state(d)
-    state[:, a - 1] = _sign_characters(d, k) * 2.0 ** (-d / 2.0)
-    return state
 
 
 def block_matrix(c: MultiportCoeffs, k: int) -> NDArray[np.complex128]:
@@ -110,61 +81,6 @@ def full_spectrum_via_blocks(d: int, c: MultiportCoeffs) -> NDArray[np.complex12
     return np.stack(weight_class_spectra(c))[vertex_weights(d)].ravel()
 
 
-def dense_spectrum(d: int, c: MultiportCoeffs, cap: int = 8) -> NDArray[np.complex128]:
-    """Eigenvalues of the dense step operator (the expensive reference route)."""
-    return np.linalg.eigvals(dense_operator(EvolutionConfig(d, c), cap=cap))
-
-
-def spectrum_mismatch(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
-    """Greatest nearest-neighbour pairing distance between two eigenvalue multisets.
-
-    Each value of ``a`` greedily takes the nearest still-unused value of
-    ``b``.  When the multisets agree up to perturbations small against the
-    gaps between degenerate clusters (the situation being tested), every
-    pick stays inside its own cluster and the result bounds the true
-    multiset distance; genuinely different multisets report a large value.
-    Quadratic in the spectrum size, fine at the dense cap.
-    """
-    if a.shape != b.shape:
-        raise ValidationError(f"spectra differ in size: {a.shape} vs {b.shape}")
-    a = np.sort_complex(np.asarray(a))
-    b = np.sort_complex(np.asarray(b))
-    unused = np.ones(len(b), dtype=bool)
-    worst = 0.0
-    for value in a:
-        candidates = np.nonzero(unused)[0]
-        pick = candidates[int(np.argmin(np.abs(b[candidates] - value)))]
-        unused[pick] = False
-        worst = max(worst, float(np.abs(b[pick] - value)))
-    return worst
-
-
-def fourier_offblock_deviation(d: int, c: MultiportCoeffs, cap: int = 6) -> tuple[float, float]:
-    """Check block diagonality of the step in the character basis.
-
-    Returns (largest matrix element between different momentum blocks,
-    largest deviation of each diagonal block from ``block_matrix``).
-    """
-    if d > cap:
-        raise ValidationError(f"dense basis change capped at d = {cap} (got {d})")
-    n = d * (1 << d)
-    basis = np.empty((n, n), dtype=np.complex128)
-    for k in range(1 << d):
-        for a in range(1, d + 1):
-            basis[:, k * d + (a - 1)] = fourier_basis_state(d, k, a).ravel()
-    u = dense_operator(EvolutionConfig(d, c), cap=cap)
-    u_tilde = basis.conj().T @ u @ basis
-    off_max = 0.0
-    block_max = 0.0
-    for k in range(1 << d):
-        sl = slice(k * d, (k + 1) * d)
-        block = u_tilde[sl, sl].copy()
-        block_max = max(block_max, float(np.max(np.abs(block - block_matrix(c, k)))))
-        u_tilde[sl, sl] = 0.0
-    off_max = float(np.max(np.abs(u_tilde)))
-    return off_max, block_max
-
-
 def _rotate_left(x: NDArray[np.int64], d: int) -> NDArray[np.int64]:
     n_mask = (1 << d) - 1
     return ((x << 1) & n_mask) | (x >> (d - 1))
@@ -187,55 +103,3 @@ def rotation_apply(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
     for j in range(d):
         out[:, j] = state[src_vertex, (j - 1) % d]
     return out
-
-
-def rotation_apply_about(state: NDArray[np.complex128], x: int) -> NDArray[np.complex128]:
-    """Rotation about the axis through vertices x and x + 1...1."""
-    return translation_apply(rotation_apply(translation_apply(state, x)), x)
-
-
-def lift_block_eigenvector(
-    d: int, k: int, v: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """Turn a block eigenvector into a normalized full eigenvector of the step."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (d,):
-        raise ValidationError(f"block vector must have shape ({d},), got {v.shape}")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValidationError("block eigenvector must be nonzero")
-    state = zero_full_state(d)
-    signs = _sign_characters(d, k) * 2.0 ** (-d / 2.0)
-    for j in range(d):
-        state[:, j] = signs * (v[j] / norm)
-    return state
-
-
-def recurrence_residual(
-    state: NDArray[np.complex128], eigenvalue: complex, c: MultiportCoeffs
-) -> float:
-    """Residual of the reversed-edge eigenvalue recurrence.
-
-    For a claimed eigenpair this evaluates, over every edge |x; a>,
-
-        | r * g[x^m(a), a] + t * sum_{b != a} g[x, b] - lambda * g[x^m(a), a] |
-
-    where g[x^m(a), a] is the amplitude of the reversed edge.  Under this
-    reading the relation holds on the zero-momentum block but not on the
-    others, so it is reported as a diagnostic rather than enforced; the
-    direct eigenvalue equation is what the tests assert.
-    """
-    from .evolution import gather_incoming
-
-    d = state_dimension(state)
-    if c.degree != d:
-        raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
-    reversed_edges = gather_incoming(state)
-    row_sums = state.sum(axis=1)
-    worst = 0.0
-    for j in range(d):
-        others = row_sums - state[:, j]
-        lhs = c.r * reversed_edges[:, j] + c.t * others
-        rhs = eigenvalue * reversed_edges[:, j]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from sqrw.evolution import EvolutionConfig
+from sqrw.evolution import EvolutionConfig, gather_incoming
+from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
-from sqrw.scattering import initial_tail_photon, scatter_step
+from sqrw.scattering import boundary_coeffs, initial_tail_photon, scatter_step
 from sqrw.spectral import block_matrix
 
 
@@ -19,23 +20,57 @@ def random_unit_state(d: int, seed: int) -> np.ndarray:
 def reference_step(state: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     """The full step as an explicit gather and combine (reference for ``step``).
 
-    incoming[y, a-1] = state[y ^ mask(a), a-1] is copied out of the d-cube
-    view, summed per vertex with numpy's ``sum``, and combined row by row
-    with the vertex matrix, overrides included.  Shares no code with the
-    in-place kernel.
+    The amplitudes arriving at each vertex are copied out with
+    ``gather_incoming``, summed per vertex with numpy's ``sum``, and
+    combined row by row with the vertex matrix, overrides included.  Shares
+    no code with the in-place kernel.
     """
-    n, d = state.shape
-    cube = state.reshape((2,) * d + (d,))
-    incoming = np.empty((n, d), dtype=np.complex128)
-    inc_cube = incoming.reshape((2,) * d + (d,))
-    for j in range(d):
-        inc_cube[..., j] = np.flip(cube[..., j], axis=j)
+    incoming = gather_incoming(state)
     totals = incoming.sum(axis=1)
     r, t = cfg.coeffs.r, cfg.coeffs.t
     out = (r - t) * incoming + t * totals[:, None]
     for vertex, c in (cfg.overrides or {}).items():
         out[vertex, :] = (c.r - c.t) * incoming[vertex, :] + c.t * totals[vertex]
     return out
+
+
+def tailed_cube_exits(
+    gamma: np.ndarray,
+    c: MultiportCoeffs,
+    n_max: int,
+    b: MultiportCoeffs | None = None,
+    photon: complex = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exit amplitudes of the full cube with tails at 0...0 and 1...1 (reference for the tails).
+
+    The start has amplitude gamma[j] on edge |0...0; j>, and ``photon``
+    arriving at 0...0 from the left tail at step 1.  The two corners are
+    (d+1)-ports with coefficients ``b`` whose extra port is the exit edge.
+    What leaves onto a tail never returns, so the tails are sinks and are
+    not stored.  Row n of the first result holds the (left, right) exit
+    amplitudes after n steps; the second is the cube after ``n_max`` steps.
+    """
+    d = len(gamma)
+    b = boundary_coeffs(d) if b is None else b
+    cube = zero_full_state(d)
+    cube[0] = gamma
+    exits = np.zeros((n_max + 1, 2), dtype=np.complex128)
+    for n in range(1, n_max + 1):
+        incoming = gather_incoming(cube)
+        totals = incoming.sum(axis=1)
+        cube = (c.r - c.t) * incoming + c.t * totals[:, None]
+        entering = (photon if n == 1 else 0.0, 0.0)  # from the left and the right tail
+        for side, v in enumerate((0, -1)):
+            total = totals[v] + entering[side]
+            cube[v] = (b.r - b.t) * incoming[v] + b.t * total
+            exits[n, side] = (b.r - b.t) * entering[side] + b.t * total
+    return exits, cube
+
+
+def traversal_amplitude(gamma: np.ndarray, c: MultiportCoeffs) -> complex:
+    """Right-exit amplitude after d steps (reference for ``interferometer_amplitude``)."""
+    d = len(gamma)
+    return tailed_cube_exits(gamma, c, d)[0][d, 1]
 
 
 def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:

@@ -1,0 +1,335 @@
+"""Reference code that only the tests call.
+
+Dense operators and dense spectra, the character basis, the flip-gate
+structure check, the audit and classical layer series, and the layer
+extraction of a full state.  They check the library from outside and are
+not part of its API.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import NDArray
+
+from sqrw.errors import ValidationError
+from sqrw.evolution import EvolutionConfig, evolve, step, vertex_probability
+from sqrw.hypercube import (
+    check_dimension,
+    initial_symmetric_state,
+    state_dimension,
+    vertex_weights,
+    zero_full_state,
+)
+from sqrw.layers import LayerState, _binomials, edge_counting_norm, reduced_step
+from sqrw.multiport import MultiportCoeffs, grover_coeffs
+from sqrw.spectral import block_matrix, rotation_apply, translation_apply
+
+
+def coin_fourier_vector(d: int, k: int) -> NDArray[np.complex128]:
+    """Normalized Fourier eigenvector of the coin: entries exp(2*pi*i*k*a/d)/sqrt(d)."""
+    a = np.arange(d)
+    return np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
+
+
+def phicnot_dense(d: int, a: int) -> NDArray[np.complex128]:
+    """Dense matrix of the conditional flip gate in the flat |x; a> layout."""
+    if not 1 <= a <= d:
+        raise ValidationError(f"direction must be in 1..{d} (got {a})")
+    n = d * (1 << d)
+    mask = 1 << (d - a)
+    perm = np.arange(n)
+    for x in range(1 << d):
+        src = x * d + (a - 1)
+        perm[src] = (x ^ mask) * d + (a - 1)
+    op = np.zeros((n, n), dtype=np.complex128)
+    op[np.arange(n), perm] = 1.0
+    return op
+
+
+@dataclass(frozen=True)
+class CaReport:
+    """Numerical confirmation of the flip-gate structure."""
+
+    dim: int
+    max_commutator: float
+    max_eigenvector_residual: float
+    passed: bool
+
+
+def verify_ca_eigenstructure(d: int, tol: float = 1e-12) -> CaReport:
+    """Check that all flip gates commute and have the stated eigenvectors.
+
+    Eigenvectors of gate ``a``: |+/-> on position qubit a tensor |a> with
+    eigenvalue +/-1, and anything tensor |b>, b != a, with eigenvalue +1.
+    Verified on dense matrices, so d is limited to small values.
+    """
+    if d > 8:
+        raise ValidationError(f"dense verification capped at d = 8 (got {d})")
+    gates = [phicnot_dense(d, a) for a in range(1, d + 1)]
+    max_comm = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            comm = gates[i] @ gates[j] - gates[j] @ gates[i]
+            max_comm = max(max_comm, float(np.max(np.abs(comm))))
+
+    n_vertices = 1 << d
+    max_resid = 0.0
+    for a in range(1, d + 1):
+        mask = 1 << (d - a)
+        gate = gates[a - 1]
+        for base in range(n_vertices):
+            if base & mask:
+                continue  # enumerate qubit-a |0> representatives once
+            partner = base ^ mask
+            for sign in (1.0, -1.0):
+                vec = np.zeros((1 << d, d), dtype=np.complex128)
+                vec[base, a - 1] = 1.0 / np.sqrt(2)
+                vec[partner, a - 1] = sign / np.sqrt(2)
+                resid = gate @ vec.ravel() - sign * vec.ravel()
+                max_resid = max(max_resid, float(np.max(np.abs(resid))))
+            for b in range(1, d + 1):
+                if b == a:
+                    continue
+                vec = np.zeros((1 << d, d), dtype=np.complex128)
+                vec[base, b - 1] = 1.0
+                resid = gate @ vec.ravel() - vec.ravel()
+                max_resid = max(max_resid, float(np.max(np.abs(resid))))
+    passed = max_comm <= tol and max_resid <= tol
+    return CaReport(d, max_comm, max_resid, passed)
+
+
+def _sign_characters(d: int, k: int) -> NDArray[np.float64]:
+    """(-1)^(k.x) for every vertex x."""
+    n = 1 << d
+    parity = vertex_weights(d)[np.bitwise_and(np.arange(n), k)] & 1
+    return 1.0 - 2.0 * parity
+
+
+def fourier_basis_state(d: int, k: int, a: int) -> NDArray[np.complex128]:
+    """Normalized character vector |k~, a>, an eigenvector of every translation."""
+    check_dimension(d)
+    n = 1 << d
+    if not 0 <= k < n:
+        raise ValidationError(f"momentum label {k} out of range for d={d}")
+    if not 1 <= a <= d:
+        raise ValidationError(f"direction must be in 1..{d} (got {a})")
+    state = zero_full_state(d)
+    state[:, a - 1] = _sign_characters(d, k) * 2.0 ** (-d / 2.0)
+    return state
+
+
+def dense_spectrum(d: int, c: MultiportCoeffs, cap: int = 8) -> NDArray[np.complex128]:
+    """Eigenvalues of the dense step operator (the expensive reference route)."""
+    return np.linalg.eigvals(dense_operator(EvolutionConfig(d, c), cap=cap))
+
+
+def spectrum_mismatch(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
+    """Greatest nearest-neighbour pairing distance between two eigenvalue multisets.
+
+    Each value of ``a`` greedily takes the nearest still-unused value of
+    ``b``.  When the multisets agree up to perturbations small against the
+    gaps between degenerate clusters (the situation being tested), every
+    pick stays inside its own cluster and the result bounds the true
+    multiset distance; genuinely different multisets report a large value.
+    Quadratic in the spectrum size, fine at the dense cap.
+    """
+    if a.shape != b.shape:
+        raise ValidationError(f"spectra differ in size: {a.shape} vs {b.shape}")
+    a = np.sort_complex(np.asarray(a))
+    b = np.sort_complex(np.asarray(b))
+    unused = np.ones(len(b), dtype=bool)
+    worst = 0.0
+    for value in a:
+        candidates = np.nonzero(unused)[0]
+        pick = candidates[int(np.argmin(np.abs(b[candidates] - value)))]
+        unused[pick] = False
+        worst = max(worst, float(np.abs(b[pick] - value)))
+    return worst
+
+
+def fourier_offblock_deviation(d: int, c: MultiportCoeffs, cap: int = 6) -> tuple[float, float]:
+    """Check block diagonality of the step in the character basis.
+
+    Returns (largest matrix element between different momentum blocks,
+    largest deviation of each diagonal block from ``block_matrix``).
+    """
+    if d > cap:
+        raise ValidationError(f"dense basis change capped at d = {cap} (got {d})")
+    n = d * (1 << d)
+    basis = np.empty((n, n), dtype=np.complex128)
+    for k in range(1 << d):
+        for a in range(1, d + 1):
+            basis[:, k * d + (a - 1)] = fourier_basis_state(d, k, a).ravel()
+    u = dense_operator(EvolutionConfig(d, c), cap=cap)
+    u_tilde = basis.conj().T @ u @ basis
+    off_max = 0.0
+    block_max = 0.0
+    for k in range(1 << d):
+        sl = slice(k * d, (k + 1) * d)
+        block = u_tilde[sl, sl].copy()
+        block_max = max(block_max, float(np.max(np.abs(block - block_matrix(c, k)))))
+        u_tilde[sl, sl] = 0.0
+    off_max = float(np.max(np.abs(u_tilde)))
+    return off_max, block_max
+
+
+def rotation_apply_about(state: NDArray[np.complex128], x: int) -> NDArray[np.complex128]:
+    """Rotation about the axis through vertices x and x + 1...1."""
+    return translation_apply(rotation_apply(translation_apply(state, x)), x)
+
+
+def lift_block_eigenvector(
+    d: int, k: int, v: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """Turn a block eigenvector into a normalized full eigenvector of the step."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape != (d,):
+        raise ValidationError(f"block vector must have shape ({d},), got {v.shape}")
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValidationError("block eigenvector must be nonzero")
+    state = zero_full_state(d)
+    signs = _sign_characters(d, k) * 2.0 ** (-d / 2.0)
+    for j in range(d):
+        state[:, j] = signs * (v[j] / norm)
+    return state
+
+
+def quantum_hitting_probability(d: int, coeffs: MultiportCoeffs | None = None) -> float:
+    """Squared per-edge amplitude at the far corner after d steps from the origin state.
+
+    Simulated with the full walk; equals the squared closed-form hitting
+    amplitude of the layer-reduced picture.
+    """
+    cfg = EvolutionConfig(d, coeffs if coeffs is not None else grover_coeffs(d))
+    state = evolve(initial_symmetric_state(d), cfg, d)
+    far = (1 << d) - 1
+    return vertex_probability(state, far) / d
+
+
+def dense_operator(cfg: EvolutionConfig, cap: int = 8) -> NDArray[np.complex128]:
+    """Materialize the step as a dense matrix in the flat |x; a> layout.
+
+    Dimension is capped (default d <= 8, matrix side 2048); beyond that
+    only state-vector application is sensible.
+    """
+    if cfg.dim > cap:
+        raise ValidationError(f"dense operator requested for d={cfg.dim}, cap is {cap}")
+    d = cfg.dim
+    n = d * (1 << d)
+    op = np.empty((n, n), dtype=np.complex128)
+    basis = np.zeros((1 << d, d), dtype=np.complex128)
+    flat = basis.ravel()
+    for i in range(n):
+        flat[i] = 1.0
+        op[:, i] = step(basis, cfg).ravel()
+        flat[i] = 0.0
+    return op
+
+
+def extract_layer_state(
+    state: NDArray[np.complex128],
+) -> tuple[LayerState, float]:
+    """Average a full state back to layer coefficients.
+
+    Returns the layer state built from per-class means together with the
+    largest deviation of any edge amplitude from its class mean (zero, up
+    to rounding, when the state really is symmetric).
+    """
+    d = state_dimension(state)
+    n = 1 << d
+    w = vertex_weights(d)
+    x = np.arange(n)
+    up_sum = np.zeros(d + 1, dtype=np.complex128)
+    down_sum = np.zeros(d + 1, dtype=np.complex128)
+    up_cnt = np.zeros(d + 1, dtype=np.int64)
+    down_cnt = np.zeros(d + 1, dtype=np.int64)
+    for j in range(d):
+        bit = (x >> (d - 1 - j)) & 1
+        up_rows = bit == 0
+        up_sum += np.bincount(w[up_rows], weights=state[up_rows, j].real, minlength=d + 1)
+        up_sum += 1j * np.bincount(w[up_rows], weights=state[up_rows, j].imag, minlength=d + 1)
+        down_sum += np.bincount(w[~up_rows], weights=state[~up_rows, j].real, minlength=d + 1)
+        down_sum += 1j * np.bincount(w[~up_rows], weights=state[~up_rows, j].imag, minlength=d + 1)
+        up_cnt += np.bincount(w[up_rows], minlength=d + 1)
+        down_cnt += np.bincount(w[~up_rows], minlength=d + 1)
+    up = np.where(up_cnt > 0, up_sum / np.maximum(up_cnt, 1), 0.0)
+    down = np.where(down_cnt > 0, down_sum / np.maximum(down_cnt, 1), 0.0)
+    layer = LayerState(d, up, down)
+    deviation = 0.0
+    for j in range(d):
+        bit = (x >> (d - 1 - j)) & 1
+        ref = np.where(bit == 0, up[w], down[w])
+        deviation = max(deviation, float(np.max(np.abs(state[:, j] - ref))))
+    return layer, deviation
+
+
+def squared_binomial_product(s: LayerState) -> float:
+    """Audit quantity sum_w C(d,w)^2 (|up|^2 + |down|^2); not conserved in general."""
+    b = _binomials(s.d)
+    return float(np.sum(b * b * (np.abs(s.up) ** 2 + np.abs(s.down) ** 2)))
+
+
+def evolve_layers(s: LayerState, c: MultiportCoeffs, n: int) -> LayerState:
+    if n < 0:
+        raise ValidationError(f"step count must be >= 0 (got {n})")
+    out = s.copy()
+    for _ in range(n):
+        out = reduced_step(out, c)
+    return out
+
+
+def layer_mean(dist: NDArray[np.float64]) -> float:
+    """Mean layer index of one distribution row."""
+    w = np.arange(dist.shape[-1], dtype=np.float64)
+    return float(np.sum(w * dist))
+
+
+def conserved_quantity_series(
+    d: int, c: MultiportCoeffs, init: LayerState, n_max: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Per-step log of the edge-counting norm and the squared-binomial sum.
+
+    The first series is conserved; the second is recorded so the question
+    can be settled numerically rather than argued.
+    """
+    edge = np.empty(n_max + 1)
+    squared = np.empty(n_max + 1)
+    s = init.copy()
+    edge[0] = edge_counting_norm(s)
+    squared[0] = squared_binomial_product(s)
+    for n in range(1, n_max + 1):
+        s = reduced_step(s, c)
+        edge[n] = edge_counting_norm(s)
+        squared[n] = squared_binomial_product(s)
+    return edge, squared
+
+
+def classical_initial_distribution(d: int) -> NDArray[np.float64]:
+    p = np.zeros(d + 1, dtype=np.float64)
+    p[0] = 1.0
+    return p
+
+
+def classical_walk_step(p: NDArray[np.float64], d: int) -> NDArray[np.float64]:
+    """One step of the simple random walk projected on layers.
+
+    ``p`` holds layer probabilities (not per-vertex).  From layer w the
+    walker moves up with rate (d-w)/d and down with rate w/d, so
+
+        p'[w] = p[w-1]*(d-w+1)/d + p[w+1]*(w+1)/d.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (d + 1,):
+        raise ValidationError(f"distribution must have shape ({d + 1},), got {p.shape}")
+    w = np.arange(d + 1, dtype=np.float64)
+    from_below = np.concatenate(([0.0], p[:-1])) * (d - w + 1)
+    from_above = np.concatenate((p[1:], [0.0])) * (w + 1)
+    return (from_below + from_above) / d
+
+
+def per_vertex_probabilities(p: NDArray[np.float64], d: int) -> NDArray[np.float64]:
+    """Convert a layer distribution to the per-vertex probability p[w]/C(d,w)."""
+    return np.asarray(p, dtype=np.float64) / _binomials(d)

@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 
 from helpers import random_unit_state
+from oracles import coin_fourier_vector, phicnot_dense, verify_ca_eigenstructure
 
-from sqrw.circuit import (
-    apply_coin,
-    apply_phicnot,
-    circuit_step,
-    coin_eigensystem,
-    coin_fourier_vector,
-    coin_matrix,
-    operator_deviation,
-    phicnot_dense,
-    verify_ca_eigenstructure,
-)
+from sqrw.circuit import apply_coin, apply_phicnot, circuit_step, operator_deviation
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.hypercube import parse_vertex, state_norm, zero_full_state
-from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
+from sqrw.multiport import (
+    MultiportCoeffs,
+    grover_coeffs,
+    multiport_matrix,
+    pseudo_eigensystem,
+    symmetric_coeffs,
+)
 
 
 def test_phicnot_accepting_control_flips_target():
@@ -45,7 +42,7 @@ def test_phicnot_is_involution():
 
 def test_coin_d2_swaps_directions():
     d = 2
-    m = coin_matrix(grover_coeffs(d))
+    m = multiport_matrix(grover_coeffs(d))
     s = zero_full_state(d)
     s[3, 0] = 1.0
     out = apply_coin(s, m)
@@ -55,13 +52,13 @@ def test_coin_d2_swaps_directions():
 
 def test_identity_coin_is_identity():
     s = random_unit_state(3, 22)
-    m = coin_matrix(MultiportCoeffs(1.0, 0.0, 3))
+    m = multiport_matrix(MultiportCoeffs(1.0, 0.0, 3))
     assert np.max(np.abs(apply_coin(s, m) - s)) <= 1e-15
 
 
 def test_uniform_direction_state_is_coin_eigenvector():
     d = 4
-    m = coin_matrix(grover_coeffs(d))
+    m = multiport_matrix(grover_coeffs(d))
     s = zero_full_state(d)
     s[5, :] = 0.5
     assert np.max(np.abs(apply_coin(s, m) - s)) <= 1e-12
@@ -71,7 +68,7 @@ def test_circuit_step_d2_example():
     d = 2
     s = zero_full_state(d)
     s[parse_vertex(d, "00"), 0] = 1.0
-    out = circuit_step(s, coin_matrix(grover_coeffs(d)))
+    out = circuit_step(s, multiport_matrix(grover_coeffs(d)))
     assert out[parse_vertex(d, "10"), 1] == pytest.approx(1.0, abs=1e-15)
     assert np.count_nonzero(np.abs(out) > 1e-15) == 1
 
@@ -80,7 +77,7 @@ def test_circuit_step_matches_full_step_on_random_state():
     d = 6
     c = symmetric_coeffs(d, 1.0)
     s = random_unit_state(d, 23)
-    gate = circuit_step(s, coin_matrix(c))
+    gate = circuit_step(s, multiport_matrix(c))
     scatter = step(s, EvolutionConfig(d, c))
     assert np.max(np.abs(gate - scatter)) <= 1e-12
 
@@ -88,7 +85,7 @@ def test_circuit_step_matches_full_step_on_random_state():
 def test_circuit_step_preserves_norm():
     d = 5
     s = random_unit_state(d, 24)
-    out = circuit_step(s, coin_matrix(grover_coeffs(d)))
+    out = circuit_step(s, multiport_matrix(grover_coeffs(d)))
     assert abs(state_norm(out) - 1.0) <= 1e-12
 
 
@@ -103,16 +100,16 @@ def test_operator_deviation_cap():
 
 
 def test_coin_eigensystem_values():
-    sys4 = dict(coin_eigensystem(coin_matrix(grover_coeffs(4))))
+    sys4 = dict(pseudo_eigensystem(grover_coeffs(4)))
     rounded = {complex(round(v.real, 9), round(v.imag, 9)): m for v, m in sys4.items()}
     assert rounded == {(1 + 0j): 1, (-1 + 0j): 3}
-    ident = coin_eigensystem(np.eye(3, dtype=np.complex128))
+    ident = pseudo_eigensystem(MultiportCoeffs(1.0, 0.0, 3))
     assert all(v == pytest.approx(1.0) for v, _ in ident)
 
 
 def test_coin_eigensystem_symmetric_family_unit_modulus():
     c = symmetric_coeffs(3, 1.0)
-    pairs = coin_eigensystem(coin_matrix(c))
+    pairs = pseudo_eigensystem(c)
     assert pairs[0][0] == pytest.approx(c.r + 2 * c.t, abs=1e-14)
     assert pairs[1] == (pytest.approx(c.r - c.t, abs=1e-14), 2)
     assert all(abs(abs(v) - 1) <= 1e-12 for v, _ in pairs)
@@ -120,9 +117,9 @@ def test_coin_eigensystem_symmetric_family_unit_modulus():
 
 @pytest.mark.parametrize("c", [grover_coeffs(5), symmetric_coeffs(6, 1.0)])
 def test_coin_spectrum_matches_dense_eigensolver(c):
-    m = coin_matrix(c)
+    m = multiport_matrix(c)
     predicted = np.sort_complex(
-        np.concatenate([[v] * mult for v, mult in coin_eigensystem(m)])
+        np.concatenate([[v] * mult for v, mult in pseudo_eigensystem(c)])
     )
     dense = np.sort_complex(np.linalg.eigvals(m))
     assert np.max(np.abs(predicted - dense)) <= 1e-10
@@ -131,7 +128,7 @@ def test_coin_spectrum_matches_dense_eigensolver(c):
 def test_fourier_vectors_are_coin_eigenvectors():
     d = 5
     c = grover_coeffs(d)
-    m = coin_matrix(c)
+    m = multiport_matrix(c)
     for k in range(d):
         v = coin_fourier_vector(d, k)
         lam = c.r + (d - 1) * c.t if k == 0 else c.r - c.t

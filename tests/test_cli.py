@@ -1,18 +1,24 @@
 """CLI: outputs, determinism, presets, exit codes."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import per_block_spectra
+from oracles import spectrum_mismatch
 
+import sqrw
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
 from sqrw.layers import MAX_LAYER_DIM
 from sqrw.multiport import grover_coeffs
 from sqrw.search import MAX_SEARCH_DIM
-from sqrw.spectral import spectrum_mismatch
 
 
 def run(args):
@@ -291,3 +297,44 @@ def test_search_runs_past_the_full_state_memory_budget(tmp_path, capsys):
     assert rows.shape == (4097, 2)
     assert rows[0, 1] == pytest.approx(2.0**-40, rel=1e-12)
     assert capsys.readouterr().out.startswith("peak_step=")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_limited(args, cwd):
+    """``sqrw`` in a child process with 2 GiB of address space and a 30 s timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sqrw.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "sqrw.cli", *map(str, args)],
+        cwd=cwd,
+        env=env,
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def test_tail_length_is_a_number_not_an_allocation(tmp_path):
+    args = ["scatter", "--dim", 3, "--steps", 10, "--out"]
+    limited = run_limited(args + ["long.csv", "--tail-length", 10**9], tmp_path)
+    assert limited.returncode == 0, limited.stderr
+    assert run(args + [tmp_path / "default.csv"]) == 0
+    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["layers", "--dim", 3, "--steps", 10**12, "--out", "x.csv"],
+        ["full", "--dim", 4, "--steps", 10**12, "--out", "x.csv"],
+        ["hitting", "--dmax", 10**8, "--out", "x.csv"],
+        ["search", "--dim", 10, "--marked", "0" * 10, "--steps", 10**12, "--out", "x.csv"],
+    ],
+)
+def test_request_too_large_to_allocate_exit_3(tmp_path, args):
+    limited = run_limited(args, tmp_path)
+    assert limited.returncode == 3, limited.stderr
+    assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")

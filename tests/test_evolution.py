@@ -6,23 +6,20 @@ import numpy as np
 import pytest
 
 from helpers import random_unit_state
+from oracles import dense_operator, extract_layer_state, quantum_hitting_probability
 
 from sqrw.errors import ValidationError
 from sqrw.evolution import (
     EvolutionConfig,
-    dense_operator,
     evolve,
     gather_incoming,
     layer_distribution_full,
-    layer_probability,
-    quantum_hitting_probability,
     step,
     vertex_probability,
 )
 from sqrw.hypercube import (
     direction_mask,
     embed_layer_state,
-    extract_layer_state,
     initial_symmetric_state,
     parse_vertex,
     state_norm,
@@ -98,7 +95,7 @@ def test_gather_incoming_reads_either_memory_order():
 def test_two_steps_d2_all_on_far_corner():
     d = 2
     out = evolve(initial_symmetric_state(d), EvolutionConfig(d, grover_coeffs(d)), 2)
-    assert layer_probability(out, 2) == pytest.approx(1.0, abs=1e-12)
+    assert layer_distribution_full(out)[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_conserved_100_steps():
@@ -143,10 +140,10 @@ def test_translations_commute_with_step(d):
 def test_layer_probability_initial_and_after_one_step():
     d = 2
     s = initial_symmetric_state(d)
-    assert layer_probability(s, 0) == pytest.approx(1.0, abs=1e-15)
-    assert layer_probability(s, 1) == 0.0
+    assert layer_distribution_full(s)[0] == pytest.approx(1.0, abs=1e-15)
+    assert layer_distribution_full(s)[1] == 0.0
     out = step(s, EvolutionConfig(d, grover_coeffs(d)))
-    assert layer_probability(out, 1) == pytest.approx(1.0, abs=1e-12)
+    assert layer_distribution_full(out)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_layer_distribution_sums_to_norm():

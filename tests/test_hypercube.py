@@ -1,4 +1,4 @@
-"""Indexing, layers, state construction, embedding, and CSV round trips."""
+"""Indexing, layers, state construction and embedding."""
 
 import math
 
@@ -6,57 +6,50 @@ import numpy as np
 import pytest
 
 from helpers import random_layer_coeffs
+from oracles import extract_layer_state
 
-from sqrw.errors import MemoryCapError, ValidationError
+from sqrw.errors import MemoryCapError
 from sqrw.hypercube import (
     direction_mask,
     embed_layer_state,
     ensure_full_state_fits,
-    extract_layer_state,
-    flat_index,
-    hamming_layer,
     initial_symmetric_state,
     parse_vertex,
-    read_state_csv,
     state_norm,
     vertex_bits,
     vertex_weights,
-    write_state_csv,
+    zero_full_state,
 )
 from sqrw.layers import LayerState, edge_counting_norm, origin_state, zero_layer_state
 
 
 def test_flat_index_examples():
-    assert flat_index(3, parse_vertex(3, "000"), 1) == 0
-    assert flat_index(3, parse_vertex(3, "000"), 3) == 2
-    assert flat_index(3, parse_vertex(3, "111"), 3) == 23
-
-
-def test_flat_index_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        flat_index(3, 0, 4)
-    with pytest.raises(ValidationError):
-        flat_index(3, 8, 1)
+    # |x; a> sits at x*d + (a - 1) in the flattened (ravel) order
+    for bits, a, index in (("000", 1, 0), ("000", 3, 2), ("111", 3, 23)):
+        state = zero_full_state(3)
+        state[parse_vertex(3, bits), a - 1] = 1.0
+        assert list(np.flatnonzero(np.ravel(state))) == [index]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
 def test_flat_index_bijection(d):
-    seen = set()
+    state = zero_full_state(d)  # stored direction-major
     for x in range(1 << d):
         for a in range(1, d + 1):
-            seen.add(flat_index(d, x, a))
-    assert seen == set(range(d * (1 << d)))
+            state[x, a - 1] = x * d + a - 1
+    assert np.array_equal(np.ravel(state), np.arange(d * (1 << d)))
 
 
 def test_hamming_layer_examples():
-    assert hamming_layer(parse_vertex(4, "0000")) == 0
-    assert hamming_layer(parse_vertex(4, "1011")) == 3
-    assert hamming_layer(parse_vertex(4, "1111")) == 4
+    w = vertex_weights(4)
+    assert w[parse_vertex(4, "0000")] == 0
+    assert w[parse_vertex(4, "1011")] == 3
+    assert w[parse_vertex(4, "1111")] == 4
 
 
 def test_vertex_weights_matches_scalar():
     w = vertex_weights(6)
-    assert all(w[x] == hamming_layer(x) for x in range(64))
+    assert all(w[x] == x.bit_count() for x in range(64))
 
 
 def test_vertex_bits_round_trip():
@@ -136,24 +129,3 @@ def test_memory_env_override(monkeypatch):
     monkeypatch.setenv("SQRW_MEMORY_BYTES", "64")
     with pytest.raises(MemoryCapError):
         initial_symmetric_state(4)
-
-
-def test_state_csv_round_trip(tmp_path):
-    d = 4
-    rng = np.random.default_rng(3)
-    state = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
-    state[2, 1] = 0.0  # exact zero rows stay out of the file
-    path = tmp_path / "state.csv"
-    write_state_csv(state, str(path))
-    again = read_state_csv(str(path))
-    assert np.max(np.abs(again - state)) <= 1e-15
-    header = path.read_text().splitlines()[0]
-    assert header == "vertex_bits,direction,re,im"
-
-
-def test_state_csv_threshold(tmp_path):
-    state = np.zeros((4, 2), dtype=np.complex128)
-    state[1, 0] = 1e-16  # below threshold, dropped
-    path = tmp_path / "state.csv"
-    write_state_csv(state, str(path))
-    assert len(path.read_text().splitlines()) == 1

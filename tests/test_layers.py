@@ -5,26 +5,29 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    classical_initial_distribution,
+    classical_walk_step,
+    conserved_quantity_series,
+    evolve_layers,
+    layer_mean,
+    per_vertex_probabilities,
+    squared_binomial_product,
+)
+
 from sqrw.errors import ValidationError
 from sqrw.layers import (
     LayerState,
     classical_hitting_probability,
-    classical_initial_distribution,
-    classical_walk_step,
-    conserved_quantity_series,
     corner_pair_state,
     edge_counting_norm,
-    evolve_layers,
     hitting_amplitude_closed_form,
     hitting_ratio_table,
     layer_distribution,
     layer_distribution_series,
-    layer_mean,
     middle_state,
     origin_state,
-    per_vertex_probabilities,
     reduced_step,
-    squared_binomial_product,
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs

@@ -6,13 +6,15 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_step
+from helpers import random_unit_state, reference_step
 
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.multiport import custom_coeffs, phase_coeffs
 from sqrw.search import SearchConfig, full_search_series, run_search
+from sqrw.spectral import rotation_apply, translation_apply
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
@@ -43,9 +45,7 @@ def step_cases(draw):
     d = draw(st.integers(min_value=1, max_value=7))
     marks = draw(st.lists(st.integers(min_value=0, max_value=(1 << d) - 1), max_size=2, unique=True))
     cfg = EvolutionConfig(d, draw(unitary_coeffs(d)), {v: draw(unitary_coeffs(d)) for v in marks})
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    state = rng.normal(size=(1 << d, d)) + 1j * rng.normal(size=(1 << d, d))
-    state /= np.linalg.norm(state)
+    state = random_unit_state(d, draw(seeds))
     if draw(st.booleans()):
         state = np.ascontiguousarray(state.T).T  # direction-major storage
     return cfg, state
@@ -65,3 +65,22 @@ def test_step_equals_reference_gather_and_combine(case):
 def test_layer_search_equals_full_state_oracle(cfg):
     got = run_search(cfg)
     assert np.max(np.abs(got.probabilities - full_search_series(cfg))) <= 1e-12
+
+
+@st.composite
+def symmetry_cases(draw):
+    """Coefficients without overrides, a unit state and a translation vertex b."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    b = draw(st.integers(min_value=0, max_value=(1 << d) - 1))
+    return draw(unitary_coeffs(d)), random_unit_state(d, draw(seeds)), b
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetry_cases())
+def test_step_commutes_with_translation_and_rotation(case):
+    c, state, b = case
+    cfg = EvolutionConfig(c.degree, c)
+    stepped = step(state, cfg)
+    translated = step(translation_apply(state, b), cfg)
+    assert np.max(np.abs(translated - translation_apply(stepped, b))) <= 1e-13
+    assert np.max(np.abs(step(rotation_apply(state), cfg) - rotation_apply(stepped))) <= 1e-13

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_first_detection, stepped_detection_series
+from helpers import (
+    brute_force_first_detection,
+    stepped_detection_series,
+    tailed_cube_exits,
+    traversal_amplitude,
+)
 
 from sqrw.errors import TruncationError, ValidationError
 from sqrw.layers import origin_state, reduced_step
@@ -14,19 +19,13 @@ from sqrw.scattering import (
     boundary_coeffs,
     count_local_maxima,
     detection_probability_series,
-    full_tail_detection_series,
-    full_tail_from_cube,
-    full_tail_norm,
-    full_tail_step,
     initial_tail_photon,
     interferometer_amplitude,
     scatter_from_layer,
     scatter_layer_part,
     scatter_norm,
     scatter_step,
-    simulate_interferometer_amplitude,
 )
-from sqrw.hypercube import zero_full_state
 
 
 def test_boundary_coeffs_default_values_and_unitarity():
@@ -156,18 +155,38 @@ def test_reduced_and_full_tail_series_agree():
     d = 4
     c, b = symmetric_coeffs(d, 1.0), boundary_coeffs(d)
     reduced = detection_probability_series(d, c, b, n_max=60)
-    full = full_tail_detection_series(d, c, b, n_max=60)
-    assert np.max(np.abs(reduced - full)) <= 1e-12
+    exits, _ = tailed_cube_exits(np.zeros(d), c, 60, b, photon=1.0)
+    assert np.max(np.abs(reduced - np.abs(exits[:, 1]) ** 2)) <= 1e-12
 
 
 def test_full_tail_norm_conserved():
+    # what left the cube is on the tails: the exits of every step so far
     d = 4
-    c, b = grover_coeffs(d), boundary_coeffs(d)
-    s = full_tail_from_cube(zero_full_state(d), 40)
-    s.left_in[0] = 1.0
-    for _ in range(30):
-        s = full_tail_step(s, c, b)
-        assert abs(full_tail_norm(s) - 1.0) <= 1e-12
+    c = grover_coeffs(d)
+    for n in range(1, 31):
+        exits, cube = tailed_cube_exits(np.zeros(d), c, n, photon=1.0)
+        assert abs(np.sum(np.abs(cube) ** 2) + np.sum(np.abs(exits) ** 2) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["grover", "symmetric"])
+@pytest.mark.parametrize("d", [2, 4, 6, 7])
+def test_any_origin_start_exits_as_the_layer_walk(d, family):
+    # exits(gamma) = sum(gamma)/sqrt(d) * exits(origin_state) at every step, both exits
+    c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
+    b = boundary_coeffs(d)
+    n = 6 * d
+    s = scatter_from_layer(origin_state(d), n + 2)
+    layer = [(s.down[0], s.up[d])]
+    for _ in range(n):
+        s = scatter_step(s, c, b)
+        layer.append((s.down[0], s.up[d]))
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        gamma = rng.normal(size=d) + 1j * rng.normal(size=d)
+        gamma /= np.linalg.norm(gamma)
+        exits, _ = tailed_cube_exits(gamma, c, n, b)
+        expected = gamma.sum() / math.sqrt(d) * np.array(layer)
+        assert np.max(np.abs(exits - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
@@ -177,8 +196,7 @@ def test_interferometer_closed_form_matches_simulation(d):
     for _ in range(5):
         gamma = rng.normal(size=d) + 1j * rng.normal(size=d)
         closed = interferometer_amplitude(d, gamma, c)
-        simulated = simulate_interferometer_amplitude(d, gamma, c)
-        assert abs(closed - simulated) <= 1e-10
+        assert abs(closed - traversal_amplitude(gamma, c)) <= 1e-10
 
 
 def test_interferometer_zero_sum_cancels():
@@ -186,7 +204,7 @@ def test_interferometer_zero_sum_cancels():
     gamma = np.zeros(d, dtype=np.complex128)
     gamma[0], gamma[1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     assert abs(interferometer_amplitude(d, gamma, grover_coeffs(d))) <= 1e-12
-    assert abs(simulate_interferometer_amplitude(d, gamma, grover_coeffs(d))) <= 1e-12
+    assert abs(traversal_amplitude(gamma, grover_coeffs(d))) <= 1e-12
 
 
 def test_interferometer_depends_only_on_gamma_sum():
@@ -196,9 +214,7 @@ def test_interferometer_depends_only_on_gamma_sum():
     g1 = rng.normal(size=d) + 1j * rng.normal(size=d)
     g2 = rng.normal(size=d) + 1j * rng.normal(size=d)
     g2 += (g1.sum() - g2.sum()) / d  # equalize the sums
-    a1 = simulate_interferometer_amplitude(d, g1, c)
-    a2 = simulate_interferometer_amplitude(d, g2, c)
-    assert abs(a1 - a2) <= 1e-12
+    assert abs(traversal_amplitude(g1, c) - traversal_amplitude(g2, c)) <= 1e-12
 
 
 def test_interferometer_gamma_shape_checked():
@@ -209,5 +225,7 @@ def test_interferometer_gamma_shape_checked():
 def test_scatter_state_validation():
     with pytest.raises(ValidationError):
         initial_tail_photon(3, 0)
+    with pytest.raises(ValidationError):
+        detection_probability_series(3, grover_coeffs(3), None, 5, tail_length=0)
     with pytest.raises(ValidationError):
         scatter_step(initial_tail_photon(3, 4), grover_coeffs(4), None)

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import per_block_spectra, random_unit_state
+from oracles import (
+    dense_spectrum,
+    fourier_basis_state,
+    fourier_offblock_deviation,
+    lift_block_eigenvector,
+    rotation_apply_about,
+    spectrum_mismatch,
+)
 
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step
@@ -14,15 +22,8 @@ from sqrw.errors import MemoryCapError
 from sqrw.multiport import custom_coeffs, grover_coeffs, symmetric_coeffs
 from sqrw.spectral import (
     block_matrix,
-    dense_spectrum,
-    fourier_basis_state,
-    fourier_offblock_deviation,
     full_spectrum_via_blocks,
-    lift_block_eigenvector,
-    recurrence_residual,
     rotation_apply,
-    rotation_apply_about,
-    spectrum_mismatch,
     translation_apply,
     weight_class_spectra,
 )
@@ -232,19 +233,6 @@ def test_lifted_block_eigenvectors_satisfy_eigen_equation():
             state = lift_block_eigenvector(d, k, vecs[:, i])
             out = step(state, cfg)
             assert np.max(np.abs(out - vals[i] * state)) <= 1e-10
-
-
-def test_recurrence_residual_zero_momentum_only():
-    # Under the reversed-edge reading the recurrence holds on the k = 0
-    # block; on other blocks it does not, and the residual reports that.
-    d = 3
-    c = grover_coeffs(d)
-    vals0, vecs0 = np.linalg.eig(block_matrix(c, 0))
-    state0 = lift_block_eigenvector(d, 0, vecs0[:, 0])
-    assert recurrence_residual(state0, vals0[0], c) <= 1e-12
-    vals1, vecs1 = np.linalg.eig(block_matrix(c, 1))
-    state1 = lift_block_eigenvector(d, 1, vecs1[:, 0])
-    assert recurrence_residual(state1, vals1[0], c) > 1e-3
 
 
 def test_label_validation():
