@@ -15,12 +15,14 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError
+from .errors import MemoryCapError, ValidationError
 from .evolution import EvolutionConfig, step
-from .hypercube import state_dimension
+from .hypercube import MEMORY_ENV_VAR, full_state_bytes, memory_budget, state_dimension, zero_full_state
 from .multiport import MultiportCoeffs, multiport_matrix
 
 __all__ = ["apply_phicnot", "apply_coin", "circuit_step", "operator_deviation"]
+
+_GOLDEN = (5**0.5 - 1) / 2
 
 
 def apply_phicnot(state: NDArray[np.complex128], a: int) -> NDArray[np.complex128]:
@@ -53,22 +55,43 @@ def circuit_step(state: NDArray[np.complex128], coin: NDArray[np.complex128]) ->
     return apply_coin(out, coin)
 
 
-def operator_deviation(d: int, c: MultiportCoeffs, cap: int = 8) -> float:
+def operator_deviation(d: int, c: MultiportCoeffs) -> float:
     """Max elementwise difference between the gate step and the scattering step.
 
-    Both operators are compared column by column over the full basis, which
-    is the dense-operator equality without materializing either matrix.
+    Exact, from d probe states instead of the d * 2**d basis columns.  Probe
+    a has amplitude c_x = exp(2 pi i theta_x), with distinct theta_x, on
+    edge (x, a) of every vertex x.  Both steps move the amplitude on (x, a)
+    to one vertex and then apply a vertex-local coin: the scattering step to
+    x ^ m(a), the gate step (a permutation of basis states, then a
+    position-diagonal coin) to pi_a(x) for a bijection pi_a.  So distinct
+    columns land on distinct vertices, and the difference at vertex y over
+    c_{y ^ m(a)} is column (y ^ m(a), a) of the operator difference; as
+    |c_x| = 1, the maxima agree.  Every output entry is compared, so a
+    column sent to the wrong vertex shows up there: distinct phases do not
+    cancel.  Raises ``MemoryCapError`` when the working set exceeds the
+    full-state budget.
     """
-    if d > cap:
-        raise ValidationError(f"operator comparison capped at d = {cap} (got {d})")
+    # the probe plus two states inside circuit_step (a gate's input and
+    # output) or step (the gate result and the stepped copy), and three
+    # 2**d rows: the phases and the step kernel's scratch
+    need = 3 * full_state_bytes(d) * (d + 1) // d
+    budget = memory_budget()
+    if need > budget:
+        raise MemoryCapError(
+            f"operator comparison for d={d} needs three full states, over the budget of "
+            f"{budget} bytes (raise {MEMORY_ENV_VAR} to override)"
+        )
     cfg = EvolutionConfig(d, c)
     coin = multiport_matrix(c)
-    basis = np.zeros((1 << d, d), dtype=np.complex128)
-    flat = basis.ravel()
+    # golden-ratio phases: the 2**d points stay distinct, roughly 1 / 2**d apart
+    phases = np.exp(2j * np.pi * (np.arange(1 << d) * _GOLDEN % 1.0))
+    probe = zero_full_state(d)
     worst = 0.0
-    for i in range(d * (1 << d)):
-        flat[i] = 1.0
-        diff = circuit_step(basis, coin) - step(basis, cfg)
+    for j in range(d):
+        probe[:, j] = phases
+        diff = circuit_step(probe, coin)
+        diff -= step(probe, cfg)
         worst = max(worst, float(np.max(np.abs(diff))))
-        flat[i] = 0.0
+        probe[:, j] = 0.0
+        del diff  # not live during the next circuit_step
     return worst

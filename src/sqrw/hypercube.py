@@ -118,10 +118,10 @@ def parse_vertex(d: int, bits: str) -> int:
 def vertex_weights(d: int) -> NDArray[np.int64]:
     """Hamming weight of every vertex 0 .. 2**d - 1 (read-only, cached)."""
     check_dimension(d)
-    x = np.arange(1 << d, dtype=np.int64)
     w = np.zeros(1 << d, dtype=np.int64)
-    for shift in range(d):
-        w += (x >> shift) & 1
+    for k in range(d):
+        # setting bit k adds one to the weight of every smaller vertex
+        w[1 << k : 2 << k] = w[: 1 << k] + 1
     w.setflags(write=False)
     return w
 

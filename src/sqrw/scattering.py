@@ -43,6 +43,7 @@ the layer walk from ``origin_state`` (gamma_j = 1/sqrt(d));
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,7 +51,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_kernel, edge_counting_norm
+from .layers import LayerState, _layer_factors, _layer_kernel
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -58,11 +59,8 @@ __all__ = [
     "ScatterState",
     "initial_tail_photon",
     "scatter_from_layer",
-    "scatter_layer_part",
-    "scatter_norm",
     "scatter_step",
     "detection_probability_series",
-    "count_local_maxima",
     "interferometer_amplitude",
 ]
 
@@ -168,24 +166,6 @@ def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
     return s
 
 
-def scatter_layer_part(s: ScatterState) -> LayerState:
-    """The hypercube-proper part of a scattering state (corner slots dropped)."""
-    up = s.up.copy()
-    down = s.down.copy()
-    up[s.d] = 0.0
-    down[0] = 0.0
-    return LayerState(s.d, up, down)
-
-
-def scatter_norm(s: ScatterState) -> float:
-    """Total squared amplitude: edge-counting layers + both exit edges + tails."""
-    total = edge_counting_norm(scatter_layer_part(s))
-    total += abs(s.up[s.d]) ** 2 + abs(s.down[0]) ** 2
-    for arr in (s.left_in, s.left_out, s.right_out, s.right_in):
-        total += float(np.sum(np.abs(arr) ** 2))
-    return total
-
-
 def _boundary_rows(
     up: NDArray[np.complex128],
     down: NDArray[np.complex128],
@@ -289,21 +269,6 @@ def detection_probability_series(
     return series
 
 
-def count_local_maxima(series: NDArray[np.float64], floor: float = 1e-12) -> int:
-    """Strict local maxima above ``floor`` in a series.
-
-    The detector edge is populated only on every other step (each step moves
-    the photon one layer, so arrivals share the parity of d + 1); callers
-    should pass the nonzero-parity subsequence to count beats rather than
-    the zero gaps.
-    """
-    count = 0
-    for i in range(1, len(series) - 1):
-        if series[i] > floor and series[i] > series[i - 1] and series[i] >= series[i + 1]:
-            count += 1
-    return count
-
-
 def interferometer_amplitude(
     d: int,
     gamma: NDArray[np.complex128],
@@ -319,7 +284,8 @@ def interferometer_amplitude(
         sum_j gamma_j * (d-1)! * t**(d-1) * tb
 
     and depends on gamma only through its sum, which is what makes the
-    tailed hypercube act as a two-arm interferometer.
+    tailed hypercube act as a two-arm interferometer.  Above d = 20 the
+    factorial is folded into log space to avoid float overflow.
     """
     gamma = np.asarray(gamma, dtype=np.complex128)
     if gamma.shape != (d,):
@@ -327,4 +293,9 @@ def interferometer_amplitude(
     _check_coeffs(d, c, b)
     if b is None:
         b = boundary_coeffs(d)
-    return complex(np.sum(gamma) * math.factorial(d - 1) * c.t ** (d - 1) * b.t)
+    if d <= 20:
+        return complex(np.sum(gamma) * math.factorial(d - 1) * c.t ** (d - 1) * b.t)
+    if c.t == 0:
+        return 0j
+    paths = cmath.exp(math.lgamma(d) + (d - 1) * cmath.log(c.t))
+    return complex(np.sum(gamma) * paths * b.t)

@@ -7,7 +7,8 @@ import numpy as np
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
-from sqrw.scattering import boundary_coeffs, initial_tail_photon, scatter_step
+from sqrw.layers import LayerState, edge_counting_norm
+from sqrw.scattering import ScatterState, boundary_coeffs, initial_tail_photon, scatter_step
 from sqrw.spectral import block_matrix
 
 
@@ -97,6 +98,39 @@ def stepped_detection_series(
         s = scatter_step(s, c, b)
         series[n] = abs(s.up[d]) ** 2
     return series
+
+
+def scatter_layer_part(s: ScatterState) -> LayerState:
+    """The hypercube-proper part of a scattering state (corner slots dropped)."""
+    up = s.up.copy()
+    down = s.down.copy()
+    up[s.d] = 0.0
+    down[0] = 0.0
+    return LayerState(s.d, up, down)
+
+
+def scatter_norm(s: ScatterState) -> float:
+    """Total squared amplitude: edge-counting layers + both exit edges + tails."""
+    total = edge_counting_norm(scatter_layer_part(s))
+    total += abs(s.up[s.d]) ** 2 + abs(s.down[0]) ** 2
+    for arr in (s.left_in, s.left_out, s.right_out, s.right_in):
+        total += float(np.sum(np.abs(arr) ** 2))
+    return total
+
+
+def count_local_maxima(series: np.ndarray, floor: float = 1e-12) -> int:
+    """Strict local maxima above ``floor`` in a series.
+
+    The detector edge is populated only on every other step (each step moves
+    the photon one layer, so arrivals share the parity of d + 1); callers
+    should pass the nonzero-parity subsequence to count beats rather than
+    the zero gaps.
+    """
+    count = 0
+    for i in range(1, len(series) - 1):
+        if series[i] > floor and series[i] > series[i - 1] and series[i] >= series[i + 1]:
+            count += 1
+    return count
 
 
 def random_layer_coeffs(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Reference code that only the tests call.
 
-Dense operators and dense spectra, the character basis, the flip-gate
+Dense operators and dense spectra, the closed-form block spectrum, the
+character basis, the basis-column circuit comparison, the flip-gate
 structure check, the audit and classical layer series, and the layer
 extraction of a full state.  They check the library from outside and are
 not part of its API.
@@ -8,11 +9,13 @@ not part of its API.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+from sqrw.circuit import circuit_step
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, evolve, step, vertex_probability
 from sqrw.hypercube import (
@@ -23,7 +26,7 @@ from sqrw.hypercube import (
     zero_full_state,
 )
 from sqrw.layers import LayerState, _binomials, edge_counting_norm, reduced_step
-from sqrw.multiport import MultiportCoeffs, grover_coeffs
+from sqrw.multiport import MultiportCoeffs, grover_coeffs, multiport_matrix
 from sqrw.spectral import block_matrix, rotation_apply, translation_apply
 
 
@@ -227,6 +230,53 @@ def dense_operator(cfg: EvolutionConfig, cap: int = 8) -> NDArray[np.complex128]
         op[:, i] = step(basis, cfg).ravel()
         flat[i] = 0.0
     return op
+
+
+def basis_operator_deviation(d: int, c: MultiportCoeffs, cap: int = 8) -> float:
+    """Max elementwise difference between the gate step and the scattering step.
+
+    Runs both on every basis state, one column at a time: the dense-operator
+    equality without materializing either matrix, O((d * 2**d)**2) work.
+    Reference for the probe comparison ``sqrw.circuit.operator_deviation``.
+    """
+    if d > cap:
+        raise ValidationError(f"basis comparison requested for d={d}, cap is {cap}")
+    cfg = EvolutionConfig(d, c)
+    coin = multiport_matrix(c)
+    basis = np.zeros((1 << d, d), dtype=np.complex128)
+    flat = basis.ravel()
+    worst = 0.0
+    for i in range(d * (1 << d)):
+        flat[i] = 1.0
+        diff = circuit_step(basis, coin) - step(basis, cfg)
+        worst = max(worst, float(np.max(np.abs(diff))))
+        flat[i] = 0.0
+    return worst
+
+
+def closed_form_block_spectrum(c: MultiportCoeffs, m: int) -> NDArray[np.complex128]:
+    """Eigenvalues of a momentum block with m minus signs, without an eigensolver.
+
+    With s the sign vector of k and S_k = diag(s), the block is
+    B_k = (r - t) S_k + t 1 s^T.  A vector that vanishes off the plus
+    (minus) coordinates and sums to zero on them has s^T v = 0, so it is an
+    eigenvector with eigenvalue r - t (-(r - t)): d - m - 1 (m - 1) of them.
+    On the indicator vectors u of the plus and w of the minus coordinates
+    the block acts as [[(r-t) + t(d-m), -t m], [t(d-m), -(r-t) - t m]],
+    whose trace is t(d - 2m) and determinant -(r - t)(r + (d-1) t).  For
+    m = 0 and m = d the block is +/-[(r - t) I + t 1 1^T]: +/-(r + (d-1) t)
+    once and +/-(r - t) d - 1 times.
+    """
+    d, r, t = c.degree, complex(c.r), complex(c.t)
+    if not 0 <= m <= d:
+        raise ValidationError(f"minus-sign count {m} out of range for d={d}")
+    if m in (0, d):
+        sign = 1 if m == 0 else -1
+        return sign * np.array([r + (d - 1) * t] + [r - t] * (d - 1))
+    half_trace = t * (d - 2 * m) / 2
+    root = cmath.sqrt(half_trace**2 + (r - t) * (r + (d - 1) * t))
+    pair = [half_trace + root, half_trace - root]
+    return np.array([r - t] * (d - m - 1) + [-(r - t)] * (m - 1) + pair)
 
 
 def extract_layer_state(

@@ -14,8 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_first_detection, random_unit_state, traversal_amplitude
+from helpers import (
+    brute_force_first_detection,
+    count_local_maxima,
+    random_unit_state,
+    scatter_norm,
+    traversal_amplitude,
+)
 from oracles import (
+    basis_operator_deviation,
     classical_initial_distribution,
     classical_walk_step,
     conserved_quantity_series,
@@ -45,11 +52,9 @@ from sqrw.layers import (
 from sqrw.multiport import grover_coeffs, multiport_matrix, pseudo_eigensystem, symmetric_coeffs
 from sqrw.scattering import (
     boundary_coeffs,
-    count_local_maxima,
     detection_probability_series,
     initial_tail_photon,
     interferometer_amplitude,
-    scatter_norm,
     scatter_step,
 )
 from sqrw.search import SearchConfig, full_search_series, run_search, uniform_edge_state
@@ -161,9 +166,13 @@ def test_c06_revival_mean_crossings(family, start):
 
 
 def test_c07_circuit_equivalence():
-    for d in range(2, 9):
-        dev = operator_deviation(d, grover_coeffs(d))
-        assert dev <= 1e-12, f"gate/scattering deviation {dev} at d={d}"
+    for d in range(2, 11):
+        for name, c in _families(d):
+            dev = operator_deviation(d, c)
+            assert dev <= 1e-12, f"gate/scattering deviation {dev} at d={d} ({name})"
+            if d <= 6:
+                gap = abs(dev - basis_operator_deviation(d, c))
+                assert gap <= 1e-15, f"probe vs basis columns differ by {gap} at d={d} ({name})"
     for d in range(2, 7):
         report = verify_ca_eigenstructure(d)
         assert report.passed, f"flip-gate structure failed at d={d}: {report}"

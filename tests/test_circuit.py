@@ -1,15 +1,29 @@
 """Gate cascade and coin: gate semantics, equivalence with the scattering step."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import random_unit_state
-from oracles import coin_fourier_vector, phicnot_dense, verify_ca_eigenstructure
+from oracles import (
+    basis_operator_deviation,
+    coin_fourier_vector,
+    phicnot_dense,
+    verify_ca_eigenstructure,
+)
 
+import sqrw.circuit
 from sqrw.circuit import apply_coin, apply_phicnot, circuit_step, operator_deviation
-from sqrw.errors import ValidationError
+from sqrw.errors import MemoryCapError
 from sqrw.evolution import EvolutionConfig, step
-from sqrw.hypercube import parse_vertex, state_norm, zero_full_state
+from sqrw.hypercube import (
+    MEMORY_ENV_VAR,
+    full_state_bytes,
+    parse_vertex,
+    state_norm,
+    zero_full_state,
+)
 from sqrw.multiport import (
     MultiportCoeffs,
     grover_coeffs,
@@ -94,9 +108,71 @@ def test_operator_deviation_zero(d):
     assert operator_deviation(d, grover_coeffs(d)) <= 1e-12
 
 
-def test_operator_deviation_cap():
-    with pytest.raises(ValidationError):
-        operator_deviation(9, grover_coeffs(9))
+def working_set_bytes(d):
+    """Three full states and three 2**d rows, as documented."""
+    return 3 * full_state_bytes(d) + 3 * (1 << d) * 16
+
+
+def test_operator_deviation_budget(monkeypatch):
+    # the working set of d = 5 is exactly the budget: d = 5 runs, d = 6 is refused
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(working_set_bytes(5)))
+    assert operator_deviation(5, grover_coeffs(5)) <= 1e-12
+    with pytest.raises(MemoryCapError):
+        operator_deviation(6, grover_coeffs(6))
+
+
+def test_operator_deviation_working_set_bounds_the_peak():
+    d = 14
+    operator_deviation(3, grover_coeffs(3))  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        operator_deviation(d, grover_coeffs(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy's ufunc buffers for strided operands add a fixed few hundred KiB
+    assert 3 * full_state_bytes(d) < peak <= working_set_bytes(d) + (1 << 20)
+
+
+def _phicnot_wrong_bit(state, a):
+    """``apply_phicnot`` whose gate 1 flips position bit 2 instead of bit 1."""
+    d = state.shape[1]
+    out = state.copy()
+    src = state.reshape((2,) * d + (d,))
+    dst = out.reshape((2,) * d + (d,))
+    dst[..., a - 1] = np.flip(src[..., a - 1], axis=1 if a == 1 else a - 1)
+    return out
+
+
+def _coin_one_wrong_entry(state, coin):
+    """``apply_coin`` with entry (1, 2) of the coin off by 1e-6."""
+    wrong = coin.copy()
+    wrong[0, 1] += 1e-6
+    return apply_coin(state, wrong)
+
+
+def _coin_leaking_to_a_neighbour(state, coin):
+    """``apply_coin`` that also leaks a little of vertex 0's output to vertex 1."""
+    out = apply_coin(state, coin)
+    out[1, :] += 1e-6 * out[0, :]
+    return out
+
+
+MUTANTS = {
+    "wrong-flip-bit": ("apply_phicnot", _phicnot_wrong_bit),
+    "wrong-coin-entry": ("apply_coin", _coin_one_wrong_entry),
+    "leak-to-neighbour": ("apply_coin", _coin_leaking_to_a_neighbour),
+}
+
+
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_probe_check_fails_for_injected_defect(monkeypatch, mutant, d):
+    attr, broken = MUTANTS[mutant]
+    monkeypatch.setattr(sqrw.circuit, attr, broken)
+    for c in (grover_coeffs(d), symmetric_coeffs(d, 1.0)):
+        assert basis_operator_deviation(d, c) > 1e-12  # the defect is real
+        assert operator_deviation(d, c) > 1e-12
 
 
 def test_coin_eigensystem_values():

@@ -13,11 +13,11 @@ import pytest
 from helpers import per_block_spectra
 from oracles import spectrum_mismatch
 
-import sqrw
+import sqrw.circuit
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
 from sqrw.layers import MAX_LAYER_DIM
-from sqrw.multiport import grover_coeffs
+from sqrw.multiport import grover_coeffs, multiport_matrix
 from sqrw.search import MAX_SEARCH_DIM
 
 
@@ -177,10 +177,40 @@ def test_mz_prints_amplitude(tmp_path, capsys):
     assert got["probability"] == pytest.approx(abs(expected) ** 2, abs=1e-15)
 
 
+@pytest.mark.parametrize("multiport", ["grover", "symmetric:p=1"])
+def test_mz_past_the_float_factorial(tmp_path, capsys, multiport):
+    # (d-1)! overflows a float from d = 172 on
+    d = 200
+    gamma = tmp_path / "gamma.csv"
+    gamma.write_text(f"{1 / math.sqrt(d)},0\n" * d)
+    assert run(["mz", "--dim", d, "--gamma", gamma, "--multiport", multiport]) == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert 0.0 < float(printed["probability"]) < 1e-50
+
+
 def test_verify_circuit_passes(capsys):
     assert run(["verify-circuit", "--dim", 4]) == 0
     printed = capsys.readouterr().out
     assert "PASS" in printed
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_verify_circuit_passes_past_the_old_cap(capsys, d):
+    assert run(["verify-circuit", "--dim", d, "--multiport", "symmetric:p=1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+def test_verify_circuit_wrong_coin_prints_fail(monkeypatch, capsys):
+    def wrong_coin(c):
+        m = multiport_matrix(c)
+        m[0, 1] += 1e-6
+        return m
+
+    monkeypatch.setattr(sqrw.circuit, "multiport_matrix", wrong_coin)
+    assert run(["verify-circuit", "--dim", 4]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == "FAIL"
+    assert float(printed[0].split("=")[1]) > 1e-12
 
 
 def test_repro_presets(tmp_path, monkeypatch):
@@ -338,3 +368,13 @@ def test_request_too_large_to_allocate_exit_3(tmp_path, args):
     limited = run_limited(args, tmp_path)
     assert limited.returncode == 3, limited.stderr
     assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("d", [21, 10**6])
+def test_verify_circuit_over_budget_exit_3(tmp_path, d):
+    # three d = 21 states are 2 GiB, over the default 1 GiB budget; refused
+    # before allocating, and the message prints no 300,000-digit byte count
+    limited = run_limited(["verify-circuit", "--dim", d], tmp_path)
+    assert limited.returncode == 3, limited.stderr
+    assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
+    assert "budget" in limited.stderr

@@ -50,6 +50,12 @@ def test_hamming_layer_examples():
 def test_vertex_weights_matches_scalar():
     w = vertex_weights(6)
     assert all(w[x] == x.bit_count() for x in range(64))
+    for d in (1, 20):
+        w = vertex_weights(d)
+        assert w.shape == (1 << d,) and w.dtype == np.int64 and not w.flags.writeable
+        # bit by bit, the way the weights were built before the doubling
+        x = np.arange(1 << d, dtype=np.int64)
+        assert np.array_equal(w, sum((x >> shift) & 1 for shift in range(d)))
 
 
 def test_vertex_bits_round_trip():

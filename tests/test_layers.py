@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import count_local_maxima
 from oracles import (
     classical_initial_distribution,
     classical_walk_step,
@@ -31,7 +32,6 @@ from sqrw.layers import (
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
-from sqrw.scattering import count_local_maxima
 
 
 def test_layer_state_structural_zeros_enforced():

@@ -1,12 +1,16 @@
 """Tails: boundary scattering, light cone, conservation, beats, interferometer."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import (
     brute_force_first_detection,
+    count_local_maxima,
+    scatter_layer_part,
+    scatter_norm,
     stepped_detection_series,
     tailed_cube_exits,
     traversal_amplitude,
@@ -17,13 +21,10 @@ from sqrw.layers import origin_state, reduced_step
 from sqrw.multiport import grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
     boundary_coeffs,
-    count_local_maxima,
     detection_probability_series,
     initial_tail_photon,
     interferometer_amplitude,
     scatter_from_layer,
-    scatter_layer_part,
-    scatter_norm,
     scatter_step,
 )
 
@@ -215,6 +216,25 @@ def test_interferometer_depends_only_on_gamma_sum():
     g2 = rng.normal(size=d) + 1j * rng.normal(size=d)
     g2 += (g1.sum() - g2.sum()) / d  # equalize the sums
     assert abs(traversal_amplitude(g1, c) - traversal_amplitude(g2, c)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [20, 21, 200])
+@pytest.mark.parametrize("family", ["grover", "symmetric"])
+def test_interferometer_matches_exact_factorial_formula(family, d):
+    # d = 20 takes the float factorial, d >= 21 the log-space form; the
+    # reference is sum(gamma) (d-1)! t**(d-1) tb in exact rationals
+    c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
+    gamma = np.linspace(0.5, 1.5, d)
+    b = boundary_coeffs(d)
+    exact = (
+        sum(Fraction(g) for g in gamma)
+        * math.factorial(d - 1)
+        * Fraction(c.t.real) ** (d - 1)
+        * Fraction(b.t.real)
+    )
+    got = interferometer_amplitude(d, gamma, c)
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_interferometer_gamma_shape_checked():

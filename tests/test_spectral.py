@@ -7,6 +7,7 @@ import pytest
 
 from helpers import per_block_spectra, random_unit_state
 from oracles import (
+    closed_form_block_spectrum,
     dense_spectrum,
     fourier_basis_state,
     fourier_offblock_deviation,
@@ -138,6 +139,15 @@ def test_weight_classes_match_per_block_oracle(family, d):
         assert np.array_equal(classes[m], oracle[(1 << m) - 1])
     for k in range(1 << d):
         assert spectrum_mismatch(assembled[k], oracle[k]) <= 1e-13, f"block {k}"
+
+
+@pytest.mark.parametrize("p", [None, 1.0, 0.8], ids=["grover", "symmetric:p=1", "symmetric:p=0.8"])
+def test_weight_classes_match_closed_form(p):
+    for d in range(1 if p is None else 2, 16):
+        c = grover_coeffs(d) if p is None else symmetric_coeffs(d, p)
+        for m, vals in enumerate(weight_class_spectra(c)):
+            mismatch = spectrum_mismatch(closed_form_block_spectrum(c, m), vals)
+            assert mismatch <= 1e-12, f"d={d}, m={m}"
 
 
 def test_full_spectrum_via_blocks_refuses_oversized_dimension():
