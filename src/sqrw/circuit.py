@@ -72,8 +72,9 @@ def operator_deviation(d: int, c: MultiportCoeffs) -> float:
     full-state budget.
     """
     # the probe plus two states inside circuit_step (a gate's input and
-    # output) or step (the gate result and the stepped copy), and three
-    # 2**d rows: the phases and the step kernel's scratch
+    # output) or step (the gate result and the stepped copy), and at most
+    # three 2**d rows: the phases and the step kernel's scratch, which is
+    # one row plus one block of at most 2**14 vertices
     need = 3 * full_state_bytes(d) * (d + 1) // d
     budget = memory_budget()
     if need > budget:

@@ -20,9 +20,10 @@ import numpy as np
 
 from .circuit import operator_deviation
 from .errors import MemoryCapError, TruncationError, ValidationError
-from .evolution import EvolutionConfig, _full_kernel, layer_distribution_full
+from .evolution import EvolutionConfig, _full_kernel, _kernel_scratch, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
-from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state, parse_vertex
+from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state
+from .hypercube import parse_vertex, vertex_weights
 from .layers import (
     MAX_LAYER_DIM,
     corner_pair_state,
@@ -130,12 +131,13 @@ def _cmd_full(args: argparse.Namespace) -> int:
         state = embed_layer_state(_layer_init(args.init, args.dim))
     # direction-major (d, 2**d); the constructors already store it so, no copy
     psi = np.ascontiguousarray(state.T)
-    buf = np.empty((2, 1 << args.dim), dtype=np.complex128)
     series = np.empty((args.steps + 1, args.dim + 1))
     series[0] = layer_distribution_full(psi.T)
+    buf = _kernel_scratch(args.dim)
+    pv = np.empty(1 << args.dim)  # each vertex's probability, filled by the kernel as it writes
     for n in range(1, args.steps + 1):
-        _full_kernel(psi, cfg, buf)
-        series[n] = layer_distribution_full(psi.T)
+        _full_kernel(psi, cfg, buf, pv)
+        series[n] = np.bincount(vertex_weights(args.dim), weights=pv, minlength=args.dim + 1)
     _write_rows(args.out, "step,w,probability", _surface_rows(series))
     return 0
 

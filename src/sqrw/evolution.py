@@ -4,11 +4,17 @@ Each amplitude moves along its edge to the arrival vertex y and scatters
 there: the new amplitude on |y; b> is (r - t) times the amplitude that
 arrived along b plus t times the total arriving at y.  The step runs in
 place on the state stored direction-major, (d, 2**d) with row j holding
-direction j + 1, so each direction's flip is a block swap read through a
-view and a step needs one state plus two 2**d scratch rows.  Totals are
-summed over directions in fixed ascending order, so results are
-reproducible to the bit.  Per-vertex coefficient overrides serve the
-marked-vertex search without a second evolution path.
+direction j + 1, in blocks of 2**14 vertices that stay in cache.  A flip of
+a bit inside a block is a reversed view of it; a higher bit pairs two
+blocks.  Pass 1 sums the arriving amplitudes per vertex over directions in
+fixed ascending order, so results are reproducible to the bit.  Pass 2
+rewrites each row, a pair of blocks together through one block of scratch,
+and can add each new block's |amplitude|**2 into a per-vertex probability
+row while the block is in cache, as ``layer_distribution_full`` sums it,
+so the layer distribution needs no second pass over the state.  A step
+needs one state plus one 2**d row and one block of scratch.  Per-vertex
+coefficient overrides serve the marked-vertex search without a second
+evolution path.
 """
 
 from __future__ import annotations
@@ -72,24 +78,59 @@ def gather_incoming(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return incoming
 
 
+_BLOCK = 1 << 14  # vertices per block of the step kernel: 256 KiB of complex
+
+
+def _kernel_scratch(d: int) -> NDArray[np.complex128]:
+    """Scratch for ``_full_kernel`` at dimension d: the 2**d totals row, then one block."""
+    n = 1 << d
+    return np.empty(n + min(n, _BLOCK), dtype=np.complex128)
+
+
+def _add_probability(
+    pv: NDArray[np.float64], amps: NDArray[np.complex128], edge: NDArray[np.float64]
+) -> None:
+    """``pv += abs(amps) ** 2``, through the float scratch ``edge``."""
+    np.abs(amps, out=edge)
+    np.multiply(edge, edge, out=edge)
+    np.add(pv, edge, out=pv)
+
+
 def _full_kernel(
-    psi: NDArray[np.complex128], cfg: EvolutionConfig, buf: NDArray[np.complex128]
+    psi: NDArray[np.complex128],
+    cfg: EvolutionConfig,
+    buf: NDArray[np.complex128],
+    pv: NDArray[np.float64] | None = None,
 ) -> None:
     """Step the direction-major state ``psi`` (d, 2**d) in place.
 
-    ``buf`` is (2, 2**d) complex scratch: the per-vertex totals and one
-    reflected row.  Rows of ``psi`` may be strided.
+    ``buf`` comes from ``_kernel_scratch``.  If ``pv`` (2**d floats) is
+    given, it receives the probability on each vertex's d edges after the
+    step, summed by ``_add_probability`` in ascending direction order, as
+    ``layer_distribution_full`` sums it.  Rows of ``psi`` may be strided.
     """
-    d = psi.shape[0]
-    totals, scratch = buf
-    # Row j viewed as (2**j, 2, 2**(d-j-1)): the middle axis is the bit that
-    # direction j + 1 flips, so reversing it reads the amplitude arriving at
-    # each vertex.
-    arrived = [psi[j].reshape(1 << j, 2, -1)[:, ::-1] for j in range(d)]
-    np.copyto(totals.reshape(arrived[0].shape), arrived[0])
-    for amp in arrived[1:]:
-        acc = totals.reshape(amp.shape)
-        np.add(acc, amp, acc)
+    d, n = psi.shape
+    size = min(n, _BLOCK)
+    totals, block = buf[:n], buf[n:]
+    edge = block.view(np.float64)[:size]
+    starts = range(0, n, size)
+
+    def arrived(j: int, lo: int) -> NDArray[np.complex128]:
+        # what direction j + 1 brings to the block at lo: for a bit above the
+        # block, block lo ^ m; else the block as (., 2, m), flipped bit reversed
+        m = 1 << (d - 1 - j)
+        if m >= size:
+            return psi[j, lo ^ m : (lo ^ m) + size]
+        return psi[j, lo : lo + size].reshape(-1, 2, m)[:, ::-1]
+
+    for lo in starts:
+        acc = totals[lo : lo + size]
+        amp = arrived(0, lo)
+        np.copyto(acc.reshape(amp.shape), amp)
+        for j in range(1, d):
+            amp = arrived(j, lo)
+            acc = acc.reshape(amp.shape)
+            np.add(acc, amp, acc)
     saved = []  # what each overridden vertex receives, read before the rows are overwritten
     if cfg.overrides:
         rows = np.arange(d)
@@ -97,11 +138,33 @@ def _full_kernel(
         saved = [(c, psi[rows, v ^ masks], totals[v], v) for v, c in cfg.overrides.items()]
     r, t = cfg.coeffs.r, cfg.coeffs.t
     np.multiply(totals, t, totals)
-    for row, amp in zip(psi, arrived):
-        np.multiply(amp, r - t, scratch.reshape(amp.shape))
-        np.add(scratch, totals, row)
+    if pv is not None:
+        pv.fill(0.0)
+
+    def add_probability(new: NDArray[np.complex128], lo: int) -> None:
+        if pv is not None:
+            _add_probability(pv[lo : lo + size], new, edge)
+
+    for j in range(d):
+        m = 1 << (d - 1 - j)
+        for lo in starts:
+            new, amp = psi[j, lo : lo + size], arrived(j, lo)
+            if m < size:
+                np.multiply(amp, r - t, block.reshape(amp.shape))
+                np.add(block, totals[lo : lo + size], new)
+                add_probability(new, lo)
+            elif not lo & m:  # blocks lo and lo ^ m trade places; block keeps lo's old values
+                np.multiply(new, r - t, block)
+                np.multiply(amp, r - t, new)
+                np.add(new, totals[lo : lo + size], new)
+                np.add(block, totals[lo ^ m : (lo ^ m) + size], amp)
+                add_probability(new, lo)
+                add_probability(amp, lo ^ m)
     for c, inc, total, v in saved:
         psi[:, v] = (c.r - c.t) * inc + c.t * total
+        if pv is not None:
+            edges = np.abs(psi[:, v])
+            pv[v] = np.cumsum(edges * edges)[-1]  # in order, as above; np.sum would pair
 
 
 def step(state: NDArray[np.complex128], cfg: EvolutionConfig) -> NDArray[np.complex128]:
@@ -117,7 +180,7 @@ def evolve(state: NDArray[np.complex128], cfg: EvolutionConfig, n: int) -> NDArr
     if d != cfg.dim:
         raise ValidationError(f"state dimension {d} != config dimension {cfg.dim}")
     out = state.copy()
-    buf = np.empty((2, 1 << d), dtype=np.complex128)
+    buf = _kernel_scratch(d)
     for _ in range(n):
         _full_kernel(out.T, cfg, buf)
     return out
@@ -126,12 +189,13 @@ def evolve(state: NDArray[np.complex128], cfg: EvolutionConfig, n: int) -> NDArr
 def layer_distribution_full(state: NDArray[np.complex128]) -> NDArray[np.float64]:
     """Probability per Hamming layer, summed over all edges leaving that layer."""
     d = state_dimension(state)
-    per_vertex = np.zeros(1 << d)
-    edge = np.empty(1 << d)
-    for j in range(d):
-        np.abs(state[:, j], out=edge)
-        np.multiply(edge, edge, out=edge)
-        np.add(per_vertex, edge, out=per_vertex)
+    n = 1 << d
+    size = min(n, _BLOCK)
+    per_vertex = np.zeros(n)
+    edge = np.empty(size)
+    for lo in range(0, n, size):  # block by block, so per_vertex stays in cache
+        for j in range(d):
+            _add_probability(per_vertex[lo : lo + size], state[lo : lo + size, j], edge)
     return np.bincount(vertex_weights(d), weights=per_vertex, minlength=d + 1)
 
 

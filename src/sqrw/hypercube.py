@@ -81,9 +81,13 @@ def full_state_bytes(d: int) -> int:
 
 def ensure_full_state_fits(d: int, budget: int | None = None) -> None:
     """Raise ``MemoryCapError`` if a full state for dimension d exceeds the budget."""
-    need = full_state_bytes(d)
+    check_dimension(d)
     cap = memory_budget() if budget is None else budget
-    if need > cap:
+    # from d = cap.bit_length() on, 2**d alone is over the budget: refuse
+    # without building a d-bit byte count that no message could print
+    small = d < cap.bit_length()
+    if not small or full_state_bytes(d) > cap:
+        need = full_state_bytes(d) if small else f"more than 2**{d}"
         raise MemoryCapError(
             f"full state for d={d} needs {need} bytes, over the budget of {cap} "
             f"(raise {MEMORY_ENV_VAR} to override)"
@@ -159,11 +163,13 @@ def embed_layer_state(s: LayerState, d: int | None = None) -> NDArray[np.complex
     elif d != s.d:
         raise ValidationError(f"layer state dimension {s.d} != requested {d}")
     ensure_full_state_fits(d)
-    n = 1 << d
     w = vertex_weights(d)
-    x = np.arange(n)
-    psi = np.empty((d, n), dtype=np.complex128)
+    psi = np.empty((d, 1 << d), dtype=np.complex128)
     for j in range(d):
-        bit = (x >> (d - 1 - j)) & 1
-        psi[j] = np.where(bit == 0, s.up[w], s.down[w])
+        # the middle axis is the bit direction j + 1 flips: 0 on up edges, 1 on
+        # down edges; mode="clip" (indices are in range) writes without a buffer
+        halves = psi[j].reshape(1 << j, 2, -1)
+        weights = w.reshape(halves.shape)
+        np.take(s.up, weights[:, 0], out=halves[:, 0], mode="clip")
+        np.take(s.down, weights[:, 1], out=halves[:, 1], mode="clip")
     return psi.T

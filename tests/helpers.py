@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from sqrw import evolution
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
@@ -22,17 +26,29 @@ def reference_step(state: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     """The full step as an explicit gather and combine (reference for ``step``).
 
     The amplitudes arriving at each vertex are copied out with
-    ``gather_incoming``, summed per vertex with numpy's ``sum``, and
+    ``gather_incoming``, summed per vertex in ascending direction order, and
     combined row by row with the vertex matrix, overrides included.  Shares
-    no code with the in-place kernel.
+    no code with the in-place kernel, but makes the same floating-point
+    operations in the same order (numpy's complex product depends on operand
+    order), so the kernel must match it bit for bit.
     """
     incoming = gather_incoming(state)
-    totals = incoming.sum(axis=1)
+    totals = incoming[:, 0].copy()
+    for j in range(1, incoming.shape[1]):
+        totals += incoming[:, j]
     r, t = cfg.coeffs.r, cfg.coeffs.t
-    out = (r - t) * incoming + t * totals[:, None]
+    out = incoming * (r - t) + (totals * t)[:, None]
     for vertex, c in (cfg.overrides or {}).items():
         out[vertex, :] = (c.r - c.t) * incoming[vertex, :] + c.t * totals[vertex]
     return out
+
+
+@contextmanager
+def small_blocks(size: int = 4):
+    """Step-kernel blocks of ``size`` vertices, so d <= 8 mixes bits above and inside a block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_BLOCK", size)
+        yield
 
 
 def tailed_cube_exits(

@@ -3,8 +3,8 @@
 Dense operators and dense spectra, the closed-form block spectrum, the
 character basis, the basis-column circuit comparison, the flip-gate
 structure check, the audit and classical layer series, and the layer
-extraction of a full state.  They check the library from outside and are
-not part of its API.
+distribution, layer embedding and layer extraction of a full state.  They
+check the library from outside and are not part of its API.
 """
 
 from __future__ import annotations
@@ -314,6 +314,37 @@ def extract_layer_state(
         ref = np.where(bit == 0, up[w], down[w])
         deviation = max(deviation, float(np.max(np.abs(state[:, j] - ref))))
     return layer, deviation
+
+
+def rowwise_layer_distribution(state: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Probability per Hamming layer, one whole direction at a time.
+
+    Reference for ``sqrw.evolution.layer_distribution_full`` and for the
+    per-vertex probabilities the step kernel sums: the same operations in the
+    same order, so they must match it bit for bit.
+    """
+    d = state_dimension(state)
+    per_vertex = np.zeros(1 << d)
+    for j in range(d):
+        edge = np.abs(state[:, j])
+        per_vertex += edge * edge
+    return np.bincount(vertex_weights(d), weights=per_vertex, minlength=d + 1)
+
+
+def where_embed_layer_state(s: LayerState) -> NDArray[np.complex128]:
+    """Full state of a layer state, one ``np.where`` over the bit per direction.
+
+    Reference for ``sqrw.hypercube.embed_layer_state``.
+    """
+    d = s.d
+    n = 1 << d
+    w = vertex_weights(d)
+    x = np.arange(n)
+    psi = np.empty((d, n), dtype=np.complex128)
+    for j in range(d):
+        bit = (x >> (d - 1 - j)) & 1
+        psi[j] = np.where(bit == 0, s.up[w], s.down[w])
+    return psi.T
 
 
 def squared_binomial_product(s: LayerState) -> float:

@@ -362,6 +362,9 @@ def test_tail_length_is_a_number_not_an_allocation(tmp_path):
         ["full", "--dim", 4, "--steps", 10**12, "--out", "x.csv"],
         ["hitting", "--dmax", 10**8, "--out", "x.csv"],
         ["search", "--dim", 10, "--marked", "0" * 10, "--steps", 10**12, "--out", "x.csv"],
+        ["full", "--dim", 100_000, "--steps", 1, "--out", "x.csv"],
+        ["spectrum", "--dim", 100_000, "--out", "x.csv"],
+        ["full", "--dim", 10**9, "--steps", 1, "--out", "x.csv"],
     ],
 )
 def test_request_too_large_to_allocate_exit_3(tmp_path, args):

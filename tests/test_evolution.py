@@ -1,16 +1,24 @@
 """Full edge-state step: scattering rule, unitarity, symmetry, reductions."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from helpers import random_unit_state
-from oracles import dense_operator, extract_layer_state, quantum_hitting_probability
+from helpers import random_unit_state, reference_step, small_blocks
+from oracles import (
+    dense_operator,
+    extract_layer_state,
+    quantum_hitting_probability,
+    rowwise_layer_distribution,
+)
 
 from sqrw.errors import ValidationError
 from sqrw.evolution import (
     EvolutionConfig,
+    _full_kernel,
+    _kernel_scratch,
     evolve,
     gather_incoming,
     layer_distribution_full,
@@ -23,6 +31,7 @@ from sqrw.hypercube import (
     initial_symmetric_state,
     parse_vertex,
     state_norm,
+    vertex_weights,
     zero_full_state,
 )
 from sqrw.layers import (
@@ -32,7 +41,7 @@ from sqrw.layers import (
     origin_state,
     reduced_step,
 )
-from sqrw.multiport import MultiportCoeffs, grover_coeffs
+from sqrw.multiport import MultiportCoeffs, custom_coeffs, grover_coeffs
 from sqrw.spectral import translation_apply
 
 
@@ -84,6 +93,46 @@ def test_evolve_equals_chained_steps_bit_for_bit(d):
     for _ in range(7):
         chained = step(chained, cfg)
     assert np.array_equal(evolve(s, cfg, 7), chained)
+
+
+def _unitary_coeffs(d, a, b):
+    """Vertex coefficients with eigenvalue e^(ia) on the uniform port state, e^(ib) off it."""
+    t = (cmath.exp(1j * a) - cmath.exp(1j * b)) / d
+    return custom_coeffs(cmath.exp(1j * b) + t, t, d)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("marked", [False, True])
+def test_blocked_kernel_equals_reference_bit_for_bit(d, marked):
+    # blocks of 4 vertices: the top d - 2 bits pair blocks, the low two stay inside one
+    n = 1 << d
+    overrides = {0: _unitary_coeffs(d, 0.4, 2.9), n - 1: _unitary_coeffs(d, 1.3, -2.2)} if marked else {}
+    cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1), overrides)
+    state = random_unit_state(d, d)
+    psi = state.T.copy()  # direction-major, and never a view of state
+    pv = np.full(n, np.nan)  # the kernel must overwrite every entry
+    with small_blocks():
+        _full_kernel(psi, cfg, _kernel_scratch(d), pv)
+    assert np.array_equal(psi.T, reference_step(state, cfg))
+    rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
+    assert np.array_equal(rows, rowwise_layer_distribution(psi.T))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
+    state = random_unit_state(d, 40 + d)
+    for layout in (state, np.ascontiguousarray(state.T).T):
+        want = rowwise_layer_distribution(layout)
+        assert np.array_equal(layer_distribution_full(layout), want)
+        with small_blocks():
+            assert np.array_equal(layer_distribution_full(layout), want)
+
+
+def test_kernel_scratch_is_one_row_and_one_block():
+    assert _kernel_scratch(20).shape == ((1 << 20) + (1 << 14),)
+    assert _kernel_scratch(5).shape == (2 * 32,)
+    with small_blocks():
+        assert _kernel_scratch(5).shape == (32 + 4,)
 
 
 def test_gather_incoming_reads_either_memory_order():

@@ -3,8 +3,10 @@
 The ``repro`` hashes were recorded before the layer step formula moved into
 its shared kernel, so they also pin that refactor to the old bytes.  The
 ``search`` hashes were recorded from the layer-reduced search, the ``full``
-hashes from the in-place direction-major step kernel, the ``spectrum``
-hashes from the one-solve-per-momentum-weight spectrum.
+hashes from the in-place direction-major step kernel (the d = 16 one before
+that kernel was split into blocks, so it pins the blocked kernel to the
+unblocked bytes), the ``spectrum`` hashes from the
+one-solve-per-momentum-weight spectrum.
 """
 
 import hashlib
@@ -48,6 +50,11 @@ FULL_GOLDENS = [
         ["--dim", "9", "--steps", "30", "--init", "corners", "--multiport", "symmetric:p=1"],
         "de353e6b7d1859be101712ea52be73d95fd01fd6db14b1a8a2c946100a24f158",
     ),
+    (
+        # 2**16 vertices span four 2**14-vertex blocks of the step kernel
+        ["--dim", "16", "--steps", "3", "--init", "middle", "--multiport", "symmetric:p=0.8"],
+        "3380f56eb1450fb83c274a21dba20f469c37326ab7dabad997041bca7c3885a2",
+    ),
 ]
 
 
@@ -80,7 +87,9 @@ def test_search_bytes(tmp_path, capsys, flags, csv_hash, stdout):
     assert capsys.readouterr().out == stdout
 
 
-@pytest.mark.parametrize("flags,csv_hash", FULL_GOLDENS, ids=["d6-origin-grover", "d9-corners-symmetric"])
+@pytest.mark.parametrize(
+    "flags,csv_hash", FULL_GOLDENS, ids=["d6-origin-grover", "d9-corners-symmetric", "d16-middle-symmetric"]
+)
 def test_full_bytes(tmp_path, flags, csv_hash):
     out = tmp_path / "full.csv"
     assert main(["full", *flags, "--out", str(out)]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_layer_coeffs
-from oracles import extract_layer_state
+from oracles import extract_layer_state, where_embed_layer_state
 
 from sqrw.errors import MemoryCapError
 from sqrw.hypercube import (
@@ -20,7 +20,14 @@ from sqrw.hypercube import (
     vertex_weights,
     zero_full_state,
 )
-from sqrw.layers import LayerState, edge_counting_norm, origin_state, zero_layer_state
+from sqrw.layers import (
+    LayerState,
+    corner_pair_state,
+    edge_counting_norm,
+    middle_state,
+    origin_state,
+    zero_layer_state,
+)
 
 
 def test_flat_index_examples():
@@ -106,6 +113,15 @@ def test_embed_single_layer_coefficient():
             assert state[x, a - 1] == expected.get((x, a), 0.0)
 
 
+@pytest.mark.parametrize("init", [origin_state, corner_pair_state, middle_state, "random"])
+def test_embed_matches_where_construction(init):
+    for d in range(1, 13):
+        s = LayerState(d, *random_layer_coeffs(d, d)) if init == "random" else init(d)
+        got = embed_layer_state(s)
+        assert np.array_equal(got, where_embed_layer_state(s))
+        assert got.T.flags.c_contiguous  # direction-major, as the step kernel reads it
+
+
 def test_embed_norm_is_edge_counting_norm():
     for d, seed in [(3, 1), (6, 2)]:
         up, down = random_layer_coeffs(d, seed)
@@ -129,6 +145,15 @@ def test_memory_cap_enforced():
     with pytest.raises(MemoryCapError):
         ensure_full_state_fits(8, budget=100)
     ensure_full_state_fits(8, budget=8 * 256 * 16)
+
+
+@pytest.mark.parametrize("d", [31, 100_000, 10**9])
+def test_memory_cap_message_for_a_huge_dimension(d):
+    # 2**d alone is over a 2**30 budget; the message names no d-digit count
+    with pytest.raises(MemoryCapError) as info:
+        ensure_full_state_fits(d, budget=2**30)
+    assert f"d={d} needs more than 2**{d} bytes" in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 def test_memory_env_override(monkeypatch):

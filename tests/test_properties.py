@@ -6,7 +6,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_unit_state, reference_step
+from helpers import random_unit_state, reference_step, small_blocks
 
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.multiport import custom_coeffs, phase_coeffs
@@ -42,7 +42,7 @@ def search_configs(draw):
 @st.composite
 def step_cases(draw):
     """A config with 0-2 overridden vertices and a unit state in either memory order."""
-    d = draw(st.integers(min_value=1, max_value=7))
+    d = draw(st.integers(min_value=1, max_value=8))
     marks = draw(st.lists(st.integers(min_value=0, max_value=(1 << d) - 1), max_size=2, unique=True))
     cfg = EvolutionConfig(d, draw(unitary_coeffs(d)), {v: draw(unitary_coeffs(d)) for v in marks})
     state = random_unit_state(d, draw(seeds))
@@ -58,6 +58,17 @@ def test_step_equals_reference_gather_and_combine(case):
     got = step(state, cfg)
     assert np.max(np.abs(got - reference_step(state, cfg))) <= 1e-13
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_blocked_step_equals_reference_bit_for_bit(case):
+    # 4-vertex blocks: d <= 8 mixes bits above a block with bits inside it,
+    # and evolve hands the kernel the strided rows of a vertex-major copy
+    cfg, state = case
+    with small_blocks():
+        got = step(state, cfg)
+    assert np.array_equal(got, reference_step(state, cfg))
 
 
 @settings(max_examples=60, deadline=None)
