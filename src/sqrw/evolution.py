@@ -50,21 +50,13 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValidationError(f"dimension must be >= 1 (got {self.dim})")
-        require_valid(self.coeffs)
-        if self.coeffs.degree != self.dim:
-            raise ValidationError(
-                f"coefficient degree {self.coeffs.degree} != dimension {self.dim}"
-            )
+        require_valid(self.coeffs, degree=self.dim)
         if self.overrides:
             n = 1 << self.dim
             for vertex, c in self.overrides.items():
                 if not 0 <= vertex < n:
                     raise ValidationError(f"override vertex {vertex} out of range for d={self.dim}")
-                require_valid(c)
-                if c.degree != self.dim:
-                    raise ValidationError(
-                        f"override degree {c.degree} at vertex {vertex} != dimension {self.dim}"
-                    )
+                require_valid(c, degree=self.dim)
 
 
 def gather_incoming(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -179,7 +171,7 @@ def evolve(state: NDArray[np.complex128], cfg: EvolutionConfig, n: int) -> NDArr
     d = state_dimension(state)
     if d != cfg.dim:
         raise ValidationError(f"state dimension {d} != config dimension {cfg.dim}")
-    out = state.copy()
+    out = state.T.copy().T  # direction-major, so the kernel walks contiguous rows
     buf = _kernel_scratch(d)
     for _ in range(n):
         _full_kernel(out.T, cfg, buf)

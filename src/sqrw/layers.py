@@ -19,12 +19,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .multiport import MultiportCoeffs, grover_coeffs
+from .multiport import MultiportCoeffs, grover_coeffs, require_valid
 
 __all__ = [
     "MAX_LAYER_DIM",
@@ -143,14 +144,16 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     with out-of-range coefficients contributing zero.  Conserves the
     edge-counting norm.
     """
-    if c.degree != s.d:
-        raise ValidationError(f"coefficient degree {c.degree} != dimension {s.d}")
+    require_valid(c, degree=s.d)
     new_up, new_down = _layer_kernel(s.up, s.down, _layer_factors(s.d, c.r, c.t))
     return LayerState(s.d, new_up, new_down)
 
 
 def _layer_factors(
-    d: int, r: complex | NDArray[np.complex128], t: complex | NDArray[np.complex128]
+    d: int,
+    r: complex | NDArray[np.complex128],
+    t: complex | NDArray[np.complex128],
+    tails: MultiportCoeffs | None = None,
 ) -> tuple[NDArray[np.complex128], ...]:
     """The four per-layer factors of the ``reduced_step`` formula, w = 0..d.
 
@@ -158,28 +161,70 @@ def _layer_factors(
     and down[w+1] in new_up[w], then of down[w+1] and up[w-1] in
     new_down[w].  ``r`` and ``t`` are either scalars or length-(d+1) arrays
     indexed by the layer of the scattering vertex, so one layer (the marked
-    vertex of a search) can carry its own coefficients.  They depend only on
-    the walk, so a stepping loop computes them once.
+    vertex of a search) can carry its own coefficients.  Without ``tails``
+    the factors t*d of the slots new_up[d] and new_down[0], which are not
+    edges, are zero.  ``tails``, the (d+1)-port coefficients of the two
+    corners, makes layers 0 and d scatter with them and four factors tail
+    ports, as ``sqrw.scattering`` sets out.  The factors depend only on the
+    walk, so a stepping loop computes them once.
     """
+    if tails is not None:
+        r, t = np.full(d + 1, r, np.complex128), np.full(d + 1, t, np.complex128)
+        r[[0, d]], t[[0, d]] = tails.r, tails.t
     w = np.arange(d + 1)
-    return t * w, t * (d - w - 1) + r, t * (d - w), t * (w - 1) + r
+    up_from_below, up_from_above = t * w, t * (d - w - 1) + r
+    down_from_above, down_from_below = t * (d - w), t * (w - 1) + r
+    if tails is None:
+        up_from_below[d] = down_from_above[0] = 0.0
+    else:
+        up_from_below[0], down_from_below[0] = tails.t, tails.r
+        up_from_above[d], down_from_above[d] = tails.r, tails.t
+    return up_from_below, up_from_above, down_from_above, down_from_below
 
 
 def _layer_kernel(
     up: NDArray[np.complex128],
     down: NDArray[np.complex128],
     factors: tuple[NDArray[np.complex128], ...],
+    left_in: complex = 0j,
+    right_in: complex = 0j,
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """The ``reduced_step`` formula on raw layer arrays, with no validation."""
+    """The ``reduced_step`` formula on raw layer arrays, with no validation.
+
+    The one layer step of the library, with ``factors`` from
+    ``_layer_factors``.  ``left_in`` and ``right_in`` fill the pads up[-1]
+    and down[d+1]: what the tails send into the corners.
+    """
     d = up.shape[0] - 1
     up_from_below, up_from_above, down_from_above, down_from_below = factors
-    up_prev = np.concatenate(([0.0], up[:d]))  # up[w-1]
-    down_next = np.concatenate((down[1:], [0.0]))  # down[w+1]
+    up_prev = np.concatenate(([left_in], up[:d]))  # up[w-1]
+    down_next = np.concatenate((down[1:], [right_in]))  # down[w+1]
     new_up = up_from_below * up_prev + up_from_above * down_next
     new_down = down_from_above * down_next + down_from_below * up_prev
-    new_up[d] = 0.0
-    new_down[0] = 0.0
     return new_up, new_down
+
+
+def _layer_walk(
+    up: NDArray[np.complex128],
+    down: NDArray[np.complex128],
+    steps: int,
+    r: complex | NDArray[np.complex128],
+    t: complex | NDArray[np.complex128],
+    tails: MultiportCoeffs | None = None,
+    left_in: complex = 0j,
+) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
+    """Layer arrays after 0..steps steps of ``_layer_kernel``, factors computed once.
+
+    ``r``, ``t`` and ``tails`` are as in ``_layer_factors``.  ``left_in``
+    enters from the left tail on the first step; nothing enters after it,
+    since what leaves onto a tail never comes back.  No validation.
+    """
+    factors = _layer_factors(up.shape[0] - 1, r, t, tails)
+    yield up, down
+    for _ in range(steps):
+        up, down = _layer_kernel(up, down, factors, left_in)
+        left_in = 0j
+        yield up, down
 
 
 def layer_distribution(s: LayerState) -> NDArray[np.float64]:
@@ -193,17 +238,12 @@ def layer_distribution_series(
     """Matrix of layer probabilities, row n = distribution after n steps."""
     if init.d != d:
         raise ValidationError(f"initial state dimension {init.d} != {d}")
-    if c.degree != d:
-        raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
+    require_valid(c, degree=d)
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
     b = _binomials(d)
-    factors = _layer_factors(d, c.r, c.t)
     out = np.empty((n_max + 1, d + 1), dtype=np.float64)
-    up, down = init.up, init.down
-    out[0] = _distribution(up, down, b)
-    for n in range(1, n_max + 1):
-        up, down = _layer_kernel(up, down, factors)
+    for n, (up, down) in enumerate(_layer_walk(init.up, init.down, n_max, c.r, c.t)):
         out[n] = _distribution(up, down, b)
     return out
 
@@ -214,8 +254,7 @@ def hitting_amplitude_closed_form(d: int, c: MultiportCoeffs) -> complex:
     Equals [t(d-1) + r] * (d-1)! * t**(d-1) / sqrt(d).  Above d = 20 the
     factorial is folded into log space to avoid float overflow.
     """
-    if c.degree != d:
-        raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
+    require_valid(c, degree=d)
     r, t = c.r, c.t
     front = t * (d - 1) + r
     if d <= 20:

@@ -133,7 +133,7 @@ def symmetric_coeffs(d: int, p: float) -> MultiportCoeffs:
     """
     if d < 2:
         raise ValidationError(f"symmetric coefficients need degree >= 2 (got {d})")
-    if p <= 0.5:
+    if not p > 0.5:  # also rejects NaN
         raise ValidationError(f"transmission exponent must exceed 1/2 (got {p})")
     t = float(d) ** (-p)
     magnitude = math.sqrt(1.0 - (d - 1) * t * t)
@@ -183,8 +183,18 @@ def validate_unitarity(c: MultiportCoeffs, tol: float = UNITARITY_TOL) -> Unitar
     return UnitarityCheck(passed, abs(norm_residual), abs(cross_residual))
 
 
-def require_valid(c: MultiportCoeffs, tol: float = UNITARITY_TOL) -> None:
-    """Raise ``ValidationError`` unless ``c`` passes ``validate_unitarity``."""
+def require_valid(
+    c: MultiportCoeffs, tol: float = UNITARITY_TOL, *, degree: int | None = None
+) -> None:
+    """Raise ``ValidationError`` unless ``c`` passes ``validate_unitarity``.
+
+    With ``degree``, also unless ``c`` belongs to a vertex of that degree.
+    Each library entry point calls this once, before any step loop.
+    """
+    if degree is not None and c.degree != degree:
+        raise ValidationError(
+            f"coefficients r={c.r}, t={c.t} have degree {c.degree}, the vertex has degree {degree}"
+        )
     check = validate_unitarity(c, tol)
     if not check:
         raise ValidationError(

@@ -10,16 +10,21 @@ amplitude per travel direction.
 The symmetric reduced picture extends the layer arrays by activating their
 two structural corner slots: ``down[0]`` becomes the amplitude leaving
 vertex 0...0 onto the left tail and ``up[d]`` the amplitude leaving the far
-vertex onto the right tail.  Boundary updates are
+vertex onto the right tail.  The step is the layer kernel of
+``sqrw.layers`` with the corners as parameters, not a second update rule:
+layers 0 and d scatter with (rb, tb), the tail amplitudes about to enter
+the cube (left_in, right_in) fill the kernel's pads up[-1] and down[d+1],
+and four entries of the factor table are tail ports:
 
-    up[0]'   = tb * left_in      + [(d-1) tb + rb] * down[1]
-    down[0]' = rb * left_in      + d tb * down[1]
-    up[d]'   = d tb * up[d-1]    + rb * right_in
-    down[d]' = [(d-1) tb + rb] * up[d-1] + tb * right_in
+    up_from_below[0] = tb     (left_in  -> up[0])
+    down_from_below[0] = rb   (left_in  -> down[0], back onto the left tail)
+    up_from_above[d] = rb     (right_in -> up[d], back onto the right tail)
+    down_from_above[d] = tb   (right_in -> down[d])
 
-where left_in / right_in are the tail amplitudes about to enter the cube.
-The two right_in terms are zero in the standard source-on-the-left run but
-are required for exact unitarity, so they are kept.
+The interior formula gives the other corner factors, e.g.
+up[0]' = tb * left_in + [(d-1) tb + rb] * down[1].  The right_in input is
+zero in the standard source-on-the-left run but is required for exact
+unitarity, so it is kept.
 
 Tails are truncated at L sites.  Amplitude moves ballistically along a
 tail, one site per step, so a run of n steps with L >= n + 1 never reaches
@@ -51,7 +56,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_kernel
+from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -73,13 +78,9 @@ def boundary_coeffs(d: int) -> MultiportCoeffs:
 
 
 def _check_coeffs(d: int, c: MultiportCoeffs, b: MultiportCoeffs | None) -> None:
-    require_valid(c)
-    if c.degree != d:
-        raise ValidationError(f"interior coefficient degree {c.degree} != dimension {d}")
+    require_valid(c, degree=d)
     if b is not None:
-        require_valid(b)
-        if b.degree != d + 1:
-            raise ValidationError(f"boundary coefficient degree {b.degree} != d + 1 = {d + 1}")
+        require_valid(b, degree=d + 1)
 
 
 def _truncation_message(tail_length: int) -> str:
@@ -166,24 +167,6 @@ def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
     return s
 
 
-def _boundary_rows(
-    up: NDArray[np.complex128],
-    down: NDArray[np.complex128],
-    left_arriving: complex,
-    right_arriving: complex,
-    b: MultiportCoeffs,
-) -> tuple[complex, complex, complex, complex]:
-    """New ``up[0], down[0], up[d], down[d]``: the two (d+1)-port corners."""
-    d = up.shape[0] - 1
-    rb, tb = b.r, b.t
-    return (
-        tb * left_arriving + ((d - 1) * tb + rb) * down[1],
-        rb * left_arriving + d * tb * down[1],
-        d * tb * up[d - 1] + rb * right_arriving,
-        ((d - 1) * tb + rb) * up[d - 1] + tb * right_arriving,
-    )
-
-
 def scatter_step(
     s: ScatterState, c: MultiportCoeffs, b: MultiportCoeffs | None
 ) -> ScatterState:
@@ -207,15 +190,9 @@ def scatter_step(
         raise TruncationError(_truncation_message(L))
 
     out = _empty_scatter(d, L)
-    out.up[:], out.down[:] = _layer_kernel(s.up, s.down, _layer_factors(d, c.r, c.t))
-    if b is None:
-        # Plain hypercube boundaries: the kernel's degree-d corner rows stand.
-        return out
-    out.up[0], out.down[0], out.up[d], out.down[d] = _boundary_rows(
-        s.up, s.down, s.left_in[0], s.right_in[0], b
-    )
-
-    # Ballistic tails: one site per step, perfectly transmitting.
+    factors = _layer_factors(d, c.r, c.t, b)
+    out.up[:], out.down[:] = _layer_kernel(s.up, s.down, factors, s.left_in[0], s.right_in[0])
+    # Ballistic tails: one site per step, perfectly transmitting (empty without b).
     out.left_in[: L - 1] = s.left_in[1:]
     out.left_out[1:] = s.left_out[: L - 1]
     out.left_out[0] = s.down[0]
@@ -254,15 +231,9 @@ def detection_probability_series(
     # leaves onto a tail never comes back, so the tails are unstored sinks
     # and the tail length is only a number: an exit at step k reaches the
     # cut at step k + L + 1.
-    factors = _layer_factors(d, c.r, c.t)
-    up = np.zeros(d + 1, dtype=np.complex128)
-    down = up.copy()
-    arriving = 1.0 + 0j
-    series = np.zeros(n_max + 1, dtype=np.float64)
-    for n in range(1, n_max + 1):
-        new_up, new_down = _layer_kernel(up, down, factors)
-        new_up[0], new_down[0], new_up[d], new_down[d] = _boundary_rows(up, down, arriving, 0j, b)
-        up, down, arriving = new_up, new_down, 0j
+    empty = np.zeros(d + 1, dtype=np.complex128)
+    series = np.empty(n_max + 1, dtype=np.float64)
+    for n, (up, down) in enumerate(_layer_walk(empty, empty, n_max, c.r, c.t, b, left_in=1.0)):
         series[n] = abs(up[d]) ** 2
         if (up[d] != 0 or down[0] != 0) and n + tail_length + 1 <= n_max:
             raise TruncationError(_truncation_message(tail_length))

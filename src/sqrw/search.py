@@ -16,24 +16,24 @@ layer 0 scatters with the marked coefficients (Shenvi, Kempe and Whaley,
 PRA 67, 052307).  Success is d |up[0]|^2 on the out-edges of the mark, or
 d |down[1]|^2 on its in-edges; each step costs O(d).
 
-``full_search_series`` runs the same walk on the full edge state with the
-mark where it is.  It is exponential in d and is kept as the reference the
-tests compare ``run_search`` against.
+``SearchConfig.evolution_config`` describes the same walk on the full edge
+state with the mark where it is; ``uniform_edge_state`` and
+``success_probability`` are its start and its reading there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .evolution import EvolutionConfig, step, vertex_probability
+from .evolution import EvolutionConfig, vertex_probability
+from .evolution import step  # noqa: F401  (perfbench/spans.py wraps it)
 from .hypercube import direction_mask, ensure_full_state_fits
-from .layers import MAX_LAYER_DIM, _layer_factors, _layer_kernel
+from .layers import MAX_LAYER_DIM, _layer_walk
 from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_valid
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "uniform_edge_state",
     "success_probability",
     "run_search",
-    "full_search_series",
     "MAX_SEARCH_DIM",
 ]
 
@@ -78,10 +77,8 @@ class SearchConfig:
             object.__setattr__(self, "marked_coeffs", phase_coeffs(self.dim))
         if self.coeffs is None:
             object.__setattr__(self, "coeffs", grover_coeffs(self.dim))
-        require_valid(self.marked_coeffs)
-        require_valid(self.coeffs)
-        if self.marked_coeffs.degree != self.dim or self.coeffs.degree != self.dim:
-            raise ValidationError("coefficient degrees must match the dimension")
+        require_valid(self.marked_coeffs, degree=self.dim)
+        require_valid(self.coeffs, degree=self.dim)
         if self.metric not in ("out", "in"):
             raise ValidationError(f"metric must be 'out' or 'in' (got {self.metric!r})")
 
@@ -114,44 +111,20 @@ def success_probability(state: NDArray[np.complex128], cfg: SearchConfig) -> flo
     return total
 
 
-def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:
-    """Success series of the search walk stepped on the full edge state (reference)."""
-    evo = cfg.evolution_config()
-    state = uniform_edge_state(cfg.dim)
-    series = np.empty(cfg.steps + 1, dtype=np.float64)
-    series[0] = success_probability(state, cfg)
-    for n in range(1, cfg.steps + 1):
-        state = step(state, evo)
-        series[n] = success_probability(state, cfg)
-    return series
-
-
-def _layer_search_states(
-    cfg: SearchConfig,
-) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
-    """Layer arrays ``(up, down)`` of the search walk after 0..cfg.steps steps, mark at 0."""
+def run_search(cfg: SearchConfig) -> SearchResult:
+    """Walk from the uniform state on the layer reduction, tracking success per step."""
     d = cfg.dim
     r = np.full(d + 1, cfg.coeffs.r, dtype=np.complex128)
     t = np.full(d + 1, cfg.coeffs.t, dtype=np.complex128)
-    r[0], t[0] = cfg.marked_coeffs.r, cfg.marked_coeffs.t
-    factors = _layer_factors(d, r, t)
-    amp = 1.0 / math.sqrt(d * (1 << d))
-    up = np.full(d + 1, amp, dtype=np.complex128)
+    r[0], t[0] = cfg.marked_coeffs.r, cfg.marked_coeffs.t  # the mark, moved to 0...0
+    up = np.full(d + 1, 1.0 / math.sqrt(d * (1 << d)), dtype=np.complex128)
     down = up.copy()
     up[d] = down[0] = 0.0
-    yield up, down
-    for _ in range(cfg.steps):
-        up, down = _layer_kernel(up, down, factors)
-        yield up, down
-
-
-def run_search(cfg: SearchConfig) -> SearchResult:
-    """Walk from the uniform state on the layer reduction, tracking success per step."""
     out = cfg.metric == "out"
     # allocated before the walk, so a step count too large to store fails at once
     series = np.empty(cfg.steps + 1, dtype=np.float64)
     # each of the mark's d out-edges (up[0]) or in-edges (down[1]) has the same amplitude
-    for n, (up, down) in enumerate(_layer_search_states(cfg)):
+    for n, (up, down) in enumerate(_layer_walk(up, down, cfg.steps, r, t)):
         series[n] = abs(up[0] if out else down[1])
     series = cfg.dim * series**2
     peak_step = int(np.argmax(series))

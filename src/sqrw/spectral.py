@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .errors import ValidationError
 from .hypercube import ensure_full_state_fits, state_dimension, vertex_weights
-from .multiport import MultiportCoeffs, multiport_matrix
+from .multiport import MultiportCoeffs, multiport_matrix, require_valid
 
 __all__ = [
     "translation_apply",
@@ -76,8 +76,7 @@ def weight_class_spectra(c: MultiportCoeffs) -> list[NDArray[np.complex128]]:
 def full_spectrum_via_blocks(d: int, c: MultiportCoeffs) -> NDArray[np.complex128]:
     """All d * 2**d eigenvalues of the step; entries k*d .. k*d + d - 1 belong to block k."""
     ensure_full_state_fits(d)
-    if c.degree != d:
-        raise ValidationError(f"coefficient degree {c.degree} != dimension {d}")
+    require_valid(c, degree=d)
     return np.stack(weight_class_spectra(c))[vertex_weights(d)].ravel()
 
 

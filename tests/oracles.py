@@ -2,9 +2,10 @@
 
 Dense operators and dense spectra, the closed-form block spectrum, the
 character basis, the basis-column circuit comparison, the flip-gate
-structure check, the audit and classical layer series, and the layer
-distribution, layer embedding and layer extraction of a full state.  They
-check the library from outside and are not part of its API.
+structure check, the audit and classical layer series, the layer
+distribution, layer embedding and layer extraction of a full state, the
+tailed corner rows, and the search stepped on the full state.  They check
+the library from outside and are not part of its API.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from sqrw.hypercube import (
 )
 from sqrw.layers import LayerState, _binomials, edge_counting_norm, reduced_step
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, multiport_matrix
+from sqrw.search import SearchConfig, success_probability, uniform_edge_state
 from sqrw.spectral import block_matrix, rotation_apply, translation_apply
 
 
@@ -414,3 +416,41 @@ def classical_walk_step(p: NDArray[np.float64], d: int) -> NDArray[np.float64]:
 def per_vertex_probabilities(p: NDArray[np.float64], d: int) -> NDArray[np.float64]:
     """Convert a layer distribution to the per-vertex probability p[w]/C(d,w)."""
     return np.asarray(p, dtype=np.float64) / _binomials(d)
+
+
+def tailed_corner_rows(
+    up: NDArray[np.complex128],
+    down: NDArray[np.complex128],
+    left_in: complex,
+    right_in: complex,
+    b: MultiportCoeffs,
+) -> tuple[complex, complex, complex, complex]:
+    """New ``up[0], down[0], up[d], down[d]`` of the tailed layer walk, written out.
+
+    The two corners are (d+1)-ports with coefficients ``b``; ``left_in`` and
+    ``right_in`` arrive from the tails.  Reference for the tail-port entries
+    of ``sqrw.layers._layer_factors``.
+    """
+    d = up.shape[0] - 1
+    rb, tb = b.r, b.t
+    return (
+        tb * left_in + ((d - 1) * tb + rb) * down[1],
+        rb * left_in + d * tb * down[1],
+        d * tb * up[d - 1] + rb * right_in,
+        ((d - 1) * tb + rb) * up[d - 1] + tb * right_in,
+    )
+
+
+def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:
+    """Success series of the search walk stepped on the full edge state.
+
+    The mark stays where it is; reference for ``sqrw.search.run_search``.
+    """
+    evo = cfg.evolution_config()
+    state = uniform_edge_state(cfg.dim)
+    series = np.empty(cfg.steps + 1, dtype=np.float64)
+    series[0] = success_probability(state, cfg)
+    for n in range(1, cfg.steps + 1):
+        state = step(state, evo)
+        series[n] = success_probability(state, cfg)
+    return series

@@ -29,6 +29,7 @@ from oracles import (
     dense_spectrum,
     evolve_layers,
     fourier_offblock_deviation,
+    full_search_series,
     layer_mean,
     quantum_hitting_probability,
     spectrum_mismatch,
@@ -57,7 +58,7 @@ from sqrw.scattering import (
     interferometer_amplitude,
     scatter_step,
 )
-from sqrw.search import SearchConfig, full_search_series, run_search, uniform_edge_state
+from sqrw.search import SearchConfig, run_search, uniform_edge_state
 from sqrw.spectral import full_spectrum_via_blocks, rotation_apply, translation_apply
 
 # Reference peak recorded from this implementation's deterministic d = 8 run

@@ -287,6 +287,31 @@ def test_missing_output_directory_exit_2(tmp_path, capsys, args):
     assert "No such file or directory" in _error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["layers", "--dim", 4, "--steps", 3],
+        ["full", "--dim", 4, "--steps", 3],
+        ["scatter", "--dim", 4, "--steps", 3],
+        ["search", "--dim", 4, "--marked", "0110", "--steps", 3],
+        ["spectrum", "--dim", 4],
+        ["mz", "--dim", 4],
+        ["verify-circuit", "--dim", 4],
+    ],
+)
+def test_nan_multiport_exit_2_without_output(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    if args[0] == "mz":
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("0.5\n" * 4)
+        args = args + ["--gamma", gamma]
+    elif args[0] != "verify-circuit":
+        args = args + ["--out", out]
+    assert run(args + ["--multiport", "symmetric:p=nan"]) == 2
+    _error_line(capsys)
+    assert not out.exists()
+
+
 def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkeypatch):
     import sqrw.cli
 

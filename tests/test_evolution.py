@@ -85,6 +85,13 @@ def test_evolve_zero_steps_is_copy():
     assert out is not s
 
 
+def test_evolve_returns_direction_major_state():
+    # rows of out.T are what the step kernel walks; contiguous rows are the fast case
+    d = 5
+    out = evolve(initial_symmetric_state(d), EvolutionConfig(d, grover_coeffs(d)), 1)
+    assert out.T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("d", [3, 8])
 def test_evolve_equals_chained_steps_bit_for_bit(d):
     cfg = EvolutionConfig(d, grover_coeffs(d), overrides={5: MultiportCoeffs(-1.0, 0.0, d)})

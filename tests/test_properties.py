@@ -7,10 +7,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_unit_state, reference_step, small_blocks
+from oracles import full_search_series
 
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.multiport import custom_coeffs, phase_coeffs
-from sqrw.search import SearchConfig, full_search_series, run_search
+from sqrw.search import SearchConfig, run_search
 from sqrw.spectral import rotation_apply, translation_apply
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi)

@@ -16,9 +16,11 @@ from helpers import (
     traversal_amplitude,
 )
 
+from oracles import tailed_corner_rows
+
 from sqrw.errors import TruncationError, ValidationError
-from sqrw.layers import origin_state, reduced_step
-from sqrw.multiport import grover_coeffs, symmetric_coeffs, validate_unitarity
+from sqrw.layers import _layer_factors, _layer_kernel, origin_state, reduced_step
+from sqrw.multiport import custom_coeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
     boundary_coeffs,
     detection_probability_series,
@@ -45,6 +47,26 @@ def test_first_step_from_tail_splits_into_rt():
     assert s.up[0] == pytest.approx(b.t, abs=1e-15)
     assert s.down[0] == pytest.approx(b.r, abs=1e-15)
     assert scatter_norm(s) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_tail_port_factors_match_corner_rows(d):
+    # d = 1: both corners share the one pair of layers
+    rng = np.random.default_rng(d)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+    tb = (phases[0] - phases[1]) / (d + 1)  # eigenvalue phases[0] on the uniform port state
+    c = grover_coeffs(d)
+    # unit-modulus inputs, so every corner row is at most 2 in modulus
+    up, down = np.exp(2j * np.pi * rng.uniform(size=(2, d + 1)))
+    left_in, right_in = np.exp(2j * np.pi * rng.uniform(size=2))
+    for b, tol in ((boundary_coeffs(d), 0.0), (custom_coeffs(phases[1] + tb, tb, d + 1), 1e-15)):
+        new_up, new_down = _layer_kernel(up, down, _layer_factors(d, c.r, c.t, b), left_in, right_in)
+        corners = np.array((new_up[0], new_down[0], new_up[d], new_down[d]))
+        expected = np.array(tailed_corner_rows(up, down, left_in, right_in, b))
+        assert np.max(np.abs(corners - expected)) <= tol
+        plain_up, plain_down = _layer_kernel(up, down, _layer_factors(d, c.r, c.t))
+        assert np.array_equal(new_up[1:d], plain_up[1:d])
+        assert np.array_equal(new_down[1:d], plain_down[1:d])
 
 
 def test_decoupled_boundaries_reproduce_reduced_step():

@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import full_search_series
+
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step, vertex_probability
 from sqrw.hypercube import direction_mask, state_norm, zero_full_state
-from sqrw.layers import LayerState, edge_counting_norm
+from sqrw.layers import LayerState, _layer_walk, edge_counting_norm
 from sqrw.multiport import grover_coeffs, phase_coeffs, symmetric_coeffs
 from sqrw.search import (
     MAX_SEARCH_DIM,
     SearchConfig,
-    _layer_search_states,
-    full_search_series,
     run_search,
     success_probability,
     uniform_edge_state,
@@ -152,7 +152,15 @@ def test_layer_search_matches_full_state_oracle(d):
 
 
 def test_layer_search_state_keeps_unit_norm():
+    # the walk run_search steps: uniform start, layer 0 marked with r = -1, t = 0
     d = 30
-    for up, down in _layer_search_states(SearchConfig(dim=d, marked=0, steps=2000)):
+    c = grover_coeffs(d)
+    r = np.full(d + 1, c.r)
+    t = np.full(d + 1, c.t)
+    r[0], t[0] = -1.0, 0.0
+    up = np.full(d + 1, 1.0 / math.sqrt(d * (1 << d)), dtype=np.complex128)
+    down = up.copy()
+    up[d] = down[0] = 0.0
+    for up, down in _layer_walk(up, down, 2000, r, t):
         assert abs(edge_counting_norm(LayerState(d, up, down)) - 1.0) <= 1e-10
 
