@@ -38,21 +38,22 @@ from .multiport import (
     grover_coeffs,
     symmetric_coeffs,
 )
-from .scattering import boundary_coeffs, detection_probability_series, interferometer_amplitude
+from .scattering import detection_probability_series, interferometer_amplitude
 from .search import SearchConfig, run_search
 from .spectral import block_matrix  # noqa: F401  (perfbench/spans.py wraps it)
 from .spectral import weight_class_spectra
 
 __all__ = ["main", "cli_entry", "parse_multiport", "emit_plot_script"]
 
-_FIG_PRESETS: dict[str, dict] = {
-    "fig2": {"kind": "hitting", "dmax": 30},
-    "fig3": {"kind": "layers", "dim": 50, "steps": 100, "init": "origin", "multiport": "grover"},
-    "fig4": {"kind": "layers", "dim": 50, "steps": 250, "init": "corners", "multiport": "symmetric:p=1"},
-    "fig5": {"kind": "layers", "dim": 50, "steps": 250, "init": "middle", "multiport": "symmetric:p=1"},
-    "fig6": {"kind": "layers", "dim": 50, "steps": 250, "init": "corners", "multiport": "grover"},
-    "fig7": {"kind": "layers", "dim": 50, "steps": 250, "init": "middle", "multiport": "grover"},
-    "fig9": {"kind": "scatter", "dim": 10, "steps": 400, "multiport": "symmetric:p=1"},
+# each preset is the argv of its subcommand, parsed by that subcommand's parser
+_FIG_PRESETS: dict[str, tuple[str, ...]] = {
+    "fig2": ("hitting", "--dmax", "30"),
+    "fig3": ("layers", "--dim", "50", "--steps", "100", "--init", "origin", "--multiport", "grover"),
+    "fig4": ("layers", "--dim", "50", "--steps", "250", "--init", "corners", "--multiport", "symmetric:p=1"),
+    "fig5": ("layers", "--dim", "50", "--steps", "250", "--init", "middle", "--multiport", "symmetric:p=1"),
+    "fig6": ("layers", "--dim", "50", "--steps", "250", "--init", "corners", "--multiport", "grover"),
+    "fig7": ("layers", "--dim", "50", "--steps", "250", "--init", "middle", "--multiport", "grover"),
+    "fig9": ("scatter", "--dim", "10", "--steps", "400", "--multiport", "symmetric:p=1"),
 }
 
 
@@ -144,9 +145,8 @@ def _cmd_full(args: argparse.Namespace) -> int:
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
     c = parse_multiport(args.multiport, args.dim)
-    b = boundary_coeffs(args.dim)
     series = detection_probability_series(
-        args.dim, c, b, n_max=args.steps, tail_length=args.tail_length
+        args.dim, c, n_max=args.steps, tail_length=args.tail_length
     )
     if args.cumulative:
         cum = np.cumsum(series)
@@ -239,29 +239,12 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     if preset is None:
         known = ", ".join(sorted(_FIG_PRESETS))
         raise ValidationError(f"unknown preset {args.name!r} (choose from: {known})")
-    out = args.out or f"{args.name}.csv"
-    kind = preset["kind"]
-    if kind == "hitting":
-        ns = argparse.Namespace(dmax=preset["dmax"], out=out)
-        return _cmd_hitting(ns)
-    if kind == "layers":
-        ns = argparse.Namespace(
-            dim=preset["dim"],
-            steps=preset["steps"],
-            init=preset["init"],
-            multiport=preset["multiport"],
-            out=out,
-        )
-        return _cmd_layers(ns)
-    ns = argparse.Namespace(
-        dim=preset["dim"],
-        steps=preset["steps"],
-        multiport=preset["multiport"],
-        tail_length=None,
-        cumulative=args.cumulative,
-        out=out,
-    )
-    return _cmd_scatter(ns)
+    command, *argv = preset
+    argv += ["--out", args.out or f"{args.name}.csv"]
+    if args.cumulative:
+        argv.append("--cumulative")
+    ns = args.parsers[command].parse_args(argv)
+    return ns.func(ns)
 
 
 _PLOT_TEMPLATE = '''"""Generated plot script; reads {csv!r} and draws a {kind}."""
@@ -424,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="named parameter presets (fig2..fig7, fig9)")
     p.add_argument("name")
     p.add_argument("--out", default=None)
-    p.add_argument("--cumulative", action="store_true")
-    p.set_defaults(func=_cmd_repro)
+    p.add_argument("--cumulative", action="store_true", help="passed on to the preset's command")
+    p.set_defaults(func=_cmd_repro, parsers=sub.choices)
 
     p = sub.add_parser("plot-script", help="generate a matplotlib script for a CSV")
     p.add_argument("--csv", required=True)

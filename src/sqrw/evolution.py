@@ -12,15 +12,14 @@ rewrites each row, a pair of blocks together through one block of scratch,
 and can add each new block's |amplitude|**2 into a per-vertex probability
 row while the block is in cache, as ``layer_distribution_full`` sums it,
 so the layer distribution needs no second pass over the state.  A step
-needs one state plus one 2**d row and one block of scratch.  Per-vertex
-coefficient overrides serve the marked-vertex search without a second
-evolution path.
+needs one state plus one 2**d row and one block of scratch.  Every vertex
+scatters with the same coefficients; the marked-vertex search runs on the
+layer walk (``sqrw.search``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,22 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Dimension, vertex coefficients, and optional per-vertex overrides."""
+    """Dimension and the coefficients every vertex scatters with."""
 
     dim: int
     coeffs: MultiportCoeffs
-    overrides: Mapping[int, MultiportCoeffs] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValidationError(f"dimension must be >= 1 (got {self.dim})")
         require_valid(self.coeffs, degree=self.dim)
-        if self.overrides:
-            n = 1 << self.dim
-            for vertex, c in self.overrides.items():
-                if not 0 <= vertex < n:
-                    raise ValidationError(f"override vertex {vertex} out of range for d={self.dim}")
-                require_valid(c, degree=self.dim)
 
 
 def gather_incoming(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -123,11 +115,6 @@ def _full_kernel(
             amp = arrived(j, lo)
             acc = acc.reshape(amp.shape)
             np.add(acc, amp, acc)
-    saved = []  # what each overridden vertex receives, read before the rows are overwritten
-    if cfg.overrides:
-        rows = np.arange(d)
-        masks = 1 << (d - 1 - rows)
-        saved = [(c, psi[rows, v ^ masks], totals[v], v) for v, c in cfg.overrides.items()]
     r, t = cfg.coeffs.r, cfg.coeffs.t
     np.multiply(totals, t, totals)
     if pv is not None:
@@ -152,11 +139,6 @@ def _full_kernel(
                 np.add(block, totals[lo ^ m : (lo ^ m) + size], amp)
                 add_probability(new, lo)
                 add_probability(amp, lo ^ m)
-    for c, inc, total, v in saved:
-        psi[:, v] = (c.r - c.t) * inc + c.t * total
-        if pv is not None:
-            edges = np.abs(psi[:, v])
-            pv[v] = np.cumsum(edges * edges)[-1]  # in order, as above; np.sum would pair
 
 
 def step(state: NDArray[np.complex128], cfg: EvolutionConfig) -> NDArray[np.complex128]:

@@ -79,10 +79,10 @@ def full_state_bytes(d: int) -> int:
     return d * (1 << d) * _COMPLEX_BYTES
 
 
-def ensure_full_state_fits(d: int, budget: int | None = None) -> None:
+def ensure_full_state_fits(d: int) -> None:
     """Raise ``MemoryCapError`` if a full state for dimension d exceeds the budget."""
     check_dimension(d)
-    cap = memory_budget() if budget is None else budget
+    cap = memory_budget()
     # from d = cap.bit_length() on, 2**d alone is over the budget: refuse
     # without building a d-bit byte count that no message could print
     small = d < cap.bit_length()
@@ -156,12 +156,9 @@ def state_dimension(state: NDArray[np.complex128]) -> int:
     return d
 
 
-def embed_layer_state(s: LayerState, d: int | None = None) -> NDArray[np.complex128]:
+def embed_layer_state(s: LayerState) -> NDArray[np.complex128]:
     """Spread layer coefficients over every edge of their (layer, direction) class."""
-    if d is None:
-        d = s.d
-    elif d != s.d:
-        raise ValidationError(f"layer state dimension {s.d} != requested {d}")
+    d = s.d
     ensure_full_state_fits(d)
     w = vertex_weights(d)
     psi = np.empty((d, 1 << d), dtype=np.complex128)

@@ -29,6 +29,7 @@ from .multiport import MultiportCoeffs, grover_coeffs, require_valid
 
 __all__ = [
     "MAX_LAYER_DIM",
+    "MAX_HITTING_DIM",
     "LayerState",
     "zero_layer_state",
     "origin_state",
@@ -48,6 +49,9 @@ __all__ = [
 # overflows above d = 1029; the uniform search start puts 1/(d * 2**d) on
 # each edge, which stops being a normal float above d = 1012.
 MAX_LAYER_DIM = 1000
+
+# Largest d_max of ``hitting_ratio_table``: the last d where d!/d**d is a normal float.
+MAX_HITTING_DIM = 712
 
 
 @dataclass
@@ -280,8 +284,8 @@ def hitting_ratio_table(d_max: int) -> NDArray[np.float64]:
     p_quantum is the squared closed-form hitting amplitude; the ratio grows
     monotonically from 1 at d = 2.
     """
-    if d_max < 2:
-        raise ValidationError(f"d_max must be >= 2 (got {d_max})")
+    if not 2 <= d_max <= MAX_HITTING_DIM:
+        raise ValidationError(f"d_max must be in 2..{MAX_HITTING_DIM} (got {d_max})")
     rows = np.empty((d_max - 1, 4), dtype=np.float64)
     for i, d in enumerate(range(2, d_max + 1)):
         p_c = classical_hitting_probability(d)

@@ -168,24 +168,22 @@ def custom_coeffs(r: complex, t: complex, degree: int) -> MultiportCoeffs:
     return c
 
 
-def validate_unitarity(c: MultiportCoeffs, tol: float = UNITARITY_TOL) -> UnitarityCheck:
+def validate_unitarity(c: MultiportCoeffs) -> UnitarityCheck:
     """Check both unitarity relations and report their residual magnitudes.
 
     Returns
     -------
     UnitarityCheck
-        Truthy iff both residuals are within ``tol``.
+        Truthy iff both residuals are within ``UNITARITY_TOL``.
     """
     d = c.degree
     norm_residual = abs(c.r) ** 2 + (d - 1) * abs(c.t) ** 2 - 1.0
     cross_residual = (d - 2) * abs(c.t) ** 2 + 2.0 * (c.r.conjugate() * c.t).real
-    passed = abs(norm_residual) <= tol and abs(cross_residual) <= tol
+    passed = abs(norm_residual) <= UNITARITY_TOL and abs(cross_residual) <= UNITARITY_TOL
     return UnitarityCheck(passed, abs(norm_residual), abs(cross_residual))
 
 
-def require_valid(
-    c: MultiportCoeffs, tol: float = UNITARITY_TOL, *, degree: int | None = None
-) -> None:
+def require_valid(c: MultiportCoeffs, *, degree: int | None = None) -> None:
     """Raise ``ValidationError`` unless ``c`` passes ``validate_unitarity``.
 
     With ``degree``, also unless ``c`` belongs to a vertex of that degree.
@@ -195,7 +193,7 @@ def require_valid(
         raise ValidationError(
             f"coefficients r={c.r}, t={c.t} have degree {c.degree}, the vertex has degree {degree}"
         )
-    check = validate_unitarity(c, tol)
+    check = validate_unitarity(c)
     if not check:
         raise ValidationError(
             f"coefficients r={c.r}, t={c.t}, degree={c.degree} violate unitarity "

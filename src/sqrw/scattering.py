@@ -240,17 +240,13 @@ def detection_probability_series(
     return series
 
 
-def interferometer_amplitude(
-    d: int,
-    gamma: NDArray[np.complex128],
-    c: MultiportCoeffs,
-    b: MultiportCoeffs | None = None,
-) -> complex:
+def interferometer_amplitude(d: int, gamma: NDArray[np.complex128], c: MultiportCoeffs) -> complex:
     """Closed-form amplitude on the right exit edge after d steps.
 
-    The initial state puts amplitude gamma[j] on each edge |0...0; j>.  All
-    shortest traversals contribute t**(d-1) * tb, and there are (d-1)! of
-    them per initial direction, so the result is
+    The initial state puts amplitude gamma[j] on each edge |0...0; j>; the
+    corners scatter with ``boundary_coeffs``.  All shortest traversals
+    contribute t**(d-1) * tb, and there are (d-1)! of them per initial
+    direction, so the result is
 
         sum_j gamma_j * (d-1)! * t**(d-1) * tb
 
@@ -261,12 +257,11 @@ def interferometer_amplitude(
     gamma = np.asarray(gamma, dtype=np.complex128)
     if gamma.shape != (d,):
         raise ValidationError(f"gamma must have shape ({d},), got {gamma.shape}")
-    _check_coeffs(d, c, b)
-    if b is None:
-        b = boundary_coeffs(d)
+    require_valid(c, degree=d)
+    tb = boundary_coeffs(d).t
     if d <= 20:
-        return complex(np.sum(gamma) * math.factorial(d - 1) * c.t ** (d - 1) * b.t)
+        return complex(np.sum(gamma) * math.factorial(d - 1) * c.t ** (d - 1) * tb)
     if c.t == 0:
         return 0j
     paths = cmath.exp(math.lgamma(d) + (d - 1) * cmath.log(c.t))
-    return complex(np.sum(gamma) * paths * b.t)
+    return complex(np.sum(gamma) * paths * tb)

@@ -16,9 +16,9 @@ layer 0 scatters with the marked coefficients (Shenvi, Kempe and Whaley,
 PRA 67, 052307).  Success is d |up[0]|^2 on the out-edges of the mark, or
 d |down[1]|^2 on its in-edges; each step costs O(d).
 
-``SearchConfig.evolution_config`` describes the same walk on the full edge
-state with the mark where it is; ``uniform_edge_state`` and
-``success_probability`` are its start and its reading there.
+``uniform_edge_state`` and ``success_probability`` are the start and the
+reading of the same walk on the full edge state, with the mark where it
+is; the test suite steps that walk as the reference for ``run_search``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .evolution import EvolutionConfig, vertex_probability
+from .evolution import vertex_probability
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps it)
 from .hypercube import direction_mask, ensure_full_state_fits
 from .layers import MAX_LAYER_DIM, _layer_walk
@@ -81,9 +81,6 @@ class SearchConfig:
         require_valid(self.coeffs, degree=self.dim)
         if self.metric not in ("out", "in"):
             raise ValidationError(f"metric must be 'out' or 'in' (got {self.metric!r})")
-
-    def evolution_config(self) -> EvolutionConfig:
-        return EvolutionConfig(self.dim, self.coeffs, overrides={self.marked: self.marked_coeffs})
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -22,15 +23,20 @@ def random_unit_state(d: int, seed: int) -> np.ndarray:
     return (state / np.linalg.norm(state)).astype(np.complex128)
 
 
-def reference_step(state: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+def reference_step(
+    state: np.ndarray,
+    cfg: EvolutionConfig,
+    overrides: Mapping[int, MultiportCoeffs] | None = None,
+) -> np.ndarray:
     """The full step as an explicit gather and combine (reference for ``step``).
 
     The amplitudes arriving at each vertex are copied out with
     ``gather_incoming``, summed per vertex in ascending direction order, and
-    combined row by row with the vertex matrix, overrides included.  Shares
-    no code with the in-place kernel, but makes the same floating-point
-    operations in the same order (numpy's complex product depends on operand
-    order), so the kernel must match it bit for bit.
+    combined row by row with the vertex matrix.  A vertex in ``overrides``
+    scatters with its own coefficients instead (the marked vertex of the
+    search).  Shares no code with the in-place kernel, but makes the same
+    floating-point operations in the same order (numpy's complex product
+    depends on operand order), so the kernel must match it bit for bit.
     """
     incoming = gather_incoming(state)
     totals = incoming[:, 0].copy()
@@ -38,7 +44,7 @@ def reference_step(state: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
         totals += incoming[:, j]
     r, t = cfg.coeffs.r, cfg.coeffs.t
     out = incoming * (r - t) + (totals * t)[:, None]
-    for vertex, c in (cfg.overrides or {}).items():
+    for vertex, c in (overrides or {}).items():
         out[vertex, :] = (c.r - c.t) * incoming[vertex, :] + c.t * totals[vertex]
     return out
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from helpers import reference_step
+
 from sqrw.circuit import circuit_step
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, evolve, step, vertex_probability
@@ -444,13 +446,16 @@ def tailed_corner_rows(
 def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:
     """Success series of the search walk stepped on the full edge state.
 
-    The mark stays where it is; reference for ``sqrw.search.run_search``.
+    The mark stays where it is, and each step is the gather-and-combine
+    ``reference_step``, so the oracle shares no step code with the library;
+    reference for ``sqrw.search.run_search``.
     """
-    evo = cfg.evolution_config()
+    evo = EvolutionConfig(cfg.dim, cfg.coeffs)
+    mark = {cfg.marked: cfg.marked_coeffs}
     state = uniform_edge_state(cfg.dim)
     series = np.empty(cfg.steps + 1, dtype=np.float64)
     series[0] = success_probability(state, cfg)
     for n in range(1, cfg.steps + 1):
-        state = step(state, evo)
+        state = reference_step(state, evo, mark)
         series[n] = success_probability(state, cfg)
     return series

@@ -16,7 +16,7 @@ from oracles import spectrum_mismatch
 import sqrw.circuit
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
-from sqrw.layers import MAX_LAYER_DIM
+from sqrw.layers import MAX_HITTING_DIM, MAX_LAYER_DIM
 from sqrw.multiport import grover_coeffs, multiport_matrix
 from sqrw.search import MAX_SEARCH_DIM
 
@@ -168,11 +168,9 @@ def test_mz_prints_amplitude(tmp_path, capsys):
     assert run(["mz", "--dim", d, "--gamma", gamma]) == 0
     printed = capsys.readouterr().out.splitlines()
     got = {line.split("=")[0]: float(line.split("=")[1]) for line in printed}
-    from sqrw.scattering import boundary_coeffs, interferometer_amplitude
+    from sqrw.scattering import interferometer_amplitude
 
-    expected = interferometer_amplitude(
-        d, np.full(d, 1 / math.sqrt(d)), grover_coeffs(d), boundary_coeffs(d)
-    )
+    expected = interferometer_amplitude(d, np.full(d, 1 / math.sqrt(d)), grover_coeffs(d))
     assert got["amplitude_re"] == pytest.approx(expected.real, abs=1e-15)
     assert got["probability"] == pytest.approx(abs(expected) ** 2, abs=1e-15)
 
@@ -222,6 +220,35 @@ def test_repro_presets(tmp_path, monkeypatch):
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (101 * 51, 3)
     assert run(["repro", "fig8"]) == 2  # schematic only, no data preset
+
+
+def test_repro_cumulative_goes_to_the_preset_command(tmp_path, capsys):
+    # fig9 is a scatter run, so --cumulative adds its column; fig3 is a layers
+    # run, which has no such flag and refuses it as ``layers --cumulative`` does
+    preset, spelled = tmp_path / "fig9.csv", tmp_path / "scatter.csv"
+    assert run(["repro", "fig9", "--cumulative", "--out", preset]) == 0
+    args = ["scatter", "--dim", 10, "--steps", 400, "--multiport", "symmetric:p=1", "--cumulative"]
+    assert run(args + ["--out", spelled]) == 0
+    assert preset.read_bytes() == spelled.read_bytes()
+    out = tmp_path / "fig3.csv"
+    for argv in (["repro", "fig3", "--cumulative"], ["layers", "--dim", 50, "--steps", 100, "--cumulative"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cumulative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hitting_dmax_cap(tmp_path, capsys):
+    # above MAX_HITTING_DIM, d!/d**d is subnormal and then 0
+    out = tmp_path / "h.csv"
+    assert run(["hitting", "--dmax", MAX_HITTING_DIM + 1, "--out", out]) == 2
+    assert str(MAX_HITTING_DIM) in _error_line(capsys)
+    assert not out.exists()
+    assert run(["hitting", "--dmax", MAX_HITTING_DIM, "--out", out]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (MAX_HITTING_DIM - 1, 4)
+    assert np.all(np.isfinite(rows)) and np.all(rows >= np.finfo(np.float64).tiny)
 
 
 def test_plot_scripts_compile(tmp_path):
@@ -394,7 +421,8 @@ def test_tail_length_is_a_number_not_an_allocation(tmp_path):
 )
 def test_request_too_large_to_allocate_exit_3(tmp_path, args):
     limited = run_limited(args, tmp_path)
-    assert limited.returncode == 3, limited.stderr
+    # hitting refuses d_max above MAX_HITTING_DIM as a bad parameter, before allocating
+    assert limited.returncode == (2 if args[0] == "hitting" else 3), limited.stderr
     assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
 
 

@@ -10,6 +10,7 @@ from oracles import extract_layer_state, where_embed_layer_state
 
 from sqrw.errors import MemoryCapError
 from sqrw.hypercube import (
+    MEMORY_ENV_VAR,
     direction_mask,
     embed_layer_state,
     ensure_full_state_fits,
@@ -141,17 +142,20 @@ def test_extract_recovers_layer_coefficients():
     assert np.max(np.abs(recovered.down - s.down)) <= 1e-14
 
 
-def test_memory_cap_enforced():
+def test_memory_cap_enforced(monkeypatch):
+    monkeypatch.setenv(MEMORY_ENV_VAR, "100")
     with pytest.raises(MemoryCapError):
-        ensure_full_state_fits(8, budget=100)
-    ensure_full_state_fits(8, budget=8 * 256 * 16)
+        ensure_full_state_fits(8)
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(8 * 256 * 16))
+    ensure_full_state_fits(8)
 
 
 @pytest.mark.parametrize("d", [31, 100_000, 10**9])
-def test_memory_cap_message_for_a_huge_dimension(d):
+def test_memory_cap_message_for_a_huge_dimension(monkeypatch, d):
     # 2**d alone is over a 2**30 budget; the message names no d-digit count
+    monkeypatch.setenv(MEMORY_ENV_VAR, str(2**30))
     with pytest.raises(MemoryCapError) as info:
-        ensure_full_state_fits(d, budget=2**30)
+        ensure_full_state_fits(d)
     assert f"d={d} needs more than 2**{d} bytes" in str(info.value)
     assert len(str(info.value)) < 200
 

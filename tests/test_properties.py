@@ -42,10 +42,9 @@ def search_configs(draw):
 
 @st.composite
 def step_cases(draw):
-    """A config with 0-2 overridden vertices and a unit state in either memory order."""
+    """A config and a unit state in either memory order."""
     d = draw(st.integers(min_value=1, max_value=8))
-    marks = draw(st.lists(st.integers(min_value=0, max_value=(1 << d) - 1), max_size=2, unique=True))
-    cfg = EvolutionConfig(d, draw(unitary_coeffs(d)), {v: draw(unitary_coeffs(d)) for v in marks})
+    cfg = EvolutionConfig(d, draw(unitary_coeffs(d)))
     state = random_unit_state(d, draw(seeds))
     if draw(st.booleans()):
         state = np.ascontiguousarray(state.T).T  # direction-major storage
@@ -64,8 +63,7 @@ def test_step_equals_reference_gather_and_combine(case):
 @settings(max_examples=150, deadline=None)
 @given(step_cases())
 def test_blocked_step_equals_reference_bit_for_bit(case):
-    # 4-vertex blocks: d <= 8 mixes bits above a block with bits inside it,
-    # and evolve hands the kernel the strided rows of a vertex-major copy
+    # 4-vertex blocks: d <= 8 mixes bits above a block with bits inside it
     cfg, state = case
     with small_blocks():
         got = step(state, cfg)
@@ -81,7 +79,7 @@ def test_layer_search_equals_full_state_oracle(cfg):
 
 @st.composite
 def symmetry_cases(draw):
-    """Coefficients without overrides, a unit state and a translation vertex b."""
+    """Coefficients, a unit state and a translation vertex b."""
     d = draw(st.integers(min_value=1, max_value=6))
     b = draw(st.integers(min_value=0, max_value=(1 << d) - 1))
     return draw(unitary_coeffs(d)), random_unit_state(d, draw(seeds)), b

