@@ -13,7 +13,6 @@ from .errors import MemoryCapError, SqrwError, TruncationError, ValidationError
 from .multiport import (
     MultiportCoeffs,
     UnitarityCheck,
-    custom_coeffs,
     grover_coeffs,
     multiport_matrix,
     phase_coeffs,

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import MemoryCapError, ValidationError
+from .errors import ValidationError
 from .evolution import EvolutionConfig, step
-from .hypercube import MEMORY_ENV_VAR, full_state_bytes, memory_budget, state_dimension, zero_full_state
+from .hypercube import ensure_full_state_fits, state_dimension, zero_full_state
 from .multiport import MultiportCoeffs, multiport_matrix
 
 __all__ = ["apply_phicnot", "apply_coin", "circuit_step", "operator_deviation"]
@@ -43,7 +43,7 @@ def apply_coin(state: NDArray[np.complex128], coin: NDArray[np.complex128]) -> N
     d = state_dimension(state)
     if coin.shape != (d, d):
         raise ValidationError(f"coin must be {d} x {d}, got {coin.shape}")
-    return state @ coin.T
+    return np.einsum("xa,ba->xb", state, coin)
 
 
 def circuit_step(state: NDArray[np.complex128], coin: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -75,13 +75,7 @@ def operator_deviation(d: int, c: MultiportCoeffs) -> float:
     # output) or step (the gate result and the stepped copy), and at most
     # three 2**d rows: the phases and the step kernel's scratch, which is
     # one row plus one block of at most 2**14 vertices
-    need = 3 * full_state_bytes(d) * (d + 1) // d
-    budget = memory_budget()
-    if need > budget:
-        raise MemoryCapError(
-            f"operator comparison for d={d} needs three full states, over the budget of "
-            f"{budget} bytes (raise {MEMORY_ENV_VAR} to override)"
-        )
+    ensure_full_state_fits(d, columns=3 * (d + 1))
     cfg = EvolutionConfig(d, c)
     coin = multiport_matrix(c)
     # golden-ratio phases: the 2**d points stay distinct, roughly 1 / 2**d apart

@@ -34,7 +34,6 @@ from .layers import (
 )
 from .multiport import (
     MultiportCoeffs,
-    custom_coeffs,
     grover_coeffs,
     symmetric_coeffs,
 )
@@ -86,7 +85,7 @@ def parse_multiport(spec: str, d: int) -> MultiportCoeffs:
             re_r, im_r, re_t, im_t = (float(p) for p in parts)
         except ValueError as exc:
             raise ValidationError(f"bad custom multiport spec {spec!r}") from exc
-        return custom_coeffs(complex(re_r, im_r), complex(re_t, im_t), d)
+        return MultiportCoeffs(complex(re_r, im_r), complex(re_t, im_t), d)
     raise ValidationError(f"unknown multiport spec {spec!r}")
 
 

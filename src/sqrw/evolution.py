@@ -46,8 +46,6 @@ class EvolutionConfig:
     coeffs: MultiportCoeffs
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValidationError(f"dimension must be >= 1 (got {self.dim})")
         require_valid(self.coeffs, degree=self.dim)
 
 

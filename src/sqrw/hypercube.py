@@ -79,17 +79,22 @@ def full_state_bytes(d: int) -> int:
     return d * (1 << d) * _COMPLEX_BYTES
 
 
-def ensure_full_state_fits(d: int) -> None:
-    """Raise ``MemoryCapError`` if a full state for dimension d exceeds the budget."""
+def ensure_full_state_fits(d: int, columns: int | None = None) -> None:
+    """Raise ``MemoryCapError`` if ``columns`` complex 2**d rows exceed the budget.
+
+    The default, d columns, is one full state; a caller that holds more
+    passes its whole working set.
+    """
     check_dimension(d)
     cap = memory_budget()
     # from d = cap.bit_length() on, 2**d alone is over the budget: refuse
     # without building a d-bit byte count that no message could print
     small = d < cap.bit_length()
-    if not small or full_state_bytes(d) > cap:
-        need = full_state_bytes(d) if small else f"more than 2**{d}"
+    rows = d if columns is None else columns
+    need = rows * (1 << d) * _COMPLEX_BYTES if small else f"more than 2**{d}"
+    if not small or need > cap:
         raise MemoryCapError(
-            f"full state for d={d} needs {need} bytes, over the budget of {cap} "
+            f"full-state memory for d={d} needs {need} bytes, over the budget of {cap} "
             f"(raise {MEMORY_ENV_VAR} to override)"
         )
 

@@ -16,8 +16,9 @@ Two ready-made families are provided:
 - ``symmetric_coeffs(d, p)``: t = d**(-p) with the reflection phase fixed so
   the unitarity relations hold (non-negative imaginary part by convention).
 
-Arbitrary user-supplied pairs are accepted through ``custom_coeffs`` and are
-checked against the same relations.
+Every ``MultiportCoeffs`` is checked against these relations once, when it
+is built, so an arbitrary user-supplied pair is constructed directly and no
+later use re-checks it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "grover_coeffs",
     "symmetric_coeffs",
     "phase_coeffs",
-    "custom_coeffs",
     "validate_unitarity",
     "require_valid",
     "multiport_matrix",
@@ -50,6 +50,9 @@ UNITARITY_TOL = 1e-12
 @dataclass(frozen=True)
 class MultiportCoeffs:
     """Reflection/transmission pair of a degree-``degree`` vertex.
+
+    Building one raises ``ValidationError`` unless ``degree >= 1`` and the
+    pair satisfies both unitarity relations, so every instance is unitary.
 
     Attributes
     ----------
@@ -71,6 +74,12 @@ class MultiportCoeffs:
         object.__setattr__(self, "degree", int(self.degree))
         if self.degree < 1:
             raise ValidationError(f"multiport degree must be >= 1 (got {self.degree})")
+        check = validate_unitarity(self)
+        if not check:
+            raise ValidationError(
+                f"coefficients r={self.r}, t={self.t}, degree={self.degree} violate unitarity "
+                f"(residuals {check.norm_residual:.3e}, {check.cross_residual:.3e})"
+            )
 
 
 @dataclass(frozen=True)
@@ -151,21 +160,10 @@ def symmetric_coeffs(d: int, p: float) -> MultiportCoeffs:
 def phase_coeffs(d: int, phase: complex = -1.0) -> MultiportCoeffs:
     """Return a purely reflecting vertex: t = 0 and r = ``phase``, |r| = 1.
 
-    Used as the marked-vertex multiport in the search walk.
+    Used as the marked-vertex multiport in the search walk.  The constructor
+    rejects d < 1 and a phase off the unit circle.
     """
-    if d < 1:
-        raise ValidationError(f"degree must be a positive integer (got {d})")
-    phase = complex(phase)
-    if abs(abs(phase) - 1.0) > UNITARITY_TOL:
-        raise ValidationError(f"phase must have unit modulus (got |{phase}| = {abs(phase)})")
     return MultiportCoeffs(r=phase, t=0.0, degree=d)
-
-
-def custom_coeffs(r: complex, t: complex, degree: int) -> MultiportCoeffs:
-    """Build user-supplied coefficients, raising if the relations fail."""
-    c = MultiportCoeffs(r=r, t=t, degree=degree)
-    require_valid(c)
-    return c
 
 
 def validate_unitarity(c: MultiportCoeffs) -> UnitarityCheck:
@@ -183,33 +181,20 @@ def validate_unitarity(c: MultiportCoeffs) -> UnitarityCheck:
     return UnitarityCheck(passed, abs(norm_residual), abs(cross_residual))
 
 
-def require_valid(c: MultiportCoeffs, *, degree: int | None = None) -> None:
-    """Raise ``ValidationError`` unless ``c`` passes ``validate_unitarity``.
+def require_valid(c: MultiportCoeffs, *, degree: int) -> None:
+    """Raise ``ValidationError`` unless ``c`` belongs to a vertex of degree ``degree``.
 
-    With ``degree``, also unless ``c`` belongs to a vertex of that degree.
-    Each library entry point calls this once, before any step loop.
+    Unitarity needs no check here: ``MultiportCoeffs`` enforces it when it
+    is built.  Each library entry point calls this once, before any step loop.
     """
-    if degree is not None and c.degree != degree:
+    if c.degree != degree:
         raise ValidationError(
             f"coefficients r={c.r}, t={c.t} have degree {c.degree}, the vertex has degree {degree}"
-        )
-    check = validate_unitarity(c)
-    if not check:
-        raise ValidationError(
-            f"coefficients r={c.r}, t={c.t}, degree={c.degree} violate unitarity "
-            f"(residuals {check.norm_residual:.3e}, {check.cross_residual:.3e})"
         )
 
 
 def multiport_matrix(c: MultiportCoeffs) -> NDArray[np.complex128]:
-    """Return the d x d vertex matrix: ``r`` on the diagonal, ``t`` elsewhere.
-
-    Raises
-    ------
-    ValidationError
-        If the coefficients do not satisfy the unitarity relations.
-    """
-    require_valid(c)
+    """Return the d x d vertex matrix: ``r`` on the diagonal, ``t`` elsewhere."""
     d = c.degree
     m = np.full((d, d), c.t, dtype=np.complex128)
     np.fill_diagonal(m, c.r)
@@ -229,7 +214,6 @@ def pseudo_eigensystem(c: MultiportCoeffs) -> list[tuple[complex, int]]:
     list of (eigenvalue, multiplicity)
         Zero-multiplicity entries are omitted (d = 1 yields a single pair).
     """
-    require_valid(c)
     d = c.degree
     uniform = c.r + (d - 1) * c.t
     if d == 1:

@@ -77,12 +77,6 @@ def boundary_coeffs(d: int) -> MultiportCoeffs:
     return MultiportCoeffs(r=2.0 / (d + 1) - 1.0, t=2.0 / (d + 1), degree=d + 1)
 
 
-def _check_coeffs(d: int, c: MultiportCoeffs, b: MultiportCoeffs | None) -> None:
-    require_valid(c, degree=d)
-    if b is not None:
-        require_valid(b, degree=d + 1)
-
-
 def _truncation_message(tail_length: int) -> str:
     return (
         f"outgoing amplitude reached the tail cut at length {tail_length}; "
@@ -178,13 +172,14 @@ def scatter_step(
     ``reduced_step`` on the layer part exactly).
     """
     d = s.d
-    _check_coeffs(d, c, b)
+    require_valid(c, degree=d)
     L = s.tail_length
-    if b is None:
-        if any(
-            np.any(arr != 0) for arr in (s.left_in, s.left_out, s.right_out, s.right_in)
-        ) or s.up[d] != 0 or s.down[0] != 0:
-            raise ValidationError("decoupled boundaries require empty tails")
+    if b is not None:
+        require_valid(b, degree=d + 1)
+    elif any(
+        np.any(arr != 0) for arr in (s.left_in, s.left_out, s.right_out, s.right_in)
+    ) or s.up[d] != 0 or s.down[0] != 0:
+        raise ValidationError("decoupled boundaries require empty tails")
 
     if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
         raise TruncationError(_truncation_message(L))
@@ -226,7 +221,8 @@ def detection_probability_series(
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
     if tail_length < 1:
         raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
-    _check_coeffs(d, c, b)
+    require_valid(c, degree=d)
+    require_valid(b, degree=d + 1)
     # Only step 1 takes amplitude from a tail (the photon at site -1).  What
     # leaves onto a tail never comes back, so the tails are unstored sinks
     # and the tail length is only a number: an exit at step k reaches the

@@ -412,7 +412,6 @@ def test_tail_length_is_a_number_not_an_allocation(tmp_path):
     [
         ["layers", "--dim", 3, "--steps", 10**12, "--out", "x.csv"],
         ["full", "--dim", 4, "--steps", 10**12, "--out", "x.csv"],
-        ["hitting", "--dmax", 10**8, "--out", "x.csv"],
         ["search", "--dim", 10, "--marked", "0" * 10, "--steps", 10**12, "--out", "x.csv"],
         ["full", "--dim", 100_000, "--steps", 1, "--out", "x.csv"],
         ["spectrum", "--dim", 100_000, "--out", "x.csv"],
@@ -421,15 +420,22 @@ def test_tail_length_is_a_number_not_an_allocation(tmp_path):
 )
 def test_request_too_large_to_allocate_exit_3(tmp_path, args):
     limited = run_limited(args, tmp_path)
-    # hitting refuses d_max above MAX_HITTING_DIM as a bad parameter, before allocating
-    assert limited.returncode == (2 if args[0] == "hitting" else 3), limited.stderr
+    assert limited.returncode == 3, limited.stderr
     assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("d", [21, 10**6])
+def test_hitting_dmax_too_large_exit_2(tmp_path):
+    # d_max above MAX_HITTING_DIM is a bad parameter, refused before allocating
+    limited = run_limited(["hitting", "--dmax", 10**8, "--out", "x.csv"], tmp_path)
+    assert limited.returncode == 2, limited.stderr
+    assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
+    assert str(MAX_HITTING_DIM) in limited.stderr
+
+
+@pytest.mark.parametrize("d", [21, 10**6, 10**10])
 def test_verify_circuit_over_budget_exit_3(tmp_path, d):
     # three d = 21 states are 2 GiB, over the default 1 GiB budget; refused
-    # before allocating, and the message prints no 300,000-digit byte count
+    # before allocating, and the message prints no d-digit byte count
     limited = run_limited(["verify-circuit", "--dim", d], tmp_path)
     assert limited.returncode == 3, limited.stderr
     assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")

@@ -41,7 +41,7 @@ from sqrw.layers import (
     origin_state,
     reduced_step,
 )
-from sqrw.multiport import MultiportCoeffs, custom_coeffs, grover_coeffs
+from sqrw.multiport import MultiportCoeffs, grover_coeffs
 from sqrw.spectral import translation_apply
 
 
@@ -105,7 +105,7 @@ def test_evolve_equals_chained_steps_bit_for_bit(d):
 def _unitary_coeffs(d, a, b):
     """Vertex coefficients with eigenvalue e^(ia) on the uniform port state, e^(ib) off it."""
     t = (cmath.exp(1j * a) - cmath.exp(1j * b)) / d
-    return custom_coeffs(cmath.exp(1j * b) + t, t, d)
+    return MultiportCoeffs(cmath.exp(1j * b) + t, t, d)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -8,7 +8,6 @@ import pytest
 from sqrw.errors import ValidationError
 from sqrw.multiport import (
     MultiportCoeffs,
-    custom_coeffs,
     grover_coeffs,
     multiport_matrix,
     phase_coeffs,
@@ -92,9 +91,9 @@ def test_validate_grover7_residuals():
 
 
 def test_validate_rejects_half_half():
-    check = validate_unitarity(MultiportCoeffs(0.5, 0.5, 3))
-    assert not check
-    assert check.norm_residual == pytest.approx(0.25, abs=1e-15)
+    # |r|^2 + 2|t|^2 = 0.75 and |t|^2 + 2 Re(conj(r) t) = 0.75: refused when built
+    with pytest.raises(ValidationError, match=r"residuals 2\.500e-01, 7\.500e-01"):
+        MultiportCoeffs(0.5, 0.5, 3)
 
 
 def test_matrix_grover2_is_swap():
@@ -115,6 +114,7 @@ def test_matrix_identity_multiport():
 
 
 def test_matrix_rejects_invalid():
+    # no invalid pair reaches the matrix: the constructor refuses it first
     with pytest.raises(ValidationError):
         multiport_matrix(MultiportCoeffs(0.5, 0.5, 3))
 
@@ -160,8 +160,9 @@ def test_phase_coeffs_is_valid_and_reflecting():
         phase_coeffs(8, 0.5)
 
 
-def test_custom_coeffs_validates():
-    c = custom_coeffs(0.0, 1.0, 2)
+def test_coeffs_constructor_validates():
+    c = MultiportCoeffs(0.0, 1.0, 2)
     assert c.degree == 2
-    with pytest.raises(ValidationError):
-        custom_coeffs(0.5, 0.5, 3)
+    for r, t, d in ((float("nan"), 0.0, 3), (1.0, 0.0, 0), (1j, 1e-3, 4)):
+        with pytest.raises(ValidationError):
+            MultiportCoeffs(r, t, d)

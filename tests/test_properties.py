@@ -10,7 +10,7 @@ from helpers import random_unit_state, reference_step, small_blocks
 from oracles import full_search_series
 
 from sqrw.evolution import EvolutionConfig, step
-from sqrw.multiport import custom_coeffs, phase_coeffs
+from sqrw.multiport import MultiportCoeffs, phase_coeffs
 from sqrw.search import SearchConfig, run_search
 from sqrw.spectral import rotation_apply, translation_apply
 
@@ -24,7 +24,7 @@ def unitary_coeffs(draw, d):
     # and r - t on its complement; any two phases give valid coefficients.
     uniform, rest = cmath.exp(1j * draw(angles)), cmath.exp(1j * draw(angles))
     t = (uniform - rest) / d
-    return custom_coeffs(rest + t, t, d)
+    return MultiportCoeffs(rest + t, t, d)
 
 
 @st.composite

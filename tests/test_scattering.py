@@ -20,7 +20,7 @@ from oracles import tailed_corner_rows
 
 from sqrw.errors import TruncationError, ValidationError
 from sqrw.layers import _layer_factors, _layer_kernel, origin_state, reduced_step
-from sqrw.multiport import custom_coeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
+from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
     boundary_coeffs,
     detection_probability_series,
@@ -59,7 +59,7 @@ def test_tail_port_factors_match_corner_rows(d):
     # unit-modulus inputs, so every corner row is at most 2 in modulus
     up, down = np.exp(2j * np.pi * rng.uniform(size=(2, d + 1)))
     left_in, right_in = np.exp(2j * np.pi * rng.uniform(size=2))
-    for b, tol in ((boundary_coeffs(d), 0.0), (custom_coeffs(phases[1] + tb, tb, d + 1), 1e-15)):
+    for b, tol in ((boundary_coeffs(d), 0.0), (MultiportCoeffs(phases[1] + tb, tb, d + 1), 1e-15)):
         new_up, new_down = _layer_kernel(up, down, _layer_factors(d, c.r, c.t, b), left_in, right_in)
         corners = np.array((new_up[0], new_down[0], new_up[d], new_down[d]))
         expected = np.array(tailed_corner_rows(up, down, left_in, right_in, b))

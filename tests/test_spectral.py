@@ -20,7 +20,7 @@ from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.hypercube import parse_vertex, zero_full_state
 from sqrw.errors import MemoryCapError
-from sqrw.multiport import custom_coeffs, grover_coeffs, symmetric_coeffs
+from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
 from sqrw.spectral import (
     block_matrix,
     full_spectrum_via_blocks,
@@ -38,7 +38,7 @@ def family_coeffs(family, d):
     # eigenphases 0.7 on the uniform port state and -2.1 on its complement
     uniform, rest = cmath.exp(0.7j), cmath.exp(-2.1j)
     t = (uniform - rest) / d
-    return custom_coeffs(rest + t, t, d)
+    return MultiportCoeffs(rest + t, t, d)
 
 
 def test_translation_identity_and_involution():
