@@ -123,6 +123,9 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 
 def _cmd_full(args: argparse.Namespace) -> int:
+    # d state rows, the kernel scratch (one row and a block of at most 2**14 vertices),
+    # and three 2**d float or int rows: pv, vertex_weights, step 0's per-vertex sums
+    ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)
     if args.init == "origin-symmetric":

@@ -12,6 +12,12 @@ The physical norm of the embedded state is the edge-counting form
 
 (each layer-w vertex owns d-w up-edges and w down-edges).  This quantity is
 conserved exactly by ``reduced_step``.
+
+Every stepping loop holds one padded vector s = [left_in, up, down, right_in]
+of length 2d + 4: ``s[1:-1].reshape(2, d + 1)`` is [up; down], and for
+w = 0..d ``s[:d+1]`` is up[w-1] and ``s[-(d+1):]`` is down[w+1].  The pads
+``s[0]`` and ``s[-1]`` are what the tails (``sqrw.scattering``) send into
+the corners; a step leaves them zero: what leaves onto a tail never returns.
 """
 
 from __future__ import annotations
@@ -128,8 +134,8 @@ def _binomials(d: int) -> NDArray[np.float64]:
 def _distribution(
     up: NDArray[np.complex128], down: NDArray[np.complex128], b: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """C(d,w)[(d-w)|up[w]|^2 + w|down[w]|^2] on raw layer arrays, ``b`` = ``_binomials(d)``."""
-    d = up.shape[0] - 1
+    """C(d,w)[(d-w)|up[w]|^2 + w|down[w]|^2] along the last axis, ``b`` = ``_binomials(d)``."""
+    d = up.shape[-1] - 1
     w = np.arange(d + 1, dtype=np.float64)
     return b * ((d - w) * np.abs(up) ** 2 + w * np.abs(down) ** 2)
 
@@ -149,8 +155,19 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     edge-counting norm.
     """
     require_valid(c, degree=s.d)
-    new_up, new_down = _layer_kernel(s.up, s.down, _layer_factors(s.d, c.r, c.t))
+    new = _layer_kernel(_stacked(s.up, s.down), _layer_factors(s.d, c.r, c.t))
+    new_up, new_down = new[1:-1].reshape(2, s.d + 1)
     return LayerState(s.d, new_up, new_down)
+
+
+def _stacked(
+    up: NDArray[np.complex128],
+    down: NDArray[np.complex128],
+    left_in: complex = 0j,
+    right_in: complex = 0j,
+) -> NDArray[np.complex128]:
+    """The padded state ``[left_in, up, down, right_in]`` of the module docstring."""
+    return np.concatenate(([left_in], up, down, [right_in]))
 
 
 def _layer_factors(
@@ -158,77 +175,67 @@ def _layer_factors(
     r: complex | NDArray[np.complex128],
     t: complex | NDArray[np.complex128],
     tails: MultiportCoeffs | None = None,
-) -> tuple[NDArray[np.complex128], ...]:
-    """The four per-layer factors of the ``reduced_step`` formula, w = 0..d.
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """The factors ``(below, above)`` of the ``reduced_step`` formula, w = 0..d.
 
-    ``(t*w, t*(d-w-1) + r, t*(d-w), t*(w-1) + r)``: the weights of up[w-1]
-    and down[w+1] in new_up[w], then of down[w+1] and up[w-1] in
-    new_down[w].  ``r`` and ``t`` are either scalars or length-(d+1) arrays
-    indexed by the layer of the scattering vertex, so one layer (the marked
-    vertex of a search) can carry its own coefficients.  Without ``tails``
-    the factors t*d of the slots new_up[d] and new_down[0], which are not
-    edges, are zero.  ``tails``, the (d+1)-port coefficients of the two
-    corners, makes layers 0 and d scatter with them and four factors tail
-    ports, as ``sqrw.scattering`` sets out.  The factors depend only on the
-    walk, so a stepping loop computes them once.
+    ``below = [t*w, t*(w-1) + r]`` holds the weights of up[w-1] in
+    (new_up[w], new_down[w]), ``above = [t*(d-w-1) + r, t*(d-w)]`` those of
+    down[w+1]; both are (2, d+1).  ``r`` and ``t`` are either scalars or
+    length-(d+1) arrays indexed by the layer of the scattering vertex, so
+    one layer (the marked vertex of a search) can carry its own
+    coefficients.  Without ``tails`` the factors t*d of the slots new_up[d]
+    and new_down[0], which are not edges, are zero.  ``tails``, the
+    (d+1)-port coefficients of the two corners, makes layers 0 and d
+    scatter with them and four factors tail ports, as ``sqrw.scattering``
+    sets out.  The factors depend only on the walk, so a stepping loop
+    computes them once.
     """
     if tails is not None:
         r, t = np.full(d + 1, r, np.complex128), np.full(d + 1, t, np.complex128)
         r[[0, d]], t[[0, d]] = tails.r, tails.t
     w = np.arange(d + 1)
-    up_from_below, up_from_above = t * w, t * (d - w - 1) + r
-    down_from_above, down_from_below = t * (d - w), t * (w - 1) + r
+    below = np.array([t * w, t * (w - 1) + r], np.complex128)
+    above = np.array([t * (d - w - 1) + r, t * (d - w)], np.complex128)
     if tails is None:
-        up_from_below[d] = down_from_above[0] = 0.0
+        below[0, d] = above[1, 0] = 0.0
     else:
-        up_from_below[0], down_from_below[0] = tails.t, tails.r
-        up_from_above[d], down_from_above[d] = tails.r, tails.t
-    return up_from_below, up_from_above, down_from_above, down_from_below
+        below[:, 0] = tails.t, tails.r
+        above[:, d] = tails.r, tails.t
+    return below, above
 
 
 def _layer_kernel(
-    up: NDArray[np.complex128],
-    down: NDArray[np.complex128],
-    factors: tuple[NDArray[np.complex128], ...],
-    left_in: complex = 0j,
-    right_in: complex = 0j,
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """The ``reduced_step`` formula on raw layer arrays, with no validation.
+    s: NDArray[np.complex128], factors: tuple[NDArray[np.complex128], NDArray[np.complex128]]
+) -> NDArray[np.complex128]:
+    """The ``reduced_step`` formula on the padded state, with no validation.
 
     The one layer step of the library, with ``factors`` from
-    ``_layer_factors``.  ``left_in`` and ``right_in`` fill the pads up[-1]
-    and down[d+1]: what the tails send into the corners.
+    ``_layer_factors``.  The new pads are zero.
     """
-    d = up.shape[0] - 1
-    up_from_below, up_from_above, down_from_above, down_from_below = factors
-    up_prev = np.concatenate(([left_in], up[:d]))  # up[w-1]
-    down_next = np.concatenate((down[1:], [right_in]))  # down[w+1]
-    new_up = up_from_below * up_prev + up_from_above * down_next
-    new_down = down_from_above * down_next + down_from_below * up_prev
-    return new_up, new_down
+    below, above = factors
+    n = below.shape[1]
+    out = np.zeros_like(s)
+    np.add(below * s[:n], above * s[-n:], out=out[1:-1].reshape(2, n))
+    return out
 
 
 def _layer_walk(
-    up: NDArray[np.complex128],
-    down: NDArray[np.complex128],
+    s: NDArray[np.complex128],
     steps: int,
     r: complex | NDArray[np.complex128],
     t: complex | NDArray[np.complex128],
     tails: MultiportCoeffs | None = None,
-    left_in: complex = 0j,
-) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
-    """Layer arrays after 0..steps steps of ``_layer_kernel``, factors computed once.
+) -> Iterator[NDArray[np.complex128]]:
+    """Padded states after 0..steps steps of ``_layer_kernel``, factors computed once.
 
-    ``r``, ``t`` and ``tails`` are as in ``_layer_factors``.  ``left_in``
-    enters from the left tail on the first step; nothing enters after it,
-    since what leaves onto a tail never comes back.  No validation.
+    ``r``, ``t`` and ``tails`` are as in ``_layer_factors``.  The pads of
+    ``s`` enter on the first step only.  No validation.
     """
-    factors = _layer_factors(up.shape[0] - 1, r, t, tails)
-    yield up, down
+    factors = _layer_factors(s.shape[0] // 2 - 2, r, t, tails)
+    yield s
     for _ in range(steps):
-        up, down = _layer_kernel(up, down, factors, left_in)
-        left_in = 0j
-        yield up, down
+        s = _layer_kernel(s, factors)
+        yield s
 
 
 def layer_distribution(s: LayerState) -> NDArray[np.float64]:
@@ -245,11 +252,11 @@ def layer_distribution_series(
     require_valid(c, degree=d)
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
-    b = _binomials(d)
-    out = np.empty((n_max + 1, d + 1), dtype=np.float64)
-    for n, (up, down) in enumerate(_layer_walk(init.up, init.down, n_max, c.r, c.t)):
-        out[n] = _distribution(up, down, b)
-    return out
+    # allocated before the walk, so a step count too large to store fails at once
+    walk = np.empty((n_max + 1, 2, d + 2), dtype=np.complex128)
+    for n, s in enumerate(_layer_walk(_stacked(init.up, init.down), n_max, c.r, c.t)):
+        walk[n] = s.reshape(2, d + 2)  # rows [left_in, up] and [down, right_in]
+    return _distribution(walk[:, 0, 1:], walk[:, 1, :-1], _binomials(d))
 
 
 def hitting_amplitude_closed_form(d: int, c: MultiportCoeffs) -> complex:

@@ -13,13 +13,14 @@ vertex 0...0 onto the left tail and ``up[d]`` the amplitude leaving the far
 vertex onto the right tail.  The step is the layer kernel of
 ``sqrw.layers`` with the corners as parameters, not a second update rule:
 layers 0 and d scatter with (rb, tb), the tail amplitudes about to enter
-the cube (left_in, right_in) fill the kernel's pads up[-1] and down[d+1],
-and four entries of the factor table are tail ports:
+the cube (left_in, right_in) fill the padded state's pads ``s[0]`` and
+``s[-1]``, and four entries of the factor rows ``below`` (weights of
+up[w-1]) and ``above`` (weights of down[w+1]) are tail ports:
 
-    up_from_below[0] = tb     (left_in  -> up[0])
-    down_from_below[0] = rb   (left_in  -> down[0], back onto the left tail)
-    up_from_above[d] = rb     (right_in -> up[d], back onto the right tail)
-    down_from_above[d] = tb   (right_in -> down[d])
+    below[0, 0] = tb   (left_in  -> up[0])
+    below[1, 0] = rb   (left_in  -> down[0], back onto the left tail)
+    above[0, d] = rb   (right_in -> up[d], back onto the right tail)
+    above[1, d] = tb   (right_in -> down[d])
 
 The interior formula gives the other corner factors, e.g.
 up[0]' = tb * left_in + [(d-1) tb + rb] * down[1].  The right_in input is
@@ -56,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk
+from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk, _stacked
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -119,17 +120,6 @@ class ScatterState:
     def tail_length(self) -> int:
         return int(self.left_in.shape[0])
 
-    def copy(self) -> "ScatterState":
-        return ScatterState(
-            self.d,
-            self.up.copy(),
-            self.down.copy(),
-            self.left_in.copy(),
-            self.left_out.copy(),
-            self.right_out.copy(),
-            self.right_in.copy(),
-        )
-
 
 def initial_tail_photon(d: int, tail_length: int) -> ScatterState:
     """Photon at left-tail site -1 heading toward the cube."""
@@ -141,16 +131,8 @@ def initial_tail_photon(d: int, tail_length: int) -> ScatterState:
 def _empty_scatter(d: int, tail_length: int) -> ScatterState:
     if tail_length < 1:
         raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
-    z = np.zeros(tail_length, dtype=np.complex128)
-    return ScatterState(
-        d,
-        np.zeros(d + 1, np.complex128),
-        np.zeros(d + 1, np.complex128),
-        z.copy(),
-        z.copy(),
-        z.copy(),
-        z.copy(),
-    )
+    tails = np.zeros((4, tail_length), dtype=np.complex128)
+    return ScatterState(d, *np.zeros((2, d + 1), np.complex128), *tails)
 
 
 def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
@@ -161,33 +143,20 @@ def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
     return s
 
 
-def scatter_step(
-    s: ScatterState, c: MultiportCoeffs, b: MultiportCoeffs | None
-) -> ScatterState:
-    """One step with tails.
-
-    ``b`` is the (d+1)-port boundary pair; passing ``None`` decouples the
-    tails entirely (corner vertices act as plain degree-d interior vertices,
-    which is only meaningful while the tails are empty, and reproduces
-    ``reduced_step`` on the layer part exactly).
-    """
+def scatter_step(s: ScatterState, c: MultiportCoeffs, b: MultiportCoeffs) -> ScatterState:
+    """One step with tails; ``b`` is the (d+1)-port boundary pair."""
     d = s.d
     require_valid(c, degree=d)
+    require_valid(b, degree=d + 1)
     L = s.tail_length
-    if b is not None:
-        require_valid(b, degree=d + 1)
-    elif any(
-        np.any(arr != 0) for arr in (s.left_in, s.left_out, s.right_out, s.right_in)
-    ) or s.up[d] != 0 or s.down[0] != 0:
-        raise ValidationError("decoupled boundaries require empty tails")
-
     if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
         raise TruncationError(_truncation_message(L))
 
     out = _empty_scatter(d, L)
     factors = _layer_factors(d, c.r, c.t, b)
-    out.up[:], out.down[:] = _layer_kernel(s.up, s.down, factors, s.left_in[0], s.right_in[0])
-    # Ballistic tails: one site per step, perfectly transmitting (empty without b).
+    new = _layer_kernel(_stacked(s.up, s.down, s.left_in[0], s.right_in[0]), factors)
+    out.up[:], out.down[:] = new[1:-1].reshape(2, d + 1)
+    # Ballistic tails: one site per step, perfectly transmitting.
     out.left_in[: L - 1] = s.left_in[1:]
     out.left_out[1:] = s.left_out[: L - 1]
     out.left_out[0] = s.down[0]
@@ -227,11 +196,13 @@ def detection_probability_series(
     # leaves onto a tail never comes back, so the tails are unstored sinks
     # and the tail length is only a number: an exit at step k reaches the
     # cut at step k + L + 1.
-    empty = np.zeros(d + 1, dtype=np.complex128)
+    start = np.zeros(2 * d + 4, dtype=np.complex128)
+    start[0] = 1.0  # left_in
     series = np.empty(n_max + 1, dtype=np.float64)
-    for n, (up, down) in enumerate(_layer_walk(empty, empty, n_max, c.r, c.t, b, left_in=1.0)):
-        series[n] = abs(up[d]) ** 2
-        if (up[d] != 0 or down[0] != 0) and n + tail_length + 1 <= n_max:
+    # s[d + 1] is up[d] (onto the right tail), s[d + 2] is down[0] (onto the left)
+    for n, s in enumerate(_layer_walk(start, n_max, c.r, c.t, b)):
+        series[n] = abs(s[d + 1]) ** 2
+        if n + tail_length + 1 <= n_max and (s[d + 1] != 0 or s[d + 2] != 0):
             raise TruncationError(_truncation_message(tail_length))
     return series
 

@@ -114,15 +114,14 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     r = np.full(d + 1, cfg.coeffs.r, dtype=np.complex128)
     t = np.full(d + 1, cfg.coeffs.t, dtype=np.complex128)
     r[0], t[0] = cfg.marked_coeffs.r, cfg.marked_coeffs.t  # the mark, moved to 0...0
-    up = np.full(d + 1, 1.0 / math.sqrt(d * (1 << d)), dtype=np.complex128)
-    down = up.copy()
-    up[d] = down[0] = 0.0
-    out = cfg.metric == "out"
+    s = np.full(2 * d + 4, 1.0 / math.sqrt(d * (1 << d)), dtype=np.complex128)
+    s[[0, d + 1, d + 2, -1]] = 0.0  # the pads, up[d] and down[0]
+    # the mark's d out-edges (up[0] = s[1]) or in-edges (down[1] = s[d + 3]) share one amplitude
+    col = 1 if cfg.metric == "out" else d + 3
     # allocated before the walk, so a step count too large to store fails at once
     series = np.empty(cfg.steps + 1, dtype=np.float64)
-    # each of the mark's d out-edges (up[0]) or in-edges (down[1]) has the same amplitude
-    for n, (up, down) in enumerate(_layer_walk(up, down, cfg.steps, r, t)):
-        series[n] = abs(up[0] if out else down[1])
+    for n, s in enumerate(_layer_walk(s, cfg.steps, r, t)):
+        series[n] = abs(s[col])
     series = cfg.dim * series**2
     peak_step = int(np.argmax(series))
     return SearchResult(series, peak_step, float(series[peak_step]))

@@ -4,8 +4,9 @@ Dense operators and dense spectra, the closed-form block spectrum, the
 character basis, the basis-column circuit comparison, the flip-gate
 structure check, the audit and classical layer series, the layer
 distribution, layer embedding and layer extraction of a full state, the
-tailed corner rows, and the search stepped on the full state.  They check
-the library from outside and are not part of its API.
+tailed corner rows, the layer walk on two arrays, and the search stepped on
+the full state.  They check the library from outside and are not part of
+its API.
 """
 
 from __future__ import annotations
@@ -441,6 +442,47 @@ def tailed_corner_rows(
         d * tb * up[d - 1] + rb * right_in,
         ((d - 1) * tb + rb) * up[d - 1] + tb * right_in,
     )
+
+
+def concatenate_layer_walk(
+    up: NDArray[np.complex128],
+    down: NDArray[np.complex128],
+    steps: int,
+    r: complex | NDArray[np.complex128],
+    t: complex | NDArray[np.complex128],
+    tails: MultiportCoeffs | None = None,
+    left_in: complex = 0j,
+    right_in: complex = 0j,
+) -> list[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
+    """(up, down) after 0..steps steps of the layer step on two separate arrays.
+
+    Four factor arrays, and the tail inputs concatenated onto up[w-1] and
+    down[w+1] on every step (``left_in`` and ``right_in`` on the first,
+    zero after it).  ``r``, ``t`` and ``tails`` are as in
+    ``sqrw.layers._layer_factors``.  Reference, to the bit, for the padded
+    ``sqrw.layers._layer_walk``.
+    """
+    d = up.shape[0] - 1
+    if tails is not None:
+        r, t = np.full(d + 1, r, np.complex128), np.full(d + 1, t, np.complex128)
+        r[[0, d]], t[[0, d]] = tails.r, tails.t
+    w = np.arange(d + 1)
+    up_from_below, up_from_above = t * w, t * (d - w - 1) + r
+    down_from_above, down_from_below = t * (d - w), t * (w - 1) + r
+    if tails is None:
+        up_from_below[d] = down_from_above[0] = 0.0
+    else:
+        up_from_below[0], down_from_below[0] = tails.t, tails.r
+        up_from_above[d], down_from_above[d] = tails.r, tails.t
+    walk = [(up, down)]
+    for _ in range(steps):
+        up_prev = np.concatenate(([left_in], up[:d]))
+        down_next = np.concatenate((down[1:], [right_in]))
+        up = up_from_below * up_prev + up_from_above * down_next
+        down = down_from_above * down_next + down_from_below * up_prev
+        left_in = right_in = 0j
+        walk.append((up, down))
+    return walk
 
 
 def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:

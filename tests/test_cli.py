@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import spectrum_mismatch
 import sqrw.circuit
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
+from sqrw.hypercube import MEMORY_ENV_VAR
 from sqrw.layers import MAX_HITTING_DIM, MAX_LAYER_DIM
 from sqrw.multiport import grover_coeffs, multiport_matrix
 from sqrw.search import MAX_SEARCH_DIM
@@ -337,6 +339,29 @@ def test_nan_multiport_exit_2_without_output(tmp_path, capsys, args):
     assert run(args + ["--multiport", "symmetric:p=nan"]) == 2
     _error_line(capsys)
     assert not out.exists()
+
+
+def test_full_budget_counts_the_working_set(tmp_path, capsys, monkeypatch):
+    # d state rows plus four rows of scratch: (5 + 4) * 2**5 * 16 bytes
+    monkeypatch.setenv(MEMORY_ENV_VAR, "4608")
+    assert run(["full", "--dim", 5, "--steps", 2, "--out", tmp_path / "x.csv"]) == 0
+    monkeypatch.setenv(MEMORY_ENV_VAR, "4607")
+    assert run(["full", "--dim", 5, "--steps", 2, "--out", tmp_path / "y.csv"]) == 3
+    assert "4608 bytes" in _error_line(capsys)
+
+
+def test_full_working_set_bounds_the_peak(tmp_path):
+    d = 16
+    run(["full", "--dim", 3, "--steps", 1, "--out", tmp_path / "warm.csv"])
+    tracemalloc.start()
+    try:
+        assert run(["full", "--dim", d, "--steps", 3, "--out", tmp_path / "x.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = (1 << d) * 16
+    # numpy's ufunc buffers for strided operands add a fixed few hundred KiB
+    assert d * row < peak <= (d + 4) * row + (1 << 20)
 
 
 def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkeypatch):

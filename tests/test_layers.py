@@ -9,6 +9,7 @@ from helpers import count_local_maxima
 from oracles import (
     classical_initial_distribution,
     classical_walk_step,
+    concatenate_layer_walk,
     conserved_quantity_series,
     evolve_layers,
     layer_mean,
@@ -19,6 +20,8 @@ from oracles import (
 from sqrw.errors import ValidationError
 from sqrw.layers import (
     LayerState,
+    _layer_walk,
+    _stacked,
     classical_hitting_probability,
     corner_pair_state,
     edge_counting_norm,
@@ -32,6 +35,8 @@ from sqrw.layers import (
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
+from sqrw.scattering import boundary_coeffs, detection_probability_series
+from sqrw.search import SearchConfig, run_search
 
 
 def test_layer_state_structural_zeros_enforced():
@@ -181,6 +186,50 @@ def test_series_weighs_layers_once(monkeypatch):
     monkeypatch.setattr(sqrw.layers, "_binomials", lambda d: calls.append(d) or binomials(d))
     layer_distribution_series(50, grover_coeffs(50), origin_state(50), 250)
     assert calls == [50]
+
+
+@pytest.mark.parametrize("mode", ["plain", "photon", "both-pads", "search"])
+@pytest.mark.parametrize(
+    "d, family",  # symmetric coefficients need degree >= 2
+    [(1, "grover")] + [(d, f) for d in (2, 5, 14, 50) for f in ("grover", "symmetric")],
+)
+def test_stacked_walk_matches_two_array_walk_to_the_bit(d, family, mode):
+    c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
+    rng = np.random.default_rng(d)
+    up, down = rng.normal(size=(2, d + 1)) + 1j * rng.normal(size=(2, d + 1))
+    up[d] = down[0] = 0.0
+    r, t, tails, left_in, right_in = c.r, c.t, None, 0j, 0j
+    if mode == "photon":  # the detection series: one photon on the left pad, an empty cube
+        up, down = np.zeros((2, d + 1), np.complex128)
+        tails, left_in = boundary_coeffs(d), 1.0
+    elif mode == "both-pads":  # an occupied cube, and both tails sending in on step 1
+        tails = boundary_coeffs(d)
+        left_in, right_in = np.exp(2j * np.pi * rng.uniform(size=2))
+    elif mode == "search":  # layer 0 reflects with r = -1, t = 0
+        r, t = np.full(d + 1, c.r), np.full(d + 1, c.t)
+        r[0], t[0] = -1.0, 0.0
+    want = concatenate_layer_walk(up, down, 300, r, t, tails, left_in, right_in)
+    got = list(_layer_walk(_stacked(up, down, left_in, right_in), 300, r, t, tails))
+    assert len(got) == len(want) == 301
+    for n, (s, (want_up, want_down)) in enumerate(zip(got, want)):
+        assert np.array_equal(s[1:-1], np.concatenate((want_up, want_down)))
+        assert n == 0 or s[0] == s[-1] == 0
+
+
+def test_every_layer_series_steps_through_one_kernel(monkeypatch):
+    import sqrw.layers
+
+    calls = []
+    kernel = sqrw.layers._layer_kernel
+    monkeypatch.setattr(
+        sqrw.layers, "_layer_kernel", lambda s, factors: calls.append(1) or kernel(s, factors)
+    )
+    layer_distribution_series(6, grover_coeffs(6), origin_state(6), 5)
+    assert len(calls) == 5
+    detection_probability_series(6, grover_coeffs(6), n_max=9)
+    assert len(calls) == 5 + 9
+    run_search(SearchConfig(dim=6, marked=5, steps=7))
+    assert len(calls) == 5 + 9 + 7
 
 
 def test_packet_reaches_far_side_and_reflects():

@@ -9,7 +9,6 @@ import pytest
 from helpers import (
     brute_force_first_detection,
     count_local_maxima,
-    scatter_layer_part,
     scatter_norm,
     stepped_detection_series,
     tailed_cube_exits,
@@ -19,7 +18,7 @@ from helpers import (
 from oracles import tailed_corner_rows
 
 from sqrw.errors import TruncationError, ValidationError
-from sqrw.layers import _layer_factors, _layer_kernel, origin_state, reduced_step
+from sqrw.layers import _layer_factors, _layer_kernel, _stacked, origin_state
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
     boundary_coeffs,
@@ -60,34 +59,15 @@ def test_tail_port_factors_match_corner_rows(d):
     up, down = np.exp(2j * np.pi * rng.uniform(size=(2, d + 1)))
     left_in, right_in = np.exp(2j * np.pi * rng.uniform(size=2))
     for b, tol in ((boundary_coeffs(d), 0.0), (MultiportCoeffs(phases[1] + tb, tb, d + 1), 1e-15)):
-        new_up, new_down = _layer_kernel(up, down, _layer_factors(d, c.r, c.t, b), left_in, right_in)
+        new = _layer_kernel(_stacked(up, down, left_in, right_in), _layer_factors(d, c.r, c.t, b))
+        new_up, new_down = new[1:-1].reshape(2, d + 1)
         corners = np.array((new_up[0], new_down[0], new_up[d], new_down[d]))
         expected = np.array(tailed_corner_rows(up, down, left_in, right_in, b))
         assert np.max(np.abs(corners - expected)) <= tol
-        plain_up, plain_down = _layer_kernel(up, down, _layer_factors(d, c.r, c.t))
+        plain = _layer_kernel(_stacked(up, down), _layer_factors(d, c.r, c.t))
+        plain_up, plain_down = plain[1:-1].reshape(2, d + 1)
         assert np.array_equal(new_up[1:d], plain_up[1:d])
         assert np.array_equal(new_down[1:d], plain_down[1:d])
-
-
-def test_decoupled_boundaries_reproduce_reduced_step():
-    d = 5
-    c = symmetric_coeffs(d, 1.0)
-    layer = origin_state(d)
-    scat = scatter_from_layer(layer, 4)
-    for _ in range(8):
-        layer = reduced_step(layer, c)
-        scat = scatter_step(scat, c, None)
-    part = scatter_layer_part(scat)
-    assert np.array_equal(part.up, layer.up)
-    assert np.array_equal(part.down, layer.down)
-    assert scat.up[d] == 0 and scat.down[0] == 0
-
-
-def test_decoupled_boundaries_reject_occupied_tails():
-    d = 3
-    s = initial_tail_photon(d, 4)
-    with pytest.raises(ValidationError):
-        scatter_step(s, grover_coeffs(d), None)
 
 
 def test_tail_propagation_is_ballistic():
@@ -270,4 +250,4 @@ def test_scatter_state_validation():
     with pytest.raises(ValidationError):
         detection_probability_series(3, grover_coeffs(3), None, 5, tail_length=0)
     with pytest.raises(ValidationError):
-        scatter_step(initial_tail_photon(3, 4), grover_coeffs(4), None)
+        scatter_step(initial_tail_photon(3, 4), grover_coeffs(4), boundary_coeffs(3))
