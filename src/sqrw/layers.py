@@ -160,14 +160,9 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     return LayerState(s.d, new_up, new_down)
 
 
-def _stacked(
-    up: NDArray[np.complex128],
-    down: NDArray[np.complex128],
-    left_in: complex = 0j,
-    right_in: complex = 0j,
-) -> NDArray[np.complex128]:
-    """The padded state ``[left_in, up, down, right_in]`` of the module docstring."""
-    return np.concatenate(([left_in], up, down, [right_in]))
+def _stacked(up: NDArray[np.complex128], down: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The padded state ``[0, up, down, 0]`` of the module docstring."""
+    return np.concatenate(([0j], up, down, [0j]))
 
 
 def _layer_factors(
@@ -209,8 +204,8 @@ def _layer_kernel(
 ) -> NDArray[np.complex128]:
     """The ``reduced_step`` formula on the padded state, with no validation.
 
-    The one layer step of the library, with ``factors`` from
-    ``_layer_factors``.  The new pads are zero.
+    The one layer step of the library, with ``factors`` from ``_layer_factors``
+    (widened by the tail sites in ``sqrw.scattering``).  The new pads are zero.
     """
     below, above = factors
     n = below.shape[1]

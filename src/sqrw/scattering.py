@@ -27,9 +27,11 @@ up[0]' = tb * left_in + [(d-1) tb + rb] * down[1].  The right_in input is
 zero in the standard source-on-the-left run but is required for exact
 unitarity, so it is kept.
 
-Tails are truncated at L sites.  Amplitude moves ballistically along a
-tail, one site per step, so a run of n steps with L >= n + 1 never reaches
-the cut and the truncation is exact; reaching it raises ``TruncationError``.
+Tails are truncated at L sites.  A tail site is a two-port of the same
+line (``ScatterState`` stores the sites -L..-1 and d+1..d+L), so amplitude
+moves ballistically along a tail, one site per step: a run of n steps with
+L >= n + 1 never reaches the cut and the truncation is exact; reaching it
+raises ``TruncationError``.
 
 Detection probability at step n is the instantaneous weight on the edge
 leaving the far vertex onto the right tail (``up[d]``); a cumulative
@@ -57,7 +59,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk, _stacked
+from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -87,38 +89,35 @@ def _truncation_message(tail_length: int) -> str:
 
 @dataclass
 class ScatterState:
-    """Layer-reduced state extended with two truncated tails.
+    """Layer-reduced state with two stored tails: one line of n = d + 1 + 2L sites.
 
-    ``up``/``down`` are layer arrays with the corner slots active (see the
-    module docstring).  Tail arrays are indexed by distance from the cube:
-    ``left_in[i]`` / ``left_out[i]`` sit at site -(1+i) and move toward /
-    away from the cube; ``right_out[i]`` / ``right_in[i]`` sit at site
-    d+1+i and move away / toward.
+    ``line`` is the padded vector (``sqrw.layers``) of the sites -L..d+L,
+    ``[up[-L-1], up[-L..d+L], down[-L..d+L], down[d+L+1]]``.  The other
+    fields are views of it: ``up``/``down`` are the layer arrays with the
+    corner slots active; tail views are indexed by distance from the cube,
+    ``left_in[i]`` / ``left_out[i]`` at site -(1+i) moving toward / away
+    from the cube, ``right_out[i]`` / ``right_in[i]`` at site d+1+i moving
+    away / toward.
     """
 
     d: int
-    up: NDArray[np.complex128]
-    down: NDArray[np.complex128]
-    left_in: NDArray[np.complex128]
-    left_out: NDArray[np.complex128]
-    right_out: NDArray[np.complex128]
-    right_in: NDArray[np.complex128]
+    tail_length: int
+    line: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1 (got {self.d})")
-        for name in ("up", "down", "left_in", "left_out", "right_out", "right_in"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
-        if self.up.shape != (self.d + 1,) or self.down.shape != (self.d + 1,):
-            raise ValidationError("layer arrays must have length d + 1")
-        L = self.left_in.shape[0]
-        for name in ("left_out", "right_out", "right_in"):
-            if getattr(self, name).shape != (L,):
-                raise ValidationError("all four tail arrays must share one length")
-
-    @property
-    def tail_length(self) -> int:
-        return int(self.left_in.shape[0])
+        d, L = self.d, self.tail_length
+        if d < 1:
+            raise ValidationError(f"dimension must be >= 1 (got {d})")
+        if L < 1:
+            raise ValidationError(f"tail length must be >= 1 (got {L})")
+        n = d + 1 + 2 * L
+        self.line = np.asarray(self.line, dtype=np.complex128)
+        if self.line.shape != (2 * n + 2,):
+            raise ValidationError(f"line must have length {2 * n + 2}, got {self.line.shape}")
+        u, w = self.line[1:-1].reshape(2, n)
+        self.up, self.down = u[L : L + d + 1], w[L : L + d + 1]
+        self.left_in, self.left_out = u[L - 1 :: -1], w[L - 1 :: -1]
+        self.right_out, self.right_in = u[L + d + 1 :], w[L + d + 1 :]
 
 
 def initial_tail_photon(d: int, tail_length: int) -> ScatterState:
@@ -129,10 +128,8 @@ def initial_tail_photon(d: int, tail_length: int) -> ScatterState:
 
 
 def _empty_scatter(d: int, tail_length: int) -> ScatterState:
-    if tail_length < 1:
-        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
-    tails = np.zeros((4, tail_length), dtype=np.complex128)
-    return ScatterState(d, *np.zeros((2, d + 1), np.complex128), *tails)
+    n = max(d + 1 + 2 * tail_length, 0)  # the constructor rejects d < 1 and tail_length < 1
+    return ScatterState(d, tail_length, np.zeros(2 * n + 2, np.complex128))
 
 
 def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
@@ -144,26 +141,17 @@ def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
 
 
 def scatter_step(s: ScatterState, c: MultiportCoeffs, b: MultiportCoeffs) -> ScatterState:
-    """One step with tails; ``b`` is the (d+1)-port boundary pair."""
-    d = s.d
+    """One ``_layer_kernel`` call on the tailed line; ``b`` is the (d+1)-port boundary pair."""
+    d, L = s.d, s.tail_length
     require_valid(c, degree=d)
     require_valid(b, degree=d + 1)
-    L = s.tail_length
     if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
         raise TruncationError(_truncation_message(L))
 
-    out = _empty_scatter(d, L)
-    factors = _layer_factors(d, c.r, c.t, b)
-    new = _layer_kernel(_stacked(s.up, s.down, s.left_in[0], s.right_in[0]), factors)
-    out.up[:], out.down[:] = new[1:-1].reshape(2, d + 1)
-    # Ballistic tails: one site per step, perfectly transmitting.
-    out.left_in[: L - 1] = s.left_in[1:]
-    out.left_out[1:] = s.left_out[: L - 1]
-    out.left_out[0] = s.down[0]
-    out.right_in[: L - 1] = s.right_in[1:]
-    out.right_out[1:] = s.right_out[: L - 1]
-    out.right_out[0] = s.up[d]
-    return out
+    below, above = np.zeros((2, 2, d + 1 + 2 * L), np.complex128)
+    below[0] = above[1] = 1.0  # tail two-ports: up[w-1] -> up[w], down[w+1] -> down[w]
+    below[:, L : L + d + 1], above[:, L : L + d + 1] = _layer_factors(d, c.r, c.t, b)
+    return ScatterState(d, L, _layer_kernel(s.line, (below, above)))
 
 
 def detection_probability_series(
@@ -224,6 +212,8 @@ def interferometer_amplitude(d: int, gamma: NDArray[np.complex128], c: Multiport
     gamma = np.asarray(gamma, dtype=np.complex128)
     if gamma.shape != (d,):
         raise ValidationError(f"gamma must have shape ({d},), got {gamma.shape}")
+    if not np.all(np.isfinite(gamma)):
+        raise ValidationError("gamma must be finite")
     require_valid(c, degree=d)
     tb = boundary_coeffs(d).t
     if d <= 20:

@@ -108,7 +108,7 @@ def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
 def stepped_detection_series(
     d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_max: int, tail_length: int
 ) -> np.ndarray:
-    """Detection series by stepping ``scatter_step`` with stored, shifting tails.
+    """Detection series by stepping ``scatter_step`` with the tails stored as line sites.
 
     Reference for ``detection_probability_series``, including where the
     truncation error is raised.

@@ -4,9 +4,9 @@ Dense operators and dense spectra, the closed-form block spectrum, the
 character basis, the basis-column circuit comparison, the flip-gate
 structure check, the audit and classical layer series, the layer
 distribution, layer embedding and layer extraction of a full state, the
-tailed corner rows, the layer walk on two arrays, and the search stepped on
-the full state.  They check the library from outside and are not part of
-its API.
+tailed corner rows, the layer walk on two arrays, the tailed step on six
+arrays with shifting tails, and the search stepped on the full state.  They
+check the library from outside and are not part of its API.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from helpers import reference_step
 
 from sqrw.circuit import circuit_step
-from sqrw.errors import ValidationError
+from sqrw.errors import TruncationError, ValidationError
 from sqrw.evolution import EvolutionConfig, evolve, step, vertex_probability
 from sqrw.hypercube import (
     check_dimension,
@@ -483,6 +483,37 @@ def concatenate_layer_walk(
         left_in = right_in = 0j
         walk.append((up, down))
     return walk
+
+
+# The fields of ``sqrw.scattering.ScatterState``, in the order ``shifting_scatter_step`` takes them.
+SCATTER_FIELDS = ("up", "down", "left_in", "left_out", "right_out", "right_in")
+
+
+def shifting_scatter_step(
+    fields: tuple[NDArray[np.complex128], ...], c: MultiportCoeffs, b: MultiportCoeffs
+) -> tuple[NDArray[np.complex128], ...]:
+    """One tailed step on six separate arrays, ordered as ``SCATTER_FIELDS``.
+
+    The cube is one step of ``concatenate_layer_walk`` with ``left_in[0]``
+    and ``right_in[0]`` as the tail inputs, and each tail is shifted one
+    site by hand.  Raises ``TruncationError`` when an outgoing tail is
+    occupied at its last site.  Reference, to the bit, for the one-line
+    ``sqrw.scattering.scatter_step``.
+    """
+    up, down, left_in, left_out, right_out, right_in = fields
+    d, L = up.shape[0] - 1, left_in.shape[0]
+    if left_out[L - 1] != 0 or right_out[L - 1] != 0:
+        raise TruncationError(f"outgoing amplitude reached the tail cut at length {L}")
+    new_up, new_down = concatenate_layer_walk(up, down, 1, c.r, c.t, b, left_in[0], right_in[0])[1]
+    new_left_in, new_left_out, new_right_out, new_right_in = np.zeros((4, L), np.complex128)
+    # Ballistic tails: one site per step, perfectly transmitting.
+    new_left_in[: L - 1] = left_in[1:]
+    new_left_out[1:] = left_out[: L - 1]
+    new_left_out[0] = down[0]
+    new_right_in[: L - 1] = right_in[1:]
+    new_right_out[1:] = right_out[: L - 1]
+    new_right_out[0] = up[d]
+    return new_up, new_down, new_left_in, new_left_out, new_right_out, new_right_in
 
 
 def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:

@@ -377,9 +377,12 @@ def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkey
 
 def test_mz_non_numeric_gamma_exit_2(tmp_path, capsys):
     gamma = tmp_path / "gamma.csv"
-    gamma.write_text("0.5\nabc\n")
-    assert run(["mz", "--dim", 2, "--gamma", gamma]) == 2
-    assert "abc" in _error_line(capsys)
+    for row, named in (("abc", "abc"), ("nan", "finite"), ("1e400", "finite"), ("1,inf", "finite")):
+        gamma.write_text(f"0.5\n{row}\n")
+        assert run(["mz", "--dim", 2, "--gamma", gamma]) == 2, row
+        out, err = capsys.readouterr()
+        assert out == "", row
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err, row
 
 
 def test_layers_dim_cap_exit_2(tmp_path, capsys):

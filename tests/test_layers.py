@@ -209,7 +209,9 @@ def test_stacked_walk_matches_two_array_walk_to_the_bit(d, family, mode):
         r, t = np.full(d + 1, c.r), np.full(d + 1, c.t)
         r[0], t[0] = -1.0, 0.0
     want = concatenate_layer_walk(up, down, 300, r, t, tails, left_in, right_in)
-    got = list(_layer_walk(_stacked(up, down, left_in, right_in), 300, r, t, tails))
+    start = _stacked(up, down)
+    start[0], start[-1] = left_in, right_in
+    got = list(_layer_walk(start, 300, r, t, tails))
     assert len(got) == len(want) == 301
     for n, (s, (want_up, want_down)) in enumerate(zip(got, want)):
         assert np.array_equal(s[1:-1], np.concatenate((want_up, want_down)))

@@ -15,12 +15,13 @@ from helpers import (
     traversal_amplitude,
 )
 
-from oracles import tailed_corner_rows
+from oracles import SCATTER_FIELDS, shifting_scatter_step, tailed_corner_rows
 
 from sqrw.errors import TruncationError, ValidationError
 from sqrw.layers import _layer_factors, _layer_kernel, _stacked, origin_state
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
+    ScatterState,
     boundary_coeffs,
     detection_probability_series,
     initial_tail_photon,
@@ -58,8 +59,10 @@ def test_tail_port_factors_match_corner_rows(d):
     # unit-modulus inputs, so every corner row is at most 2 in modulus
     up, down = np.exp(2j * np.pi * rng.uniform(size=(2, d + 1)))
     left_in, right_in = np.exp(2j * np.pi * rng.uniform(size=2))
+    padded = _stacked(up, down)
+    padded[0], padded[-1] = left_in, right_in
     for b, tol in ((boundary_coeffs(d), 0.0), (MultiportCoeffs(phases[1] + tb, tb, d + 1), 1e-15)):
-        new = _layer_kernel(_stacked(up, down, left_in, right_in), _layer_factors(d, c.r, c.t, b))
+        new = _layer_kernel(padded, _layer_factors(d, c.r, c.t, b))
         new_up, new_down = new[1:-1].reshape(2, d + 1)
         corners = np.array((new_up[0], new_down[0], new_up[d], new_down[d]))
         expected = np.array(tailed_corner_rows(up, down, left_in, right_in, b))
@@ -98,6 +101,60 @@ def test_truncation_error_raised():
     with pytest.raises(TruncationError):
         for _ in range(10):
             s = scatter_step(s, c, b)
+
+
+@pytest.mark.parametrize("start", ["photon", "origin", "tails"])
+@pytest.mark.parametrize(
+    "d, family",  # symmetric coefficients need degree >= 2
+    [(1, "grover")] + [(d, f) for d in (2, 3, 5, 10) for f in ("grover", "symmetric")],
+)
+def test_line_step_matches_shifting_tails_to_the_bit(d, family, start):
+    c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
+    b = boundary_coeffs(d)
+    L = d + 5
+    if start == "photon":
+        s = initial_tail_photon(d, L)
+    elif start == "origin":
+        s = scatter_from_layer(origin_state(d), L)
+    else:  # every site occupied but the pads and the outer half of each outgoing tail
+        rng = np.random.default_rng(d)
+        size = 2 * (d + 1 + 2 * L) + 2
+        s = ScatterState(d, L, rng.normal(size=size) + 1j * rng.normal(size=size))
+        s.line[[0, -1]] = 0.0
+        s.left_out[L // 2 :] = s.right_out[L // 2 :] = 0.0
+    fields = tuple(getattr(s, name).copy() for name in SCATTER_FIELDS)
+    for n in range(1, 2 * L + 1):
+        try:
+            fields = shifting_scatter_step(fields, c, b)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                scatter_step(s, c, b)
+            break
+        s = scatter_step(s, c, b)
+        for name, want in zip(SCATTER_FIELDS, fields):
+            assert np.array_equal(getattr(s, name), want), f"{name} after step {n}"
+    else:
+        pytest.fail(f"no truncation in {2 * L} steps")
+
+
+def test_scatter_step_is_one_layer_kernel_call(monkeypatch):
+    import sqrw.scattering
+
+    d = 3
+    c, b = grover_coeffs(d), boundary_coeffs(d)
+    calls = []
+    kernel = sqrw.scattering._layer_kernel
+    monkeypatch.setattr(sqrw.scattering, "_layer_kernel", lambda *args: calls.append(1) or kernel(*args))
+    stepped_detection_series(d, c, b, n_max=9, tail_length=11)
+    assert len(calls) == 9
+    # a kernel that moves nothing leaves nothing: no tail amplitude moves outside it
+    monkeypatch.setattr(sqrw.scattering, "_layer_kernel", lambda s, factors: np.zeros_like(s))
+    s = initial_tail_photon(d, 6)
+    s.line[1:-1] = 1.0
+    s.left_out[-1] = s.right_out[-1] = 0.0  # clear of the cut
+    out = scatter_step(s, c, b)
+    for name in SCATTER_FIELDS + ("line",):
+        assert not np.any(getattr(out, name)), name
 
 
 @pytest.mark.parametrize("family", ["grover", "symmetric"])
@@ -247,6 +304,23 @@ def test_interferometer_gamma_shape_checked():
 def test_scatter_state_validation():
     with pytest.raises(ValidationError):
         initial_tail_photon(3, 0)
+    with pytest.raises(ValidationError):
+        initial_tail_photon(3, -5)
+    # d = 3, L = 2: n = 8 sites, a line of 18 entries
+    with pytest.raises(ValidationError):
+        ScatterState(3, 2, np.zeros(17))
+    with pytest.raises(ValidationError):
+        ScatterState(3, 0, np.zeros(10))
+    with pytest.raises(ValidationError):
+        ScatterState(0, 2, np.zeros(16))
+    s = ScatterState(3, 2, np.arange(18.0))
+    assert s.line.dtype == np.complex128
+    # [pad, up at sites -2..5, down at sites -2..5, pad]
+    assert np.array_equal(s.up, [3, 4, 5, 6]) and np.array_equal(s.down, [11, 12, 13, 14])
+    assert np.array_equal(s.left_in, [2, 1]) and np.array_equal(s.left_out, [10, 9])
+    assert np.array_equal(s.right_out, [7, 8]) and np.array_equal(s.right_in, [15, 16])
+    s.left_in[0] = s.right_in[1] = -1.0
+    assert s.line[2] == s.line[16] == -1.0
     with pytest.raises(ValidationError):
         detection_probability_series(3, grover_coeffs(3), None, 5, tail_length=0)
     with pytest.raises(ValidationError):
