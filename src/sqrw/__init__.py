@@ -35,7 +35,6 @@ from .layers import (
 )
 from .evolution import EvolutionConfig, evolve, layer_distribution_full, step, vertex_probability
 from .scattering import (
-    ScatterState,
     boundary_coeffs,
     detection_probability_series,
     interferometer_amplitude,

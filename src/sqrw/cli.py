@@ -432,7 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
         return args.func(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryCapError, MemoryError) as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import MemoryCapError, ValidationError
-from .layers import LayerState
+from .layers import LayerState, _require_tail_free
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
@@ -163,6 +163,7 @@ def state_dimension(state: NDArray[np.complex128]) -> int:
 
 def embed_layer_state(s: LayerState) -> NDArray[np.complex128]:
     """Spread layer coefficients over every edge of their (layer, direction) class."""
+    _require_tail_free(s)
     d = s.d
     ensure_full_state_fits(d)
     w = vertex_weights(d)

@@ -13,11 +13,14 @@ The physical norm of the embedded state is the edge-counting form
 (each layer-w vertex owns d-w up-edges and w down-edges).  This quantity is
 conserved exactly by ``reduced_step``.
 
-Every stepping loop holds one padded vector s = [left_in, up, down, right_in]
-of length 2d + 4: ``s[1:-1].reshape(2, d + 1)`` is [up; down], and for
-w = 0..d ``s[:d+1]`` is up[w-1] and ``s[-(d+1):]`` is down[w+1].  The pads
-``s[0]`` and ``s[-1]`` are what the tails (``sqrw.scattering``) send into
-the corners; a step leaves them zero: what leaves onto a tail never returns.
+Every state is one line of the n = d + 1 + 2L sites -L..d+L: layers 0..d
+and L tail sites on each side (``sqrw.scattering``; L = 0 without tails).
+``LayerState.line`` is its padded vector [up[-L-1..d+L], down[-L..d+L+1]]
+of length 2n + 2: ``line[1:-1].reshape(2, n)`` is [up; down], and for site
+w ``line[:n]`` is up[w-1] and ``line[-n:]`` is down[w+1].  The pads
+``line[0]`` and ``line[-1]`` enter the line on the next step (what unstored
+tails send into the corners); a step leaves them zero: what leaves the
+line never returns.
 """
 
 from __future__ import annotations
@@ -60,38 +63,50 @@ MAX_LAYER_DIM = 1000
 MAX_HITTING_DIM = 712
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerState:
-    """Layer coefficients of a symmetric edge state.
+    """Layer coefficients of a symmetric edge state on the line of sites -L..d+L.
 
-    ``up`` and ``down`` both have length d+1 and are indexed by the layer
-    of the vertex the edge leaves.  ``up[d]`` and ``down[0]`` do not label
-    hypercube edges and are pinned to zero (layer d has no up-edges, layer
-    0 no down-edges).
+    ``line`` is the padded vector of the module docstring; the other fields
+    are views of it.  ``up`` and ``down`` have length d+1 and are indexed by
+    the layer of the vertex the edge leaves.  ``up[d]`` and ``down[0]`` are
+    the exits onto the right and left tail; without tails they do not label
+    edges and are pinned to zero.  Tail views are indexed by distance from
+    the cube, ``left_in[i]`` / ``left_out[i]`` at site -(1+i) moving toward /
+    away from the cube, ``right_out[i]`` / ``right_in[i]`` at site d+1+i
+    moving away / toward; they are empty at L = 0.
     """
 
     d: int
-    up: NDArray[np.complex128]
-    down: NDArray[np.complex128]
+    line: NDArray[np.complex128]
+    tail_length: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1 (got {self.d})")
-        self.up = np.asarray(self.up, dtype=np.complex128)
-        self.down = np.asarray(self.down, dtype=np.complex128)
-        if self.up.shape != (self.d + 1,) or self.down.shape != (self.d + 1,):
-            raise ValidationError(
-                f"layer arrays must have shape ({self.d + 1},), got {self.up.shape} / {self.down.shape}"
-            )
-        if self.up[self.d] != 0 or self.down[0] != 0:
-            raise ValidationError("up[d] and down[0] are structural zeros of a layer state")
+        d, L = self.d, self.tail_length
+        if d < 1:
+            raise ValidationError(f"dimension must be >= 1 (got {d})")
+        if L < 0:
+            raise ValidationError(f"tail length must be >= 0 (got {L})")
+        n = d + 1 + 2 * L
+        self.line = np.asarray(self.line, dtype=np.complex128)
+        if self.line.shape != (2 * n + 2,):
+            raise ValidationError(f"line must have length {2 * n + 2}, got {self.line.shape}")
+        u, w = self.line[1:-1].reshape(2, n)
+        self.up, self.down = u[L : L + d + 1], w[L : L + d + 1]
+        self.left_in, self.left_out = u[:L][::-1], w[:L][::-1]
+        self.right_out, self.right_in = u[L + d + 1 :], w[L + d + 1 :]
+        if L == 0 and (self.up[d] != 0 or self.down[0] != 0):
+            raise ValidationError("up[d] and down[0] are structural zeros of a tail-free layer state")
 
-    def copy(self) -> "LayerState":
-        return LayerState(self.d, self.up.copy(), self.down.copy())
+
+def zero_layer_state(d: int, tail_length: int = 0) -> LayerState:
+    n = max(d + 1 + 2 * tail_length, 0)  # the constructor rejects d < 1 and tail_length < 0
+    return LayerState(d, np.zeros(2 * n + 2, np.complex128), tail_length)
 
 
-def zero_layer_state(d: int) -> LayerState:
-    return LayerState(d, np.zeros(d + 1, np.complex128), np.zeros(d + 1, np.complex128))
+def _require_tail_free(s: LayerState) -> None:
+    if s.tail_length != 0:
+        raise ValidationError(f"a tail-free layer state is required (got tail length {s.tail_length})")
 
 
 def origin_state(d: int) -> LayerState:
@@ -154,15 +169,9 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     with out-of-range coefficients contributing zero.  Conserves the
     edge-counting norm.
     """
+    _require_tail_free(s)
     require_valid(c, degree=s.d)
-    new = _layer_kernel(_stacked(s.up, s.down), _layer_factors(s.d, c.r, c.t))
-    new_up, new_down = new[1:-1].reshape(2, s.d + 1)
-    return LayerState(s.d, new_up, new_down)
-
-
-def _stacked(up: NDArray[np.complex128], down: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The padded state ``[0, up, down, 0]`` of the module docstring."""
-    return np.concatenate(([0j], up, down, [0j]))
+    return LayerState(s.d, _layer_kernel(s.line, _layer_factors(s.d, c.r, c.t)))
 
 
 def _layer_factors(
@@ -244,13 +253,14 @@ def layer_distribution_series(
     """Matrix of layer probabilities, row n = distribution after n steps."""
     if init.d != d:
         raise ValidationError(f"initial state dimension {init.d} != {d}")
+    _require_tail_free(init)
     require_valid(c, degree=d)
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
     # allocated before the walk, so a step count too large to store fails at once
     walk = np.empty((n_max + 1, 2, d + 2), dtype=np.complex128)
-    for n, s in enumerate(_layer_walk(_stacked(init.up, init.down), n_max, c.r, c.t)):
-        walk[n] = s.reshape(2, d + 2)  # rows [left_in, up] and [down, right_in]
+    for n, s in enumerate(_layer_walk(init.line, n_max, c.r, c.t)):
+        walk[n] = s.reshape(2, d + 2)  # rows [pad, up] and [down, pad]
     return _distribution(walk[:, 0, 1:], walk[:, 1, :-1], _binomials(d))
 
 

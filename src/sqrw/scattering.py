@@ -7,15 +7,14 @@ two corners become (d+1)-ports with their own boundary coefficients
 the left and d+1, d+2, ... on the right; every tail site carries one
 amplitude per travel direction.
 
-The symmetric reduced picture extends the layer arrays by activating their
-two structural corner slots: ``down[0]`` becomes the amplitude leaving
-vertex 0...0 onto the left tail and ``up[d]`` the amplitude leaving the far
-vertex onto the right tail.  The step is the layer kernel of
-``sqrw.layers`` with the corners as parameters, not a second update rule:
-layers 0 and d scatter with (rb, tb), the tail amplitudes about to enter
-the cube (left_in, right_in) fill the padded state's pads ``s[0]`` and
-``s[-1]``, and four entries of the factor rows ``below`` (weights of
-up[w-1]) and ``above`` (weights of down[w+1]) are tail ports:
+The symmetric reduced picture is the layer walk of ``sqrw.layers`` with
+its exit slots active: ``down[0]`` leaves vertex 0...0 onto the left tail,
+``up[d]`` leaves the far vertex onto the right tail.  The step is the layer
+kernel with the corners as parameters, not a second update rule: layers 0
+and d scatter with (rb, tb), the incoming tail amplitudes left_in (site -1)
+and right_in (site d+1) feed them, and four entries of the factor rows
+``below`` (weights of up[w-1]) and ``above`` (weights of down[w+1]) are
+tail ports:
 
     below[0, 0] = tb   (left_in  -> up[0])
     below[1, 0] = rb   (left_in  -> down[0], back onto the left tail)
@@ -27,9 +26,9 @@ up[0]' = tb * left_in + [(d-1) tb + rb] * down[1].  The right_in input is
 zero in the standard source-on-the-left run but is required for exact
 unitarity, so it is kept.
 
-Tails are truncated at L sites.  A tail site is a two-port of the same
-line (``ScatterState`` stores the sites -L..-1 and d+1..d+L), so amplitude
-moves ballistically along a tail, one site per step: a run of n steps with
+Stored tails are truncated at L sites.  A tail site is a two-port of the
+same line (``LayerState(d, line, L)``, ``sqrw.layers``), so amplitude moves
+ballistically along a tail, one site per step: a run of n steps with
 L >= n + 1 never reaches the cut and the truncation is exact; reaching it
 raises ``TruncationError``.
 
@@ -53,18 +52,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk
+from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
     "boundary_coeffs",
-    "ScatterState",
     "initial_tail_photon",
     "scatter_from_layer",
     "scatter_step",
@@ -87,71 +84,40 @@ def _truncation_message(tail_length: int) -> str:
     )
 
 
-@dataclass
-class ScatterState:
-    """Layer-reduced state with two stored tails: one line of n = d + 1 + 2L sites.
-
-    ``line`` is the padded vector (``sqrw.layers``) of the sites -L..d+L,
-    ``[up[-L-1], up[-L..d+L], down[-L..d+L], down[d+L+1]]``.  The other
-    fields are views of it: ``up``/``down`` are the layer arrays with the
-    corner slots active; tail views are indexed by distance from the cube,
-    ``left_in[i]`` / ``left_out[i]`` at site -(1+i) moving toward / away
-    from the cube, ``right_out[i]`` / ``right_in[i]`` at site d+1+i moving
-    away / toward.
-    """
-
-    d: int
-    tail_length: int
-    line: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        d, L = self.d, self.tail_length
-        if d < 1:
-            raise ValidationError(f"dimension must be >= 1 (got {d})")
-        if L < 1:
-            raise ValidationError(f"tail length must be >= 1 (got {L})")
-        n = d + 1 + 2 * L
-        self.line = np.asarray(self.line, dtype=np.complex128)
-        if self.line.shape != (2 * n + 2,):
-            raise ValidationError(f"line must have length {2 * n + 2}, got {self.line.shape}")
-        u, w = self.line[1:-1].reshape(2, n)
-        self.up, self.down = u[L : L + d + 1], w[L : L + d + 1]
-        self.left_in, self.left_out = u[L - 1 :: -1], w[L - 1 :: -1]
-        self.right_out, self.right_in = u[L + d + 1 :], w[L + d + 1 :]
+def _check_tail_length(tail_length: int) -> None:
+    if tail_length < 1:
+        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
 
 
-def initial_tail_photon(d: int, tail_length: int) -> ScatterState:
+def initial_tail_photon(d: int, tail_length: int) -> LayerState:
     """Photon at left-tail site -1 heading toward the cube."""
-    s = _empty_scatter(d, tail_length)
+    _check_tail_length(tail_length)
+    s = zero_layer_state(d, tail_length)
     s.left_in[0] = 1.0
     return s
 
 
-def _empty_scatter(d: int, tail_length: int) -> ScatterState:
-    n = max(d + 1 + 2 * tail_length, 0)  # the constructor rejects d < 1 and tail_length < 1
-    return ScatterState(d, tail_length, np.zeros(2 * n + 2, np.complex128))
-
-
-def scatter_from_layer(layer: LayerState, tail_length: int) -> ScatterState:
+def scatter_from_layer(layer: LayerState, tail_length: int) -> LayerState:
     """Place a pure layer state inside empty tails."""
-    s = _empty_scatter(layer.d, tail_length)
+    s = zero_layer_state(layer.d, tail_length)
     s.up[:] = layer.up
     s.down[:] = layer.down
     return s
 
 
-def scatter_step(s: ScatterState, c: MultiportCoeffs, b: MultiportCoeffs) -> ScatterState:
+def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> LayerState:
     """One ``_layer_kernel`` call on the tailed line; ``b`` is the (d+1)-port boundary pair."""
     d, L = s.d, s.tail_length
+    _check_tail_length(L)
     require_valid(c, degree=d)
     require_valid(b, degree=d + 1)
-    if s.left_out[L - 1] != 0 or s.right_out[L - 1] != 0:
+    if s.left_out[-1] != 0 or s.right_out[-1] != 0:
         raise TruncationError(_truncation_message(L))
 
     below, above = np.zeros((2, 2, d + 1 + 2 * L), np.complex128)
     below[0] = above[1] = 1.0  # tail two-ports: up[w-1] -> up[w], down[w+1] -> down[w]
     below[:, L : L + d + 1], above[:, L : L + d + 1] = _layer_factors(d, c.r, c.t, b)
-    return ScatterState(d, L, _layer_kernel(s.line, (below, above)))
+    return LayerState(d, _layer_kernel(s.line, (below, above)), L)
 
 
 def detection_probability_series(
@@ -176,16 +142,16 @@ def detection_probability_series(
         tail_length = n_max + 2
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
-    if tail_length < 1:
-        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
+    _check_tail_length(tail_length)
     require_valid(c, degree=d)
     require_valid(b, degree=d + 1)
     # Only step 1 takes amplitude from a tail (the photon at site -1).  What
     # leaves onto a tail never comes back, so the tails are unstored sinks
     # and the tail length is only a number: an exit at step k reaches the
-    # cut at step k + L + 1.
-    start = np.zeros(2 * d + 4, dtype=np.complex128)
-    start[0] = 1.0  # left_in
+    # cut at step k + L + 1.  The walk is the tail-free line, its pads the
+    # tail sites next to the cube: the photon is on the left pad.
+    photon = initial_tail_photon(d, 1)
+    start = np.concatenate((photon.left_in, photon.up, photon.down, photon.right_in))
     series = np.empty(n_max + 1, dtype=np.float64)
     # s[d + 1] is up[d] (onto the right tail), s[d + 2] is down[0] (onto the left)
     for n, s in enumerate(_layer_walk(start, n_max, c.r, c.t, b)):

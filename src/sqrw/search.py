@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .evolution import vertex_probability
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps it)
 from .hypercube import direction_mask, ensure_full_state_fits
-from .layers import MAX_LAYER_DIM, _layer_walk
+from .layers import MAX_LAYER_DIM, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_valid
 
 __all__ = [
@@ -83,7 +83,7 @@ class SearchConfig:
             raise ValidationError(f"metric must be 'out' or 'in' (got {self.metric!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     probabilities: NDArray[np.float64]
     peak_step: int
@@ -114,13 +114,13 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     r = np.full(d + 1, cfg.coeffs.r, dtype=np.complex128)
     t = np.full(d + 1, cfg.coeffs.t, dtype=np.complex128)
     r[0], t[0] = cfg.marked_coeffs.r, cfg.marked_coeffs.t  # the mark, moved to 0...0
-    s = np.full(2 * d + 4, 1.0 / math.sqrt(d * (1 << d)), dtype=np.complex128)
-    s[[0, d + 1, d + 2, -1]] = 0.0  # the pads, up[d] and down[0]
+    start = zero_layer_state(d)
+    start.up[:d] = start.down[1:] = 1.0 / math.sqrt(d * (1 << d))
     # the mark's d out-edges (up[0] = s[1]) or in-edges (down[1] = s[d + 3]) share one amplitude
     col = 1 if cfg.metric == "out" else d + 3
     # allocated before the walk, so a step count too large to store fails at once
     series = np.empty(cfg.steps + 1, dtype=np.float64)
-    for n, s in enumerate(_layer_walk(s, cfg.steps, r, t)):
+    for n, s in enumerate(_layer_walk(start.line, cfg.steps, r, t)):
         series[n] = abs(s[col])
     series = cfg.dim * series**2
     peak_step = int(np.argmax(series))

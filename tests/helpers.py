@@ -13,7 +13,7 @@ from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
 from sqrw.layers import LayerState, edge_counting_norm
-from sqrw.scattering import ScatterState, boundary_coeffs, initial_tail_photon, scatter_step
+from sqrw.scattering import boundary_coeffs, initial_tail_photon, scatter_step
 from sqrw.spectral import block_matrix
 
 
@@ -122,22 +122,21 @@ def stepped_detection_series(
     return series
 
 
-def scatter_layer_part(s: ScatterState) -> LayerState:
-    """The hypercube-proper part of a scattering state (corner slots dropped)."""
-    up = s.up.copy()
-    down = s.down.copy()
-    up[s.d] = 0.0
-    down[0] = 0.0
-    return LayerState(s.d, up, down)
+def scatter_norm(s: LayerState) -> float:
+    """Total squared amplitude: edge-counting layers + both exit edges + tails.
 
-
-def scatter_norm(s: ScatterState) -> float:
-    """Total squared amplitude: edge-counting layers + both exit edges + tails."""
-    total = edge_counting_norm(scatter_layer_part(s))
+    ``edge_counting_norm`` weighs the exit slots ``up[d]`` and ``down[0]`` by zero.
+    """
+    total = edge_counting_norm(s)
     total += abs(s.up[s.d]) ** 2 + abs(s.down[0]) ** 2
     for arr in (s.left_in, s.left_out, s.right_out, s.right_in):
         total += float(np.sum(np.abs(arr) ** 2))
     return total
+
+
+def stacked(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The tail-free padded line ``[0, up, down, 0]`` of ``sqrw.layers``."""
+    return np.concatenate(([0j], up, down, [0j]))
 
 
 def count_local_maxima(series: np.ndarray, floor: float = 1e-12) -> int:

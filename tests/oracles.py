@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from helpers import reference_step
+from helpers import reference_step, stacked
 
 from sqrw.circuit import circuit_step
 from sqrw.errors import TruncationError, ValidationError
@@ -312,7 +312,7 @@ def extract_layer_state(
         down_cnt += np.bincount(w[~up_rows], minlength=d + 1)
     up = np.where(up_cnt > 0, up_sum / np.maximum(up_cnt, 1), 0.0)
     down = np.where(down_cnt > 0, down_sum / np.maximum(down_cnt, 1), 0.0)
-    layer = LayerState(d, up, down)
+    layer = LayerState(d, stacked(up, down))
     deviation = 0.0
     for j in range(d):
         bit = (x >> (d - 1 - j)) & 1
@@ -361,7 +361,7 @@ def squared_binomial_product(s: LayerState) -> float:
 def evolve_layers(s: LayerState, c: MultiportCoeffs, n: int) -> LayerState:
     if n < 0:
         raise ValidationError(f"step count must be >= 0 (got {n})")
-    out = s.copy()
+    out = s
     for _ in range(n):
         out = reduced_step(out, c)
     return out
@@ -383,7 +383,7 @@ def conserved_quantity_series(
     """
     edge = np.empty(n_max + 1)
     squared = np.empty(n_max + 1)
-    s = init.copy()
+    s = init
     edge[0] = edge_counting_norm(s)
     squared[0] = squared_binomial_product(s)
     for n in range(1, n_max + 1):
@@ -485,7 +485,7 @@ def concatenate_layer_walk(
     return walk
 
 
-# The fields of ``sqrw.scattering.ScatterState``, in the order ``shifting_scatter_step`` takes them.
+# The views of a tailed ``sqrw.layers.LayerState``, in the order ``shifting_scatter_step`` takes them.
 SCATTER_FIELDS = ("up", "down", "left_in", "left_out", "right_out", "right_in")
 
 

@@ -385,6 +385,20 @@ def test_mz_non_numeric_gamma_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("error: ") and named in err, row
 
 
+@pytest.mark.parametrize("command", ["mz", "plot-script"])
+def test_non_utf8_input_file_exit_2(tmp_path, capsys, command):
+    data = tmp_path / "in.csv"
+    data.write_bytes(b"\xff0.5\n")
+    if command == "mz":
+        args = ["mz", "--dim", 2, "--gamma", data]
+    else:
+        args = ["plot-script", "--csv", data, "--out", tmp_path / "plot.py"]
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_layers_dim_cap_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["layers", "--dim", 1100, "--steps", 1, "--out", out]) == 2

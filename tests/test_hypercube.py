@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_layer_coeffs
+from helpers import random_layer_coeffs, stacked
 from oracles import extract_layer_state, where_embed_layer_state
 
 from sqrw.errors import MemoryCapError
@@ -117,7 +117,7 @@ def test_embed_single_layer_coefficient():
 @pytest.mark.parametrize("init", [origin_state, corner_pair_state, middle_state, "random"])
 def test_embed_matches_where_construction(init):
     for d in range(1, 13):
-        s = LayerState(d, *random_layer_coeffs(d, d)) if init == "random" else init(d)
+        s = LayerState(d, stacked(*random_layer_coeffs(d, d))) if init == "random" else init(d)
         got = embed_layer_state(s)
         assert np.array_equal(got, where_embed_layer_state(s))
         assert got.T.flags.c_contiguous  # direction-major, as the step kernel reads it
@@ -126,7 +126,7 @@ def test_embed_matches_where_construction(init):
 def test_embed_norm_is_edge_counting_norm():
     for d, seed in [(3, 1), (6, 2)]:
         up, down = random_layer_coeffs(d, seed)
-        s = LayerState(d, up, down)
+        s = LayerState(d, stacked(up, down))
         assert state_norm(embed_layer_state(s)) ** 2 == pytest.approx(
             edge_counting_norm(s), abs=1e-12
         )
@@ -135,7 +135,7 @@ def test_embed_norm_is_edge_counting_norm():
 def test_extract_recovers_layer_coefficients():
     d = 5
     up, down = random_layer_coeffs(d, 7)
-    s = LayerState(d, up, down)
+    s = LayerState(d, stacked(up, down))
     recovered, deviation = extract_layer_state(embed_layer_state(s))
     assert deviation <= 1e-14
     assert np.max(np.abs(recovered.up - s.up)) <= 1e-14

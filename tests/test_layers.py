@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_local_maxima
+from helpers import count_local_maxima, stacked
 from oracles import (
     classical_initial_distribution,
     classical_walk_step,
@@ -18,10 +18,10 @@ from oracles import (
 )
 
 from sqrw.errors import ValidationError
+from sqrw.hypercube import embed_layer_state
 from sqrw.layers import (
     LayerState,
     _layer_walk,
-    _stacked,
     classical_hitting_probability,
     corner_pair_state,
     edge_counting_norm,
@@ -35,7 +35,7 @@ from sqrw.layers import (
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
-from sqrw.scattering import boundary_coeffs, detection_probability_series
+from sqrw.scattering import boundary_coeffs, detection_probability_series, scatter_from_layer
 from sqrw.search import SearchConfig, run_search
 
 
@@ -43,7 +43,56 @@ def test_layer_state_structural_zeros_enforced():
     up = np.zeros(4, dtype=np.complex128)
     up[3] = 1.0
     with pytest.raises(ValidationError):
-        LayerState(3, up, np.zeros(4, dtype=np.complex128))
+        LayerState(3, stacked(up, np.zeros(4, dtype=np.complex128)))
+
+
+@pytest.mark.parametrize("L", [0, 2])
+def test_exit_slots_are_pinned_only_without_tails(L):
+    for slot, index in (("up", 3), ("down", 0)):
+        s = zero_layer_state(3, L)
+        getattr(s, slot)[index] = 1.0
+        if L == 0:
+            with pytest.raises(ValidationError, match="structural zeros"):
+                LayerState(3, s.line, L)
+        else:
+            assert getattr(LayerState(3, s.line, L), slot)[index] == 1.0
+
+
+@pytest.mark.parametrize("L", [0, 1, 3])
+def test_layer_state_views_write_through_to_the_line(L):
+    d = 4
+    s = zero_layer_state(d, L)
+    assert s.line.shape == (2 * (d + 1 + 2 * L) + 2,)
+    for name, size in [("up", d + 1), ("down", d + 1)] + [
+        (tail, L) for tail in ("left_in", "left_out", "right_out", "right_in")
+    ]:
+        view = getattr(s, name)
+        assert view.shape == (size,), name  # the tail views are empty at L = 0
+        view[:] = 1.0
+        assert np.count_nonzero(s.line) == size, name
+        view[:] = 0.0
+    with pytest.raises(ValidationError):
+        zero_layer_state(d, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: reduced_step(s, grover_coeffs(3)),
+        lambda s: layer_distribution_series(3, grover_coeffs(3), s, 2),
+        embed_layer_state,
+    ],
+    ids=["reduced_step", "layer_distribution_series", "embed_layer_state"],
+)
+def test_tail_free_functions_reject_tailed_states(call):
+    with pytest.raises(ValidationError, match="tail-free"):
+        call(scatter_from_layer(origin_state(3), 2))
+
+
+def test_equality_of_array_holders_is_identity():
+    cfg = SearchConfig(dim=4, marked=3, steps=5)
+    for a, b in [(run_search(cfg), run_search(cfg)), (origin_state(2), origin_state(2))]:
+        assert (a == a) is True and (a == b) is False
 
 
 def test_d2_two_step_corner_to_corner():
@@ -209,7 +258,7 @@ def test_stacked_walk_matches_two_array_walk_to_the_bit(d, family, mode):
         r, t = np.full(d + 1, c.r), np.full(d + 1, c.t)
         r[0], t[0] = -1.0, 0.0
     want = concatenate_layer_walk(up, down, 300, r, t, tails, left_in, right_in)
-    start = _stacked(up, down)
+    start = stacked(up, down)
     start[0], start[-1] = left_in, right_in
     got = list(_layer_walk(start, 300, r, t, tails))
     assert len(got) == len(want) == 301

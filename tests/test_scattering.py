@@ -10,6 +10,7 @@ from helpers import (
     brute_force_first_detection,
     count_local_maxima,
     scatter_norm,
+    stacked,
     stepped_detection_series,
     tailed_cube_exits,
     traversal_amplitude,
@@ -18,10 +19,9 @@ from helpers import (
 from oracles import SCATTER_FIELDS, shifting_scatter_step, tailed_corner_rows
 
 from sqrw.errors import TruncationError, ValidationError
-from sqrw.layers import _layer_factors, _layer_kernel, _stacked, origin_state
+from sqrw.layers import LayerState, _layer_factors, _layer_kernel, origin_state, zero_layer_state
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
-    ScatterState,
     boundary_coeffs,
     detection_probability_series,
     initial_tail_photon,
@@ -59,7 +59,7 @@ def test_tail_port_factors_match_corner_rows(d):
     # unit-modulus inputs, so every corner row is at most 2 in modulus
     up, down = np.exp(2j * np.pi * rng.uniform(size=(2, d + 1)))
     left_in, right_in = np.exp(2j * np.pi * rng.uniform(size=2))
-    padded = _stacked(up, down)
+    padded = stacked(up, down)
     padded[0], padded[-1] = left_in, right_in
     for b, tol in ((boundary_coeffs(d), 0.0), (MultiportCoeffs(phases[1] + tb, tb, d + 1), 1e-15)):
         new = _layer_kernel(padded, _layer_factors(d, c.r, c.t, b))
@@ -67,7 +67,7 @@ def test_tail_port_factors_match_corner_rows(d):
         corners = np.array((new_up[0], new_down[0], new_up[d], new_down[d]))
         expected = np.array(tailed_corner_rows(up, down, left_in, right_in, b))
         assert np.max(np.abs(corners - expected)) <= tol
-        plain = _layer_kernel(_stacked(up, down), _layer_factors(d, c.r, c.t))
+        plain = _layer_kernel(stacked(up, down), _layer_factors(d, c.r, c.t))
         plain_up, plain_down = plain[1:-1].reshape(2, d + 1)
         assert np.array_equal(new_up[1:d], plain_up[1:d])
         assert np.array_equal(new_down[1:d], plain_down[1:d])
@@ -119,7 +119,7 @@ def test_line_step_matches_shifting_tails_to_the_bit(d, family, start):
     else:  # every site occupied but the pads and the outer half of each outgoing tail
         rng = np.random.default_rng(d)
         size = 2 * (d + 1 + 2 * L) + 2
-        s = ScatterState(d, L, rng.normal(size=size) + 1j * rng.normal(size=size))
+        s = LayerState(d, rng.normal(size=size) + 1j * rng.normal(size=size), L)
         s.line[[0, -1]] = 0.0
         s.left_out[L // 2 :] = s.right_out[L // 2 :] = 0.0
     fields = tuple(getattr(s, name).copy() for name in SCATTER_FIELDS)
@@ -308,12 +308,12 @@ def test_scatter_state_validation():
         initial_tail_photon(3, -5)
     # d = 3, L = 2: n = 8 sites, a line of 18 entries
     with pytest.raises(ValidationError):
-        ScatterState(3, 2, np.zeros(17))
+        LayerState(3, np.zeros(17), 2)
     with pytest.raises(ValidationError):
-        ScatterState(3, 0, np.zeros(10))
+        LayerState(3, np.zeros(18), -1)
     with pytest.raises(ValidationError):
-        ScatterState(0, 2, np.zeros(16))
-    s = ScatterState(3, 2, np.arange(18.0))
+        LayerState(0, np.zeros(16), 2)
+    s = LayerState(3, np.arange(18.0), 2)
     assert s.line.dtype == np.complex128
     # [pad, up at sites -2..5, down at sites -2..5, pad]
     assert np.array_equal(s.up, [3, 4, 5, 6]) and np.array_equal(s.down, [11, 12, 13, 14])
@@ -325,3 +325,5 @@ def test_scatter_state_validation():
         detection_probability_series(3, grover_coeffs(3), None, 5, tail_length=0)
     with pytest.raises(ValidationError):
         scatter_step(initial_tail_photon(3, 4), grover_coeffs(4), boundary_coeffs(3))
+    with pytest.raises(ValidationError):  # no stored tails to step
+        scatter_step(zero_layer_state(3), grover_coeffs(3), boundary_coeffs(3))
