@@ -14,7 +14,8 @@ import argparse
 import errno
 import os
 import sys
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,9 +163,18 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _utf8_input(flag: str, path: str) -> Iterator[None]:
+    """Name the flag and the file when reading it finds bytes that are not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{flag} {path}: not UTF-8 text: {exc}") from None
+
+
 def _cmd_mz(args: argparse.Namespace) -> int:
     gamma: list[complex] = []
-    with open(args.gamma, "r", encoding="utf-8") as fh:
+    with _utf8_input("--gamma", args.gamma), open(args.gamma, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -245,7 +255,8 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     argv += ["--out", args.out or f"{args.name}.csv"]
     if args.cumulative:
         argv.append("--cumulative")
-    ns = args.parsers[command].parse_args(argv)
+    parser = args.sub.choices.get(command) or _add_command(args.sub, command)
+    ns = parser.parse_args(argv)
     return ns.func(ns)
 
 
@@ -327,102 +338,96 @@ def emit_plot_script(csv_path: str, out_path: str, kind: str = "auto") -> str:
 
 
 def _cmd_plot_script(args: argparse.Namespace) -> int:
-    kind = emit_plot_script(args.csv, args.out, args.kind)
+    with _utf8_input("--csv", args.csv):
+        kind = emit_plot_script(args.csv, args.out, args.kind)
     print(f"wrote {args.out} ({kind})")
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_DIM = ("--dim", dict(type=int, required=True))
+_STEPS = ("--steps", dict(type=int, required=True))
+_OUT = ("--out", dict(required=True))
+_MULTIPORT_HELP = "grover | symmetric:p=<real> | custom:<re_r>,<im_r>,<re_t>,<im_t>"
+_MULTIPORT = ("--multiport", dict(default="grover", help=_MULTIPORT_HELP))
+_LAYER_INITS = ["origin", "corners", "middle"]
+_INIT = ("--init", dict(default="origin", choices=_LAYER_INITS))
+_FULL_INIT = ("--init", dict(default="origin-symmetric", choices=["origin-symmetric", *_LAYER_INITS]))
+_ADD_CUMULATIVE = ("--cumulative", dict(action="store_true", help="add a running-sum column"))
+_PASS_CUMULATIVE = ("--cumulative", dict(action="store_true", help="passed on to the preset's command"))
+_GAMMA = ("--gamma", dict(required=True, help="file with one 're' or 're,im' row per direction"))
+_MARKED = ("--marked", dict(required=True, help="marked vertex as a bit string"))
+_KIND = ("--kind", dict(default="auto", choices=["auto", "heatmap", "line", "ratio"]))
+
+# name -> (help, handler, arguments as (flag, add_argument keywords) in usage order)
+_COMMANDS = {
+    "layers": ("layer-reduced walk, rows step,w,probability", _cmd_layers, [_DIM, _STEPS, _INIT, _MULTIPORT, _OUT]),
+    "full": (
+        "full edge-state walk, rows step,w,probability",
+        _cmd_full,
+        [_DIM, _STEPS, _FULL_INIT, _MULTIPORT, _OUT],
+    ),
+    "scatter": (
+        "tail-to-tail detection series",
+        _cmd_scatter,
+        [_DIM, _STEPS, ("--tail-length", dict(type=int, dest="tail_length")), _ADD_CUMULATIVE, _MULTIPORT, _OUT],
+    ),
+    "mz": ("interferometer amplitude for a direction-amplitude file", _cmd_mz, [_DIM, _GAMMA, _MULTIPORT]),
+    "search": (
+        "marked-vertex walk, rows step,success_probability",
+        _cmd_search,
+        [_DIM, _MARKED, _STEPS, ("--metric", dict(default="out", choices=["out", "in"])), _MULTIPORT, _OUT],
+    ),
+    "spectrum": (
+        "block spectra, rows k_bits,eigenvalue_re,eigenvalue_im",
+        _cmd_spectrum,
+        [_DIM, _MULTIPORT, _OUT],
+    ),
+    "hitting": (
+        "corner-to-corner comparison, rows d,p_c,p_q,ratio",
+        _cmd_hitting,
+        [("--dmax", dict(type=int, required=True)), _OUT],
+    ),
+    "verify-circuit": ("gate cascade vs scattering step deviation", _cmd_verify_circuit, [_DIM, _MULTIPORT]),
+    "repro": (
+        "named parameter presets (fig2..fig7, fig9)",
+        _cmd_repro,
+        [("name", {}), ("--out", dict(default=None)), _PASS_CUMULATIVE],
+    ),
+    "plot-script": (
+        "generate a matplotlib script for a CSV",
+        _cmd_plot_script,
+        [("--csv", dict(required=True)), _KIND, _OUT],
+    ),
+}
+
+
+def _add_command(sub: argparse._SubParsersAction, name: str) -> argparse.ArgumentParser:
+    help_text, func, arguments = _COMMANDS[name]
+    p = sub.add_parser(name, help=help_text)
+    for flag, kwargs in arguments:
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func, sub=sub)  # repro adds its preset's command to sub
+    return p
+
+
+def _build_parser(names: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The ``sqrw`` parser with the subcommands ``names``; its usage line names all ten."""
     parser = argparse.ArgumentParser(
         prog="sqrw",
         description="Scattering quantum walk on the hypercube: simulations and CSV output.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_multiport(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--multiport",
-            default="grover",
-            help="grover | symmetric:p=<real> | custom:<re_r>,<im_r>,<re_t>,<im_t>",
-        )
-
-    p = sub.add_parser("layers", help="layer-reduced walk, rows step,w,probability")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--init", default="origin", choices=["origin", "corners", "middle"])
-    add_multiport(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_layers)
-
-    p = sub.add_parser("full", help="full edge-state walk, rows step,w,probability")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--init",
-        default="origin-symmetric",
-        choices=["origin-symmetric", "origin", "corners", "middle"],
-    )
-    add_multiport(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_full)
-
-    p = sub.add_parser("scatter", help="tail-to-tail detection series")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tail-length", type=int, default=None, dest="tail_length")
-    p.add_argument("--cumulative", action="store_true", help="add a running-sum column")
-    add_multiport(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_scatter)
-
-    p = sub.add_parser("mz", help="interferometer amplitude for a direction-amplitude file")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--gamma", required=True, help="file with one 're' or 're,im' row per direction")
-    add_multiport(p)
-    p.set_defaults(func=_cmd_mz)
-
-    p = sub.add_parser("search", help="marked-vertex walk, rows step,success_probability")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--marked", required=True, help="marked vertex as a bit string")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--metric", default="out", choices=["out", "in"])
-    add_multiport(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("spectrum", help="block spectra, rows k_bits,eigenvalue_re,eigenvalue_im")
-    p.add_argument("--dim", type=int, required=True)
-    add_multiport(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("hitting", help="corner-to-corner comparison, rows d,p_c,p_q,ratio")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_hitting)
-
-    p = sub.add_parser("verify-circuit", help="gate cascade vs scattering step deviation")
-    p.add_argument("--dim", type=int, required=True)
-    add_multiport(p)
-    p.set_defaults(func=_cmd_verify_circuit)
-
-    p = sub.add_parser("repro", help="named parameter presets (fig2..fig7, fig9)")
-    p.add_argument("name")
-    p.add_argument("--out", default=None)
-    p.add_argument("--cumulative", action="store_true", help="passed on to the preset's command")
-    p.set_defaults(func=_cmd_repro, parsers=sub.choices)
-
-    p = sub.add_parser("plot-script", help="generate a matplotlib script for a CSV")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--kind", default="auto", choices=["auto", "heatmap", "line", "ratio"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plot_script)
-
+    # all ten leave it unset, so a missing or unknown command is reported as ``command``
+    metavar = None if set(names) == set(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _add_command(sub, name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the named subcommand: most of the parser's cost is the other nine
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "steps", 0) < 0:
@@ -432,7 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
         return args.func(args)
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryCapError, MemoryError) as exc:

@@ -21,6 +21,15 @@ w ``line[:n]`` is up[w-1] and ``line[-n:]`` is down[w+1].  The pads
 ``line[0]`` and ``line[-1]`` enter the line on the next step (what unstored
 tails send into the corners); a step leaves them zero: what leaves the
 line never returns.
+
+``_layer_walk`` is the only code that steps a line: the layer series, the
+detection series, the search, ``reduced_step`` and ``scatter_step`` all go
+through it.  It steps into one preallocated block of states, two ufunc calls
+and no allocation per step, and its readers take each block whole: the
+layer series weighs it with one ``_distribution`` call.  The search and
+detection readings stay per-element Python scalars (``abs(z)``,
+``abs(z) ** 2``), because numpy's array ``abs`` and ``** 2`` round some
+values differently, and the CSV bytes would move.
 """
 
 from __future__ import annotations
@@ -171,7 +180,7 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     """
     _require_tail_free(s)
     require_valid(c, degree=s.d)
-    return LayerState(s.d, _layer_kernel(s.line, _layer_factors(s.d, c.r, c.t)))
+    return LayerState(s.d, next(_layer_walk(s.line, 1, _layer_factors(s.d, c.r, c.t)))[1])
 
 
 def _layer_factors(
@@ -208,38 +217,48 @@ def _layer_factors(
     return below, above
 
 
-def _layer_kernel(
-    s: NDArray[np.complex128], factors: tuple[NDArray[np.complex128], NDArray[np.complex128]]
-) -> NDArray[np.complex128]:
-    """The ``reduced_step`` formula on the padded state, with no validation.
-
-    The one layer step of the library, with ``factors`` from ``_layer_factors``
-    (widened by the tail sites in ``sqrw.scattering``).  The new pads are zero.
-    """
-    below, above = factors
-    n = below.shape[1]
-    out = np.zeros_like(s)
-    np.add(below * s[:n], above * s[-n:], out=out[1:-1].reshape(2, n))
-    return out
+# States per block of ``_layer_walk`` besides the carried-over first one.
+_WALK_BLOCK = 256
 
 
 def _layer_walk(
     s: NDArray[np.complex128],
     steps: int,
-    r: complex | NDArray[np.complex128],
-    t: complex | NDArray[np.complex128],
-    tails: MultiportCoeffs | None = None,
+    factors: tuple[NDArray[np.complex128], NDArray[np.complex128]],
 ) -> Iterator[NDArray[np.complex128]]:
-    """Padded states after 0..steps steps of ``_layer_kernel``, factors computed once.
+    """Padded states after 0..steps steps of the ``reduced_step`` formula, in blocks.
 
-    ``r``, ``t`` and ``tails`` are as in ``_layer_factors``.  The pads of
-    ``s`` enter on the first step only.  No validation.
+    ``factors`` is ``(below, above)`` from ``_layer_factors`` (widened by the
+    tail sites in ``sqrw.scattering``).  Each yield is a (k, len(s)) view of
+    one buffer of at most ``_WALK_BLOCK`` + 1 rows holding the states not yet
+    yielded, state 0 (``s``) first; a full buffer's last row becomes its row
+    0.  The next yield overwrites the view, so a reader that keeps a block
+    copies it.  The pads of ``s`` enter on the first step only; a step leaves
+    them zero.  No validation.
     """
-    factors = _layer_factors(s.shape[0] // 2 - 2, r, t, tails)
-    yield s
-    for _ in range(steps):
-        s = _layer_kernel(s, factors)
-        yield s
+    fac = np.stack(factors)  # (2, 2, n)
+    n = fac.shape[2]
+    width = 2 * n + 2
+    # rows of 2n + 4, so that row.reshape(2, n + 2)[:, :n] is [s[:n]; s[-n:]]
+    buf = np.zeros((min(steps, _WALK_BLOCK) + 1, width + 2), np.complex128)
+    # per-row views made once: indexing them on every step costs a quarter of the step
+    src = list(buf.reshape(len(buf), 2, n + 2)[:, :, None, :n])
+    dst = list(buf[:, 1 : width - 1].reshape(len(buf), 2, n))
+    prod = np.empty_like(fac)
+    below_term, above_term = prod  # below * s[:n] and above * s[-n:]
+    buf[0, :width] = s
+    first = done = 0
+    while True:
+        k = min(steps - done, len(buf) - 1)
+        for x, y in zip(src[:k], dst[1 : k + 1]):
+            np.multiply(fac, x, out=prod)
+            np.add(below_term, above_term, out=y)
+        yield buf[first : k + 1, :width]
+        done += k
+        if done == steps:
+            return
+        buf[0] = buf[k]
+        first = 1
 
 
 def layer_distribution(s: LayerState) -> NDArray[np.float64]:
@@ -257,11 +276,15 @@ def layer_distribution_series(
     require_valid(c, degree=d)
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
+    b = _binomials(d)
     # allocated before the walk, so a step count too large to store fails at once
-    walk = np.empty((n_max + 1, 2, d + 2), dtype=np.complex128)
-    for n, s in enumerate(_layer_walk(init.line, n_max, c.r, c.t)):
-        walk[n] = s.reshape(2, d + 2)  # rows [pad, up] and [down, pad]
-    return _distribution(walk[:, 0, 1:], walk[:, 1, :-1], _binomials(d))
+    series = np.empty((n_max + 1, d + 1), dtype=np.float64)
+    n = 0
+    for block in _layer_walk(init.line, n_max, _layer_factors(d, c.r, c.t)):
+        walk = block.reshape(len(block), 2, d + 2)  # rows [pad, up] and [down, pad]
+        series[n : n + len(block)] = _distribution(walk[:, 0, 1:], walk[:, 1, :-1], b)
+        n += len(block)
+    return series
 
 
 def hitting_amplitude_closed_form(d: int, c: MultiportCoeffs) -> complex:

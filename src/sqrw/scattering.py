@@ -57,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_kernel, _layer_walk, zero_layer_state
+from .layers import LayerState, _layer_factors, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -106,7 +106,7 @@ def scatter_from_layer(layer: LayerState, tail_length: int) -> LayerState:
 
 
 def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> LayerState:
-    """One ``_layer_kernel`` call on the tailed line; ``b`` is the (d+1)-port boundary pair."""
+    """One step of ``_layer_walk`` on the tailed line; ``b`` is the (d+1)-port boundary pair."""
     d, L = s.d, s.tail_length
     _check_tail_length(L)
     require_valid(c, degree=d)
@@ -117,7 +117,7 @@ def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> Layer
     below, above = np.zeros((2, 2, d + 1 + 2 * L), np.complex128)
     below[0] = above[1] = 1.0  # tail two-ports: up[w-1] -> up[w], down[w+1] -> down[w]
     below[:, L : L + d + 1], above[:, L : L + d + 1] = _layer_factors(d, c.r, c.t, b)
-    return LayerState(d, _layer_kernel(s.line, (below, above)), L)
+    return LayerState(d, next(_layer_walk(s.line, 1, (below, above)))[1], L)
 
 
 def detection_probability_series(
@@ -153,11 +153,16 @@ def detection_probability_series(
     photon = initial_tail_photon(d, 1)
     start = np.concatenate((photon.left_in, photon.up, photon.down, photon.right_in))
     series = np.empty(n_max + 1, dtype=np.float64)
-    # s[d + 1] is up[d] (onto the right tail), s[d + 2] is down[0] (onto the left)
-    for n, s in enumerate(_layer_walk(start, n_max, c.r, c.t, b)):
-        series[n] = abs(s[d + 1]) ** 2
-        if n + tail_length + 1 <= n_max and (s[d + 1] != 0 or s[d + 2] != 0):
+    # column d + 1 is up[d] (onto the right tail), d + 2 is down[0] (onto the left);
+    # an exit in a state n <= n_max - tail_length - 1 reaches the cut
+    n = 0
+    for block in _layer_walk(start, n_max, _layer_factors(d, c.r, c.t, b)):
+        k = len(block)
+        # per element on Python scalars: the array forms round some values differently
+        series[n : n + k] = [abs(z) ** 2 for z in block[:, d + 1].tolist()]
+        if np.any(block[: max(n_max - tail_length - n, 0), d + 1 : d + 3]):
             raise TruncationError(_truncation_message(tail_length))
+        n += k
     return series
 
 

@@ -12,7 +12,7 @@ from sqrw import evolution
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
-from sqrw.layers import LayerState, edge_counting_norm
+from sqrw.layers import LayerState, _layer_walk, edge_counting_norm
 from sqrw.scattering import boundary_coeffs, initial_tail_photon, scatter_step
 from sqrw.spectral import block_matrix
 
@@ -137,6 +137,14 @@ def scatter_norm(s: LayerState) -> float:
 def stacked(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     """The tail-free padded line ``[0, up, down, 0]`` of ``sqrw.layers``."""
     return np.concatenate(([0j], up, down, [0j]))
+
+
+def walk_states(line: np.ndarray, steps: int, factors) -> np.ndarray:
+    """Every padded state of ``sqrw.layers._layer_walk``, row n after n steps.
+
+    Each yielded block is copied: the walk overwrites it with the next one.
+    """
+    return np.concatenate([block.copy() for block in _layer_walk(line, steps, factors)])
 
 
 def count_local_maxima(series: np.ndarray, floor: float = 1e-12) -> int:

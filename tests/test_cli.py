@@ -390,13 +390,13 @@ def test_non_utf8_input_file_exit_2(tmp_path, capsys, command):
     data = tmp_path / "in.csv"
     data.write_bytes(b"\xff0.5\n")
     if command == "mz":
-        args = ["mz", "--dim", 2, "--gamma", data]
+        flag, args = "--gamma", ["mz", "--dim", 2, "--gamma", data]
     else:
-        args = ["plot-script", "--csv", data, "--out", tmp_path / "plot.py"]
+        flag, args = "--csv", ["plot-script", "--csv", data, "--out", tmp_path / "plot.py"]
     assert run(args) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} {data}: not UTF-8 text")
 
 
 def test_layers_dim_cap_exit_2(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 The ``repro`` hashes were recorded before the layer step formula moved into
 its shared kernel, so they also pin that refactor to the old bytes.  The
-``search`` hashes were recorded from the layer-reduced search, the ``full``
-hashes from the in-place direction-major step kernel (the d = 16 one before
+``search`` hashes were recorded from the layer-reduced search (the d = 8
+``symmetric:p=1`` ones, like the ``scatter`` hash, before the layer walk
+stepped in blocks, so they pin the blocked walk and its complex-coin
+readings to the one-state-per-step bytes), the ``full`` hashes from the in-place direction-major step kernel (the d = 16 one before
 that kernel was split into blocks, so it pins the blocked kernel to the
 unblocked bytes), the ``spectrum`` hashes from the
 one-solve-per-momentum-weight spectrum.
@@ -36,6 +38,26 @@ SEARCH_GOLDENS = [
         ["--dim", "8", "--marked", "10101101", "--steps", "64"],
         "fbfc323db7e1d29cada2bc490081e880d1394ebedb0f0876e27df683e553ddca",
         "peak_step=19 peak_probability=0.43447149924737977\n",
+    ),
+    (
+        # a complex coin, 301 rows: the layer walk crosses a block seam
+        ["--dim", "8", "--marked", "10101101", "--steps", "300", "--multiport", "symmetric:p=1"],
+        "68dcfe2fbd907a947269f43086f8860a636f8e818f81f4de696a0857dc3ceadc",
+        "peak_step=42 peak_probability=0.0066065048613202504\n",
+    ),
+    (
+        ["--dim", "8", "--marked", "10101101", "--steps", "300", "--multiport", "symmetric:p=1", "--metric", "in"],
+        "4e64506720e675d5a8c85899199e4ad1f0abbe2dfdea2c9199a9a65210997566",
+        "peak_step=41 peak_probability=0.0066065048613202504\n",
+    ),
+]
+
+
+# (flags, CSV hash)
+SCATTER_GOLDENS = [
+    (
+        ["--dim", "6", "--steps", "600", "--cumulative"],
+        "24824152c69b6b1f43d01ee4cbd893c9a799d5c22c95ccbabbfdd6c28c8daf7e",
     ),
 ]
 
@@ -79,12 +101,21 @@ def test_repro_preset_bytes(tmp_path, name):
     assert sha256(out) == REPRO_SHA256[name]
 
 
-@pytest.mark.parametrize("flags,csv_hash,stdout", SEARCH_GOLDENS, ids=["d6-in", "d8-out"])
+@pytest.mark.parametrize(
+    "flags,csv_hash,stdout", SEARCH_GOLDENS, ids=["d6-in", "d8-out", "d8-symmetric-out", "d8-symmetric-in"]
+)
 def test_search_bytes(tmp_path, capsys, flags, csv_hash, stdout):
     out = tmp_path / "search.csv"
     assert main(["search", *flags, "--out", str(out)]) == 0
     assert sha256(out) == csv_hash
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("flags,csv_hash", SCATTER_GOLDENS, ids=["d6-cumulative-600"])
+def test_scatter_bytes(tmp_path, flags, csv_hash):
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", *flags, "--out", str(out)]) == 0
+    assert sha256(out) == csv_hash
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_local_maxima, stacked
+from helpers import count_local_maxima, stacked, walk_states
 from oracles import (
     classical_initial_distribution,
     classical_walk_step,
@@ -21,6 +21,8 @@ from sqrw.errors import ValidationError
 from sqrw.hypercube import embed_layer_state
 from sqrw.layers import (
     LayerState,
+    _WALK_BLOCK,
+    _layer_factors,
     _layer_walk,
     classical_hitting_probability,
     corner_pair_state,
@@ -257,11 +259,14 @@ def test_stacked_walk_matches_two_array_walk_to_the_bit(d, family, mode):
     elif mode == "search":  # layer 0 reflects with r = -1, t = 0
         r, t = np.full(d + 1, c.r), np.full(d + 1, c.t)
         r[0], t[0] = -1.0, 0.0
-    want = concatenate_layer_walk(up, down, 300, r, t, tails, left_in, right_in)
+    steps = 600  # three blocks of the walk: the second and third start from a carried-over row
+    want = concatenate_layer_walk(up, down, steps, r, t, tails, left_in, right_in)
     start = stacked(up, down)
     start[0], start[-1] = left_in, right_in
-    got = list(_layer_walk(start, 300, r, t, tails))
-    assert len(got) == len(want) == 301
+    blocks = [block.copy() for block in _layer_walk(start, steps, _layer_factors(d, r, t, tails))]
+    assert [len(block) for block in blocks] == [_WALK_BLOCK + 1, _WALK_BLOCK, steps - 2 * _WALK_BLOCK]
+    got = np.concatenate(blocks)
+    assert len(got) == len(want) == steps + 1
     for n, (s, (want_up, want_down)) in enumerate(zip(got, want)):
         assert np.array_equal(s[1:-1], np.concatenate((want_up, want_down)))
         assert n == 0 or s[0] == s[-1] == 0
@@ -269,18 +274,37 @@ def test_stacked_walk_matches_two_array_walk_to_the_bit(d, family, mode):
 
 def test_every_layer_series_steps_through_one_kernel(monkeypatch):
     import sqrw.layers
+    import sqrw.scattering
+    import sqrw.search
 
-    calls = []
-    kernel = sqrw.layers._layer_kernel
-    monkeypatch.setattr(
-        sqrw.layers, "_layer_kernel", lambda s, factors: calls.append(1) or kernel(s, factors)
-    )
+    steps = []
+    walk = sqrw.layers._layer_walk
+
+    def counted(s, n, factors):
+        steps.append(n)
+        yield from walk(s, n, factors)
+
+    for module in (sqrw.layers, sqrw.scattering, sqrw.search):
+        monkeypatch.setattr(module, "_layer_walk", counted)
     layer_distribution_series(6, grover_coeffs(6), origin_state(6), 5)
-    assert len(calls) == 5
     detection_probability_series(6, grover_coeffs(6), n_max=9)
-    assert len(calls) == 5 + 9
     run_search(SearchConfig(dim=6, marked=5, steps=7))
-    assert len(calls) == 5 + 9 + 7
+    reduced_step(origin_state(6), grover_coeffs(6))
+    assert steps == [5, 9, 7, 1]
+
+
+@pytest.mark.parametrize("steps", [0, 1, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 3 * _WALK_BLOCK])
+def test_walk_yields_each_state_once_in_bounded_blocks(steps):
+    d = 5
+    factors = _layer_factors(d, grover_coeffs(d).r, grover_coeffs(d).t)
+    sizes = [len(block) for block in _layer_walk(origin_state(d).line, steps, factors)]
+    assert sum(sizes) == steps + 1
+    assert max(sizes) <= _WALK_BLOCK + 1
+    # across the seams the blocked walk is the stepped one, one reduced_step per row
+    row = origin_state(d)
+    for n, line in enumerate(walk_states(origin_state(d).line, steps, factors)):
+        assert np.array_equal(line, row.line), f"state {n}"
+        row = reduced_step(row, grover_coeffs(d))
 
 
 def test_packet_reaches_far_side_and_reflects():

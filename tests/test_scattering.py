@@ -14,12 +14,14 @@ from helpers import (
     stepped_detection_series,
     tailed_cube_exits,
     traversal_amplitude,
+    walk_states,
 )
 
 from oracles import SCATTER_FIELDS, shifting_scatter_step, tailed_corner_rows
 
+from sqrw.cli import main
 from sqrw.errors import TruncationError, ValidationError
-from sqrw.layers import LayerState, _layer_factors, _layer_kernel, origin_state, zero_layer_state
+from sqrw.layers import LayerState, _WALK_BLOCK, _layer_factors, origin_state, zero_layer_state
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs, validate_unitarity
 from sqrw.scattering import (
     boundary_coeffs,
@@ -62,12 +64,12 @@ def test_tail_port_factors_match_corner_rows(d):
     padded = stacked(up, down)
     padded[0], padded[-1] = left_in, right_in
     for b, tol in ((boundary_coeffs(d), 0.0), (MultiportCoeffs(phases[1] + tb, tb, d + 1), 1e-15)):
-        new = _layer_kernel(padded, _layer_factors(d, c.r, c.t, b))
+        new = walk_states(padded, 1, _layer_factors(d, c.r, c.t, b))[1]
         new_up, new_down = new[1:-1].reshape(2, d + 1)
         corners = np.array((new_up[0], new_down[0], new_up[d], new_down[d]))
         expected = np.array(tailed_corner_rows(up, down, left_in, right_in, b))
         assert np.max(np.abs(corners - expected)) <= tol
-        plain = _layer_kernel(stacked(up, down), _layer_factors(d, c.r, c.t))
+        plain = walk_states(stacked(up, down), 1, _layer_factors(d, c.r, c.t))[1]
         plain_up, plain_down = plain[1:-1].reshape(2, d + 1)
         assert np.array_equal(new_up[1:d], plain_up[1:d])
         assert np.array_equal(new_down[1:d], plain_down[1:d])
@@ -143,12 +145,14 @@ def test_scatter_step_is_one_layer_kernel_call(monkeypatch):
     d = 3
     c, b = grover_coeffs(d), boundary_coeffs(d)
     calls = []
-    kernel = sqrw.scattering._layer_kernel
-    monkeypatch.setattr(sqrw.scattering, "_layer_kernel", lambda *args: calls.append(1) or kernel(*args))
+    walk = sqrw.scattering._layer_walk
+    monkeypatch.setattr(sqrw.scattering, "_layer_walk", lambda *args: calls.append(args[1]) or walk(*args))
     stepped_detection_series(d, c, b, n_max=9, tail_length=11)
-    assert len(calls) == 9
-    # a kernel that moves nothing leaves nothing: no tail amplitude moves outside it
-    monkeypatch.setattr(sqrw.scattering, "_layer_kernel", lambda s, factors: np.zeros_like(s))
+    assert calls == [1] * 9
+    # a walk that moves nothing leaves nothing: no tail amplitude moves outside it
+    monkeypatch.setattr(
+        sqrw.scattering, "_layer_walk", lambda s, steps, factors: iter([np.zeros((steps + 1, len(s)), complex)])
+    )
     s = initial_tail_photon(d, 6)
     s.line[1:-1] = 1.0
     s.left_out[-1] = s.right_out[-1] = 0.0  # clear of the cut
@@ -175,6 +179,32 @@ def test_series_truncates_exactly_where_stepping_does(d, family):
         got = detection_probability_series(d, c, b, n, tail_length)
         assert np.array_equal(got, expected), f"tail length {tail_length}"
     assert 0 < raised < n + 2  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_series_truncates_where_stepping_does_past_the_first_block(tmp_path, d):
+    c, b = grover_coeffs(d), boundary_coeffs(d)
+    n = 2 * _WALK_BLOCK + 40  # three blocks of the walk
+    # n - L - 1 is the last state whose exits are checked: around the first exit
+    # (state 1 onto the left tail for d > 1, state 2 onto the right for d = 1)
+    # and in the second and third block
+    lasts = (0, 1, 2, 3, _WALK_BLOCK, _WALK_BLOCK + 1, 300, 2 * _WALK_BLOCK + 1, n - 2)
+    raised = []
+    for last in lasts:
+        tail_length = n - 1 - last
+        try:
+            expected = stepped_detection_series(d, c, b, n, tail_length)
+        except TruncationError:
+            raised.append(last)
+            with pytest.raises(TruncationError):
+                detection_probability_series(d, c, b, n, tail_length)
+        else:
+            got = detection_probability_series(d, c, b, n, tail_length)
+            assert np.array_equal(got, expected), f"tail length {tail_length}"
+        args = ["scatter", "--dim", str(d), "--steps", str(n), "--tail-length", str(tail_length)]
+        assert main([*args, "--out", str(tmp_path / "s.csv")]) == (4 if raised[-1:] == [last] else 0)
+    first_exit = 2 if d == 1 else 1
+    assert raised == [last for last in lasts if last >= first_exit]
 
 
 def test_norm_conserved_with_tails():

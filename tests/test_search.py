@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_step, stacked
+from helpers import reference_step, stacked, walk_states
 from oracles import full_search_series
 
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step, vertex_probability
 from sqrw.hypercube import direction_mask, state_norm, zero_full_state
-from sqrw.layers import LayerState, _layer_walk, edge_counting_norm
+from sqrw.layers import LayerState, _layer_factors, edge_counting_norm
 from sqrw.multiport import grover_coeffs, phase_coeffs, symmetric_coeffs
 from sqrw.search import (
     MAX_SEARCH_DIM,
@@ -168,6 +168,6 @@ def test_layer_search_state_keeps_unit_norm():
     up = np.full(d + 1, 1.0 / math.sqrt(d * (1 << d)), dtype=np.complex128)
     down = up.copy()
     up[d] = down[0] = 0.0
-    for s in _layer_walk(stacked(up, down), 2000, r, t):
+    for s in walk_states(stacked(up, down), 2000, _layer_factors(d, r, t)):
         assert abs(edge_counting_norm(LayerState(d, s)) - 1.0) <= 1e-10
 
