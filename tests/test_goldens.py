@@ -8,7 +8,9 @@ stepped in blocks, so they pin the blocked walk and its complex-coin
 readings to the one-state-per-step bytes), the ``full`` hashes from the in-place direction-major step kernel (the d = 16 one before
 that kernel was split into blocks, so it pins the blocked kernel to the
 unblocked bytes), the ``spectrum`` hashes from the
-one-solve-per-momentum-weight spectrum.
+one-solve-per-momentum-weight spectrum.  ``SEAM_GOLDENS`` were recorded
+from the one-row-at-a-time CSV writer; each output is longer than one
+4,096-row chunk of the chunked writer, so they pin its seams to those bytes.
 """
 
 import hashlib
@@ -131,4 +133,35 @@ def test_full_bytes(tmp_path, flags, csv_hash):
 def test_spectrum_bytes(tmp_path, flags, csv_hash):
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", *flags, "--out", str(out)]) == 0
+    assert sha256(out) == csv_hash
+
+
+# (command and flags, CSV hash); each writes more than 4,096 rows
+SEAM_GOLDENS = [
+    (
+        ["spectrum", "--dim", "9", "--multiport", "grover"],  # 4,608 rows
+        "56aa4c85e488bf06fff882c9d9ffe355cc50bec69ac3b3bc5a53be55fca03ff8",
+    ),
+    (
+        ["scatter", "--dim", "10", "--steps", "4500", "--multiport", "symmetric:p=1"],  # 4,501 rows
+        "df05ddc59b7b94141a3a6e2afefcf0166c7460a4d39e7ed9e361c99c627d4cba",
+    ),
+    (
+        # 4,907 rows of width 7: the seam falls inside a step
+        ["layers", "--dim", "6", "--steps", "700", "--init", "corners"],
+        "3b0abd1e258e72f4c99310885055fd9d1e8e9d954ceefa3a662ddf4be7934a8d",
+    ),
+    (
+        ["search", "--dim", "6", "--marked", "001001", "--steps", "5000"],  # 5,001 rows
+        "d7abbc2a99a779f3d24082148c9a8526d7bbb0a9b17f70d24ea0e8fd558855c6",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,csv_hash", SEAM_GOLDENS, ids=["spectrum-d9", "scatter-d10-4500", "layers-d6-700", "search-d6-5000"]
+)
+def test_chunk_seam_bytes(tmp_path, argv, csv_hash):
+    out = tmp_path / "seam.csv"
+    assert main([*argv, "--out", str(out)]) == 0
     assert sha256(out) == csv_hash
