@@ -5,7 +5,8 @@ character basis, the basis-column circuit comparison, the flip-gate
 structure check, the audit and classical layer series, the layer
 distribution, layer embedding and layer extraction of a full state, the
 tailed corner rows, the layer walk on two arrays, the tailed step on six
-arrays with shifting tails, and the search stepped on the full state.  They
+arrays with shifting tails, the search stepped on the full state, and the
+one-row-at-a-time CSV writer.  They
 check the library from outside and are not part of its API.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -532,3 +534,39 @@ def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:
         state = reference_step(state, evo, mark)
         series[n] = success_probability(state, cfg)
     return series
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def rowwise_write_rows(path, header: str, rows: Iterable[str]) -> None:
+    """The CSV writer with one ``fh.write`` per row; reference for ``sqrw.cli._write_rows``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def rowwise_table_rows(*columns: NDArray[np.float64], width: int = 1, first: int = 0) -> Iterator[str]:
+    """One row string per row, one ``format(x, ".17g")`` per value; reference for ``sqrw.cli._table``.
+
+    With width > 1 the one column is a flattened surface, written as the
+    rows ``n,w,value``; otherwise row i is ``first + i`` and its values.
+    """
+    if width > 1:
+        series = columns[0].reshape(-1, width)
+        for n in range(series.shape[0]):
+            for w in range(width):
+                yield f"{n + first},{w},{_fmt(series[n, w])}"
+        return
+    for i in range(len(columns[0])):
+        yield ",".join([str(first + i), *(_fmt(col[i]) for col in columns)])
+
+
+def rowwise_spectrum_rows(d: int, spectra: list[NDArray[np.complex128]]) -> Iterator[str]:
+    """Block k's rows as its bit string plus each eigenvalue of weight class |k|, one row at a time."""
+    cached = [[f",{_fmt(v.real)},{_fmt(v.imag)}" for v in vals] for vals in spectra]
+    for k in range(1 << d):
+        bits = format(k, f"0{d}b")
+        yield "\n".join([bits + tail for tail in cached[k.bit_count()]])

@@ -441,6 +441,27 @@ def run_limited(args, cwd):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["layers", "--dim", 50, "--steps", 250],
+        ["full", "--dim", 3, "--steps", 2],
+        ["scatter", "--dim", 10, "--steps", 4000],
+        ["scatter", "--dim", 3, "--steps", 2, "--cumulative"],
+        ["search", "--dim", 3, "--marked", "101", "--steps", 2],
+        ["hitting", "--dmax", 3],
+        ["spectrum", "--dim", 9],
+    ],
+    ids=["layers", "full", "scatter", "scatter-cumulative", "search", "hitting", "spectrum"],
+)
+def test_write_error_exit_2(tmp_path, args):
+    # a large CSV fails in one chunk's write, a small one only when the file is closed
+    limited = run_limited([*args, "--out", "/dev/full"], tmp_path)
+    assert limited.returncode == 2, limited.stderr
+    assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
+
+
 def test_tail_length_is_a_number_not_an_allocation(tmp_path):
     args = ["scatter", "--dim", 3, "--steps", 10, "--out"]
     limited = run_limited(args + ["long.csv", "--tail-length", 10**9], tmp_path)
