@@ -109,19 +109,21 @@ def _write_rows(path: str, header: str, chunks: Iterator[str]) -> None:
 
 
 def _table(*columns: np.ndarray, width: int = 1, first: int = 0) -> Iterator[str]:
-    """Rows ``first + i, columns[:][i]``; with width > 1, ``i // width, i % width, columns[0][i]``."""
+    """Rows ``first + i, columns[:][i]``, or with width > 1 ``first + i // width, i % width, columns[:][i]``."""
     k = 1 + (width > 1)  # index columns, then the reals
     m, n = k + len(columns), len(columns[0])
     row = ",".join(["%d"] * k + ["%.17g"] * len(columns)) + "\n"
     for lo in range(0, n, _CHUNK_ROWS):
-        i = np.arange(lo, min(lo + _CHUNK_ROWS, n))
-        flat = [0] * (i.size * m)
-        flat[0::m] = (i // width + first).tolist()
-        if width > 1:
-            flat[1::m] = (i % width).tolist()
+        hi = min(lo + _CHUNK_ROWS, n)
+        flat = [0] * ((hi - lo) * m)
+        if width == 1:
+            flat[0::m] = range(first + lo, first + hi)
+        else:
+            steps, layers = divmod(np.arange(lo, hi), width)
+            flat[0::m], flat[1::m] = (steps + first).tolist(), layers.tolist()
         for j, col in enumerate(columns, k):
-            flat[j::m] = col[lo : lo + i.size].tolist()
-        yield (row * i.size) % tuple(flat)
+            flat[j::m] = col[lo:hi].tolist()
+        yield (row * (hi - lo)) % tuple(flat)
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
@@ -162,11 +164,9 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
     series = detection_probability_series(
         args.dim, c, n_max=args.steps, tail_length=args.tail_length
     )
-    if args.cumulative:
-        rows = _table(series, np.cumsum(series))
-        _write_rows(args.out, "step,detection_probability,cumulative_probability", rows)
-    else:
-        _write_rows(args.out, "step,detection_probability", _table(series))
+    columns = [series, np.cumsum(series)] if args.cumulative else [series]
+    header = "step,detection_probability" + (",cumulative_probability" if args.cumulative else "")
+    _write_rows(args.out, header, _table(*columns))
     return 0
 
 

@@ -13,9 +13,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from sqrw import cli
-
 import pytest
+
+from sqrw import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
