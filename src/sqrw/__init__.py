@@ -4,23 +4,27 @@ Photon amplitudes live on directed edges and evolve by local scattering at
 the vertices.  The package provides the full exponential-state walk, the
 O(d) layer-reduced walk for symmetric states, scattering through attached
 semi-infinite tails, the equivalent gate cascade plus coin circuit, a
-marked-vertex search driver, and the Fourier block diagonalization of the
-step operator, together with a CSV-emitting command line frontend (see the
-``sqrw`` entry point).
+marked-vertex search driver, the Fourier block diagonalization of the step
+operator and a CSV command line (the ``sqrw`` entry point).
+
+Its public library is the union of the modules' ``__all__``.  A name is in
+it if it names a state, a coefficient family, a closed form, a symmetry or
+a conserved quantity, if it is the only way to build or read a state, or if
+the benchmark's spans (``perfbench/spans.py``) wrap it.  A name whose result
+is fixed by construction, or that restates numpy or another function in one
+expression, is not.
 """
 
 from .errors import MemoryCapError, SqrwError, TruncationError, ValidationError
 from .multiport import (
     MultiportCoeffs,
-    UnitarityCheck,
     grover_coeffs,
     multiport_matrix,
     phase_coeffs,
     pseudo_eigensystem,
     symmetric_coeffs,
-    validate_unitarity,
 )
-from .hypercube import embed_layer_state, initial_symmetric_state, state_norm
+from .hypercube import embed_layer_state, initial_symmetric_state
 from .layers import (
     LayerState,
     classical_hitting_probability,

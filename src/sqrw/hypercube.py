@@ -34,7 +34,6 @@ __all__ = [
     "MEMORY_ENV_VAR",
     "memory_budget",
     "check_dimension",
-    "full_state_bytes",
     "ensure_full_state_fits",
     "direction_mask",
     "state_dimension",
@@ -43,7 +42,6 @@ __all__ = [
     "vertex_weights",
     "zero_full_state",
     "initial_symmetric_state",
-    "state_norm",
     "embed_layer_state",
 ]
 
@@ -71,12 +69,6 @@ def check_dimension(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValidationError(f"dimension must be a positive integer (got {d!r})")
     return int(d)
-
-
-def full_state_bytes(d: int) -> int:
-    """Bytes needed for one full edge-state array."""
-    check_dimension(d)
-    return d * (1 << d) * _COMPLEX_BYTES
 
 
 def ensure_full_state_fits(d: int, columns: int | None = None) -> None:
@@ -145,10 +137,6 @@ def initial_symmetric_state(d: int) -> NDArray[np.complex128]:
     state = zero_full_state(d)
     state[0, :] = 1.0 / math.sqrt(d)
     return state
-
-
-def state_norm(state: NDArray[np.complex128]) -> float:
-    return float(np.linalg.norm(state.ravel()))
 
 
 def state_dimension(state: NDArray[np.complex128]) -> int:

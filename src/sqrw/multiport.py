@@ -33,11 +33,9 @@ from .errors import ValidationError
 
 __all__ = [
     "MultiportCoeffs",
-    "UnitarityCheck",
     "grover_coeffs",
     "symmetric_coeffs",
     "phase_coeffs",
-    "validate_unitarity",
     "require_valid",
     "multiport_matrix",
     "pseudo_eigensystem",
@@ -74,29 +72,14 @@ class MultiportCoeffs:
         object.__setattr__(self, "degree", int(self.degree))
         if self.degree < 1:
             raise ValidationError(f"multiport degree must be >= 1 (got {self.degree})")
-        check = validate_unitarity(self)
-        if not check:
+        d, r, t = self.degree, self.r, self.t
+        norm = abs(abs(r) ** 2 + (d - 1) * abs(t) ** 2 - 1.0)
+        cross = abs((d - 2) * abs(t) ** 2 + 2.0 * (r.conjugate() * t).real)
+        if not (norm <= UNITARITY_TOL and cross <= UNITARITY_TOL):  # a NaN residual fails too
             raise ValidationError(
-                f"coefficients r={self.r}, t={self.t}, degree={self.degree} violate unitarity "
-                f"(residuals {check.norm_residual:.3e}, {check.cross_residual:.3e})"
+                f"coefficients r={r}, t={t}, degree={d} violate unitarity "
+                f"(residuals {norm:.3e}, {cross:.3e})"
             )
-
-
-@dataclass(frozen=True)
-class UnitarityCheck:
-    """Outcome of checking the two unitarity relations.
-
-    ``norm_residual`` is the deviation of |r|^2 + (d-1)|t|^2 from 1;
-    ``cross_residual`` is the deviation of (d-2)|t|^2 + 2 Re(conj(r) t)
-    from 0.  The check passes when both magnitudes are within tolerance.
-    """
-
-    passed: bool
-    norm_residual: float
-    cross_residual: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def grover_coeffs(d: int) -> MultiportCoeffs:
@@ -164,21 +147,6 @@ def phase_coeffs(d: int, phase: complex = -1.0) -> MultiportCoeffs:
     rejects d < 1 and a phase off the unit circle.
     """
     return MultiportCoeffs(r=phase, t=0.0, degree=d)
-
-
-def validate_unitarity(c: MultiportCoeffs) -> UnitarityCheck:
-    """Check both unitarity relations and report their residual magnitudes.
-
-    Returns
-    -------
-    UnitarityCheck
-        Truthy iff both residuals are within ``UNITARITY_TOL``.
-    """
-    d = c.degree
-    norm_residual = abs(c.r) ** 2 + (d - 1) * abs(c.t) ** 2 - 1.0
-    cross_residual = (d - 2) * abs(c.t) ** 2 + 2.0 * (c.r.conjugate() * c.t).real
-    passed = abs(norm_residual) <= UNITARITY_TOL and abs(cross_residual) <= UNITARITY_TOL
-    return UnitarityCheck(passed, abs(norm_residual), abs(cross_residual))
 
 
 def require_valid(c: MultiportCoeffs, *, degree: int) -> None:

@@ -63,7 +63,6 @@ from .multiport import MultiportCoeffs, require_valid
 __all__ = [
     "boundary_coeffs",
     "initial_tail_photon",
-    "scatter_from_layer",
     "scatter_step",
     "detection_probability_series",
     "interferometer_amplitude",
@@ -94,14 +93,6 @@ def initial_tail_photon(d: int, tail_length: int) -> LayerState:
     _check_tail_length(tail_length)
     s = zero_layer_state(d, tail_length)
     s.left_in[0] = 1.0
-    return s
-
-
-def scatter_from_layer(layer: LayerState, tail_length: int) -> LayerState:
-    """Place a pure layer state inside empty tails."""
-    s = zero_layer_state(layer.d, tail_length)
-    s.up[:] = layer.up
-    s.down[:] = layer.down
     return s
 
 
@@ -150,8 +141,8 @@ def detection_probability_series(
     # and the tail length is only a number: an exit at step k reaches the
     # cut at step k + L + 1.  The walk is the tail-free line, its pads the
     # tail sites next to the cube: the photon is on the left pad.
-    photon = initial_tail_photon(d, 1)
-    start = np.concatenate((photon.left_in, photon.up, photon.down, photon.right_in))
+    start = zero_layer_state(d).line
+    start[0] = 1.0
     series = np.empty(n_max + 1, dtype=np.float64)
     # column d + 1 is up[d] (onto the right tail), d + 2 is down[0] (onto the left);
     # an exit in a state n <= n_max - tail_length - 1 reaches the cut

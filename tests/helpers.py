@@ -12,7 +12,7 @@ from sqrw import evolution
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
-from sqrw.layers import LayerState, _layer_walk, edge_counting_norm
+from sqrw.layers import LayerState, _layer_walk, edge_counting_norm, zero_layer_state
 from sqrw.scattering import boundary_coeffs, initial_tail_photon, scatter_step
 from sqrw.spectral import block_matrix
 
@@ -120,6 +120,14 @@ def stepped_detection_series(
         s = scatter_step(s, c, b)
         series[n] = abs(s.up[d]) ** 2
     return series
+
+
+def scatter_from_layer(layer: LayerState, tail_length: int) -> LayerState:
+    """Place a pure layer state inside empty tails."""
+    s = zero_layer_state(layer.d, tail_length)
+    s.up[:] = layer.up
+    s.down[:] = layer.down
+    return s
 
 
 def scatter_norm(s: LayerState) -> float:

@@ -1,12 +1,12 @@
 """Reference code that only the tests call.
 
-Dense operators and dense spectra, the closed-form block spectrum, the
-character basis, the basis-column circuit comparison, the flip-gate
-structure check, the audit and classical layer series, the layer
-distribution, layer embedding and layer extraction of a full state, the
-tailed corner rows, the layer walk on two arrays, the tailed step on six
-arrays with shifting tails, the search stepped on the full state, and the
-one-row-at-a-time CSV writer.  They
+The unitarity residuals of a coefficient pair, dense operators and dense
+spectra, the closed-form block spectrum, the character basis, the
+basis-column circuit comparison, the flip-gate structure check, the audit
+and classical layer series, the layer distribution, layer embedding and
+layer extraction of a full state, the tailed corner rows, the layer walk on
+two arrays, the tailed step on six arrays with shifting tails, the search
+stepped on the full state, and the one-row-at-a-time CSV writer.  They
 check the library from outside and are not part of its API.
 """
 
@@ -35,6 +35,14 @@ from sqrw.layers import LayerState, _binomials, edge_counting_norm, reduced_step
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, multiport_matrix
 from sqrw.search import SearchConfig, success_probability, uniform_edge_state
 from sqrw.spectral import block_matrix, rotation_apply, translation_apply
+
+
+def unitarity_residuals(c: MultiportCoeffs) -> tuple[float, float]:
+    """|deviation| of |r|^2 + (d-1)|t|^2 from 1 and of (d-2)|t|^2 + 2 Re(conj(r) t) from 0."""
+    d, r, t = c.degree, c.r, c.t
+    norm = abs(r) ** 2 + (d - 1) * abs(t) ** 2 - 1.0
+    cross = (d - 2) * abs(t) ** 2 + 2.0 * (r.conjugate() * t).real
+    return abs(norm), abs(cross)
 
 
 def coin_fourier_vector(d: int, k: int) -> NDArray[np.complex128]:

@@ -89,8 +89,8 @@ def test_spectrum_join_matches_rowwise_writer(tmp_path, monkeypatch, pool, seed,
 
 
 def test_writer_memory_is_bounded_by_the_chunk(tmp_path):
-    # 1,020,051 rows; an index built over the whole run would take about 16 MiB
-    series = np.random.default_rng(7).random((20_001, 51))
+    # 204,051 rows; an index built over the whole run would take about 4.7 MiB
+    series = np.random.default_rng(7).random((4_001, 51))
     tracemalloc.start()
     try:
         cli._write_rows(tmp_path / "surface.csv", "step,w,probability", cli._table(series.ravel(), width=51))

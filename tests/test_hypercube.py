@@ -16,7 +16,6 @@ from sqrw.hypercube import (
     ensure_full_state_fits,
     initial_symmetric_state,
     parse_vertex,
-    state_norm,
     vertex_bits,
     vertex_weights,
     zero_full_state,
@@ -88,7 +87,7 @@ def test_initial_symmetric_state_values():
         assert np.allclose(state[0, :], 1 / math.sqrt(d), atol=1e-15)
         assert np.count_nonzero(state) == d
     for d in range(1, 13):
-        assert state_norm(initial_symmetric_state(d)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(initial_symmetric_state(d)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embed_origin_equals_initial_state():
@@ -127,7 +126,7 @@ def test_embed_norm_is_edge_counting_norm():
     for d, seed in [(3, 1), (6, 2)]:
         up, down = random_layer_coeffs(d, seed)
         s = LayerState(d, stacked(up, down))
-        assert state_norm(embed_layer_state(s)) ** 2 == pytest.approx(
+        assert np.linalg.norm(embed_layer_state(s)) ** 2 == pytest.approx(
             edge_counting_norm(s), abs=1e-12
         )
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_local_maxima, stacked, walk_states
+from helpers import count_local_maxima, scatter_from_layer, stacked, walk_states
 from oracles import (
     classical_initial_distribution,
     classical_walk_step,
@@ -37,7 +37,7 @@ from sqrw.layers import (
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
-from sqrw.scattering import boundary_coeffs, detection_probability_series, scatter_from_layer
+from sqrw.scattering import boundary_coeffs, detection_probability_series
 from sqrw.search import SearchConfig, run_search
 
 
