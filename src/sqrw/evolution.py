@@ -4,15 +4,13 @@ Each amplitude moves along its edge to the arrival vertex y and scatters
 there: the new amplitude on |y; b> is (r - t) times the amplitude that
 arrived along b plus t times the total arriving at y.  The step runs in
 place on the state stored direction-major, (d, 2**d) with row j holding
-direction j + 1, in blocks of 2**14 vertices that stay in cache.  A flip of
-a bit inside a block is a reversed view of it; a higher bit pairs two
-blocks.  Pass 1 sums the arriving amplitudes per vertex over directions in
-fixed ascending order, so results are reproducible to the bit.  Pass 2
-rewrites each row, a pair of blocks together through one block of scratch,
-and can add each new block's |amplitude|**2 into a per-vertex probability
-row while the block is in cache, as ``layer_distribution_full`` sums it,
-so the layer distribution needs no second pass over the state.  A step
-needs one state plus one 2**d row and one block of scratch.  Every vertex
+direction j + 1, in blocks of 2**14 vertices that stay in cache.  Pass 1
+sums the arriving amplitudes per vertex over directions in fixed ascending
+order, so results are reproducible to the bit.  Pass 2 rewrites each row
+one block-sized tile at a time through one block of scratch, and can add
+each new tile's |amplitude|**2 into a per-vertex probability row, as
+``layer_distribution_full`` sums it, while the tile is in cache, so the
+layer distribution needs no second pass over the state.  Every vertex
 scatters with the same coefficients; the marked-vertex search runs on the
 layer walk (``sqrw.search``).
 """
@@ -90,12 +88,14 @@ def _full_kernel(
     given, it receives the probability on each vertex's d edges after the
     step, summed by ``_add_probability`` in ascending direction order, as
     ``layer_distribution_full`` sums it.  Rows of ``psi`` may be strided.
+    Pass 1 goes block by block, so each block of ``totals`` sums all d
+    directions while it is in cache.  Pass 2 cuts each row into tiles of
+    ``size`` vertices that hold both partners of every pair across its bit.
     """
     d, n = psi.shape
     size = min(n, _BLOCK)
     totals, block = buf[:n], buf[n:]
     edge = block.view(np.float64)[:size]
-    starts = range(0, n, size)
 
     def arrived(j: int, lo: int) -> NDArray[np.complex128]:
         # what direction j + 1 brings to the block at lo: for a bit above the
@@ -105,7 +105,7 @@ def _full_kernel(
             return psi[j, lo ^ m : (lo ^ m) + size]
         return psi[j, lo : lo + size].reshape(-1, 2, m)[:, ::-1]
 
-    for lo in starts:
+    for lo in range(0, n, size):
         acc = totals[lo : lo + size]
         amp = arrived(0, lo)
         np.copyto(acc.reshape(amp.shape), amp)
@@ -117,26 +117,19 @@ def _full_kernel(
     np.multiply(totals, t, totals)
     if pv is not None:
         pv.fill(0.0)
-
-    def add_probability(new: NDArray[np.complex128], lo: int) -> None:
-        if pv is not None:
-            _add_probability(pv[lo : lo + size], new, edge)
-
     for j in range(d):
         m = 1 << (d - 1 - j)
-        for lo in starts:
-            new, amp = psi[j, lo : lo + size], arrived(j, lo)
-            if m < size:
-                np.multiply(amp, r - t, block.reshape(amp.shape))
-                np.add(block, totals[lo : lo + size], new)
-                add_probability(new, lo)
-            elif not lo & m:  # blocks lo and lo ^ m trade places; block keeps lo's old values
-                np.multiply(new, r - t, block)
-                np.multiply(amp, r - t, new)
-                np.add(new, totals[lo : lo + size], new)
-                np.add(block, totals[lo ^ m : (lo ^ m) + size], amp)
-                add_probability(new, lo)
-                add_probability(amp, lo ^ m)
+        k = min(m, size // 2)
+        c = size // (2 * k)
+        shape = (-1, c, 2, m // k, k)
+        rows, sums = psi[j].reshape(shape), totals.reshape(shape)
+        scratch, edges = block[:size].reshape(c, 2, k), edge.reshape(c, 2, k)
+        for a, b in np.ndindex(len(rows), m // k):
+            tile = rows[a, :, :, b]
+            np.multiply(tile[:, ::-1], r - t, scratch)
+            np.add(scratch, sums[a, :, :, b], tile)
+            if pv is not None:
+                _add_probability(pv.reshape(shape)[a, :, :, b], tile, edges)
 
 
 def step(state: NDArray[np.complex128], cfg: EvolutionConfig) -> NDArray[np.complex128]:

@@ -73,8 +73,11 @@ class MultiportCoeffs:
         if self.degree < 1:
             raise ValidationError(f"multiport degree must be >= 1 (got {self.degree})")
         d, r, t = self.degree, self.r, self.t
-        norm = abs(abs(r) ** 2 + (d - 1) * abs(t) ** 2 - 1.0)
-        cross = abs((d - 2) * abs(t) ** 2 + 2.0 * (r.conjugate() * t).real)
+        try:
+            norm = abs(abs(r) ** 2 + (d - 1) * abs(t) ** 2 - 1.0)
+            cross = abs((d - 2) * abs(t) ** 2 + 2.0 * (r.conjugate() * t).real)
+        except OverflowError:  # a finite pair too large to square fails the check
+            norm = cross = math.inf
         if not (norm <= UNITARITY_TOL and cross <= UNITARITY_TOL):  # a NaN residual fails too
             raise ValidationError(
                 f"coefficients r={r}, t={t}, degree={d} violate unitarity "

@@ -174,13 +174,16 @@ def interferometer_amplitude(d: int, gamma: NDArray[np.complex128], c: Multiport
     gamma = np.asarray(gamma, dtype=np.complex128)
     if gamma.shape != (d,):
         raise ValidationError(f"gamma must have shape ({d},), got {gamma.shape}")
-    if not np.all(np.isfinite(gamma)):
-        raise ValidationError("gamma must be finite")
     require_valid(c, degree=d)
     tb = boundary_coeffs(d).t
-    if d <= 20:
-        return complex(np.sum(gamma) * math.factorial(d - 1) * c.t ** (d - 1) * tb)
-    if c.t == 0:
-        return 0j
-    paths = cmath.exp(math.lgamma(d) + (d - 1) * cmath.log(c.t))
-    return complex(np.sum(gamma) * paths * tb)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        total = np.sum(gamma)
+        if d <= 20:
+            amp = complex(total * math.factorial(d - 1) * c.t ** (d - 1) * tb)
+        elif c.t == 0:
+            amp = 0j
+        else:
+            amp = complex(total * cmath.exp(math.lgamma(d) + (d - 1) * cmath.log(c.t)) * tb)
+        if not (np.isfinite(total) and np.isfinite(np.abs(amp) ** 2)):
+            raise ValidationError("gamma must be finite, and so must its sum and |amplitude|**2")
+    return amp

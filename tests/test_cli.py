@@ -306,6 +306,21 @@ def test_negative_steps_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "args",
     [
+        ["spectrum", "--dim", 3, "--multiport", "custom:1e200,0,0,0"],
+        ["layers", "--dim", 3, "--steps", 2, "--multiport", "custom:1e155,1e155,0,0"],
+    ],
+)
+def test_overflowing_multiport_exit_2(tmp_path, capsys, args):
+    # finite pairs whose squares overflow a float fail the unitarity check
+    out = tmp_path / "x.csv"
+    assert run(args + ["--out", out]) == 2
+    assert "violate unitarity" in _error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["layers", "--dim", 4, "--steps", 2],
         ["search", "--dim", 4, "--marked", "0110", "--steps", 2],
         ["repro", "fig3"],
@@ -383,6 +398,17 @@ def test_mz_non_numeric_gamma_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "", row
         assert err.count("\n") == 1 and err.startswith("error: ") and named in err, row
+
+
+@pytest.mark.filterwarnings("error")
+def test_mz_overflowing_gamma_exit_2(tmp_path, capsys):
+    gamma = tmp_path / "gamma.csv"
+    for rows in ("1e308\n1e308\n", "1e200\n1e200\n"):  # the sum overflows; |amplitude|**2 does
+        gamma.write_text(rows)
+        assert run(["mz", "--dim", 2, "--gamma", gamma]) == 2, rows
+        out, err = capsys.readouterr()
+        assert out == "", rows
+        assert err.count("\n") == 1 and err.startswith("error: gamma must be finite"), rows
 
 
 @pytest.mark.parametrize("command", ["mz", "plot-script"])

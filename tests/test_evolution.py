@@ -110,18 +110,21 @@ def _unitary_coeffs(d, a, b):
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("strided", [False, True])
 def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
-    # blocks of 4 vertices: the top d - 2 bits pair blocks, the low two stay inside one
+    # pass 2's tiles: k = 1 for every bit at block 2; k = block // 2 < m for the
+    # bits above a block of 4 or 16; the whole row at block 16 and d <= 4
     n = 1 << d
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     state = random_unit_state(d, d)
-    # direction-major rows, contiguous or strided (a vertex-major copy), never a view of state
-    psi = state.copy().T if strided else state.T.copy()
-    pv = np.full(n, np.nan)  # the kernel must overwrite every entry
-    with small_blocks():
-        _full_kernel(psi, cfg, _kernel_scratch(d), pv)
-    assert np.array_equal(psi.T, reference_step(state, cfg))
-    rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
-    assert np.array_equal(rows, rowwise_layer_distribution(psi.T))
+    want = reference_step(state, cfg)
+    for block in (2, 4, 16):
+        # direction-major rows, contiguous or strided (a vertex-major copy), never a view of state
+        psi = state.copy().T if strided else state.T.copy()
+        pv = np.full(n, np.nan)  # the kernel must overwrite every entry
+        with small_blocks(block):
+            _full_kernel(psi, cfg, _kernel_scratch(d), pv)
+        assert np.array_equal(psi.T, want), block
+        rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
+        assert np.array_equal(rows, rowwise_layer_distribution(psi.T)), block
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

@@ -163,6 +163,8 @@ def test_coeffs_constructor_validates():
     c = MultiportCoeffs(0.0, 1.0, 2)
     assert c.degree == 2
     nan, inf = float("nan"), float("inf")
-    for r, t, d in ((nan, 0.0, 3), (1.0, nan, 3), (inf, 0.0, 3), (1.0, 0.0, 0), (1j, 1e-3, 4)):
+    # finite but huge: |r|**2 overflows, and abs() itself overflows for the last pair
+    huge = ((1e200, 0.0, 3), (1e155 + 1e155j, 0.0, 3), (1e155, 1e155, 3), (1.3e308 + 1.3e308j, 0.0, 3))
+    for r, t, d in ((nan, 0.0, 3), (1.0, nan, 3), (inf, 0.0, 3), (1.0, 0.0, 0), (1j, 1e-3, 4), *huge):
         with pytest.raises(ValidationError):
             MultiportCoeffs(r, t, d)

@@ -63,11 +63,14 @@ def test_step_equals_reference_gather_and_combine(case):
 @settings(max_examples=150, deadline=None)
 @given(step_cases())
 def test_blocked_step_equals_reference_bit_for_bit(case):
-    # 4-vertex blocks: d <= 8 mixes bits above a block with bits inside it
+    # the kernel without pv: tiles with k = 1 (block 2), k = block // 2 < m
+    # (bits above a block of 4 or 16) and whole rows (block 16, d <= 4)
     cfg, state = case
-    with small_blocks():
-        got = step(state, cfg)
-    assert np.array_equal(got, reference_step(state, cfg))
+    want = reference_step(state, cfg)
+    for block in (2, 4, 16):
+        with small_blocks(block):
+            got = step(state, cfg)
+        assert np.array_equal(got, want), block
 
 
 @settings(max_examples=60, deadline=None)
