@@ -7,7 +7,8 @@ its shared kernel, so they also pin that refactor to the old bytes.  The
 stepped in blocks, so they pin the blocked walk and its complex-coin
 readings to the one-state-per-step bytes), the ``full`` hashes from the in-place direction-major step kernel (the d = 16 one before
 that kernel was split into blocks, so it pins the blocked kernel to the
-unblocked bytes), the ``spectrum`` hashes from the
+unblocked bytes; the last three, two grover and one real ``custom:`` pair, from the
+complex state, so they pin the float64 state of real coins to its bytes), the ``spectrum`` hashes from the
 one-solve-per-momentum-weight spectrum.  ``SEAM_GOLDENS`` were recorded
 from the one-row-at-a-time CSV writer; each output is longer than one
 4,096-row chunk of the chunked writer, so they pin its seams to those bytes.
@@ -79,6 +80,19 @@ FULL_GOLDENS = [
         ["--dim", "16", "--steps", "3", "--init", "middle", "--multiport", "symmetric:p=0.8"],
         "3380f56eb1450fb83c274a21dba20f469c37326ab7dabad997041bca7c3885a2",
     ),
+    (
+        # 2**15 vertices: two blocks, so a grover walk crosses the block seam
+        ["--dim", "15", "--steps", "6", "--init", "corners", "--multiport", "grover"],
+        "ac77f5e1bba602a34df49846c48107d3b6ac7ed902e80fcb8daf9289cd2638ff",
+    ),
+    (
+        ["--dim", "12", "--steps", "40", "--init", "middle", "--multiport", "grover"],
+        "3e475e7a10764129f2055dac0feddab6be81fd880e5dabcdf03482ac23d117ad",
+    ),
+    (
+        ["--dim", "5", "--steps", "9", "--multiport", "custom:-1,0,0,0"],
+        "06393b4e28875d7b002695fee1962a195197f37870f7b45c8470628acd67ed93",
+    ),
 ]
 
 
@@ -121,7 +135,16 @@ def test_scatter_bytes(tmp_path, flags, csv_hash):
 
 
 @pytest.mark.parametrize(
-    "flags,csv_hash", FULL_GOLDENS, ids=["d6-origin-grover", "d9-corners-symmetric", "d16-middle-symmetric"]
+    "flags,csv_hash",
+    FULL_GOLDENS,
+    ids=[
+        "d6-origin-grover",
+        "d9-corners-symmetric",
+        "d16-middle-symmetric",
+        "d15-corners-grover",
+        "d12-middle-grover",
+        "d5-origin-custom-real",
+    ],
 )
 def test_full_bytes(tmp_path, flags, csv_hash):
     out = tmp_path / "full.csv"
