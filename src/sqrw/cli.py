@@ -138,19 +138,22 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 def _cmd_full(args: argparse.Namespace) -> int:
     # d state rows, the kernel scratch (one row and a block of at most 2**14 vertices),
-    # and three 2**d float or int rows: pv, vertex_weights, step 0's per-vertex sums
+    # and three 2**d float or int rows: pv, vertex_weights, step 0's per-vertex sums;
+    # counted as complex rows whatever the coin, so admission does not depend on it
     ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)
+    # every init is real, so real coefficients keep the walk real: half the bytes
+    dtype = np.complex128 if c.r.imag or c.t.imag else np.float64
     if args.init == "origin-symmetric":
-        state = initial_symmetric_state(args.dim)
+        state = initial_symmetric_state(args.dim, dtype)
     else:
-        state = embed_layer_state(_layer_init(args.init, args.dim))
+        state = embed_layer_state(_layer_init(args.init, args.dim), dtype)
     # direction-major (d, 2**d); the constructors already store it so, no copy
     psi = np.ascontiguousarray(state.T)
     series = np.empty((args.steps + 1, args.dim + 1))
     series[0] = layer_distribution_full(psi.T)
-    buf = _kernel_scratch(args.dim)
+    buf = _kernel_scratch(args.dim, dtype)
     pv = np.empty(1 << args.dim)  # each vertex's probability, filled by the kernel as it writes
     for n in range(1, args.steps + 1):
         _full_kernel(psi, cfg, buf, pv)
@@ -330,7 +333,7 @@ def emit_plot_script(csv_path: str, out_path: str, kind: str = "auto") -> str:
     bodies = {"heatmap": _HEATMAP_BODY, "line": _LINE_BODY, "ratio": _RATIO_BODY}
     if kind not in bodies:
         raise ValidationError(f"unknown plot kind {kind!r}")
-    png = out_path.rsplit(".", 1)[0] + ".png"
+    png = os.path.splitext(out_path)[0] + ".png"
     script = _PLOT_TEMPLATE.format(csv=csv_path, kind=kind, body=bodies[kind], png=png)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(script)

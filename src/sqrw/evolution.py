@@ -10,7 +10,9 @@ order, so results are reproducible to the bit.  Pass 2 rewrites each row
 one block-sized tile at a time through one block of scratch, and can add
 each new tile's |amplitude|**2 into a per-vertex probability row, as
 ``layer_distribution_full`` sums it, while the tile is in cache, so the
-layer distribution needs no second pass over the state.  Every vertex
+layer distribution needs no second pass over the state.  The state's dtype
+follows the coefficients: real ones step a float64 state with float scratch
+and scalars, bit for bit the real part of the complex walk.  Every vertex
 scatters with the same coefficients; the marked-vertex search runs on the
 layer walk (``sqrw.search``).
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import DTypeLike, NDArray
 
 from .errors import ValidationError
 from .hypercube import state_dimension, vertex_weights
@@ -61,10 +63,10 @@ def gather_incoming(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
 _BLOCK = 1 << 14  # vertices per block of the step kernel: 256 KiB of complex
 
 
-def _kernel_scratch(d: int) -> NDArray[np.complex128]:
+def _kernel_scratch(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
     """Scratch for ``_full_kernel`` at dimension d: the 2**d totals row, then one block."""
     n = 1 << d
-    return np.empty(n + min(n, _BLOCK), dtype=np.complex128)
+    return np.empty(n + min(n, _BLOCK), dtype=dtype)
 
 
 def _add_probability(
@@ -77,21 +79,27 @@ def _add_probability(
 
 
 def _full_kernel(
-    psi: NDArray[np.complex128],
+    psi: NDArray,
     cfg: EvolutionConfig,
-    buf: NDArray[np.complex128],
+    buf: NDArray,
     pv: NDArray[np.float64] | None = None,
 ) -> None:
     """Step the direction-major state ``psi`` (d, 2**d) in place.
 
-    ``buf`` comes from ``_kernel_scratch``.  If ``pv`` (2**d floats) is
-    given, it receives the probability on each vertex's d edges after the
-    step, summed by ``_add_probability`` in ascending direction order, as
-    ``layer_distribution_full`` sums it.  Rows of ``psi`` may be strided.
+    ``buf`` comes from ``_kernel_scratch`` in the dtype of ``psi``; a float64
+    ``psi`` with a coefficient that is not real raises.  If ``pv`` (2**d
+    floats) is given, it receives the probability on each vertex's d edges
+    after the step, summed by ``_add_probability`` in ascending direction
+    order, as ``layer_distribution_full`` sums it.  Rows of ``psi`` may be strided.
     Pass 1 goes block by block, so each block of ``totals`` sums all d
     directions while it is in cache.  Pass 2 cuts each row into tiles of
     ``size`` vertices that hold both partners of every pair across its bit.
     """
+    r, t = cfg.coeffs.r, cfg.coeffs.t
+    if psi.dtype.kind == "f":
+        if r.imag or t.imag:
+            raise ValidationError(f"a real state cannot step with r={r}, t={t}")
+        r, t = r.real, t.real
     d, n = psi.shape
     size = min(n, _BLOCK)
     totals, block = buf[:n], buf[n:]
@@ -113,7 +121,6 @@ def _full_kernel(
             amp = arrived(j, lo)
             acc = acc.reshape(amp.shape)
             np.add(acc, amp, acc)
-    r, t = cfg.coeffs.r, cfg.coeffs.t
     np.multiply(totals, t, totals)
     if pv is not None:
         pv.fill(0.0)

@@ -2,18 +2,21 @@
 
 Vertices are integers 0 .. 2**d - 1 whose binary string (most significant
 bit first) is the written form; direction a in 1..d flips the a-th character
-of that string, i.e. bit ``1 << (d - a)`` of the integer.  A full state is a
-complex array of shape (2**d, d): entry [x, a-1] is the amplitude of the
-photon leaving vertex x along direction a.  Flattening in C order gives the
-linear layout index(x, a) = x*d + (a - 1).  The constructors here store
+of that string, i.e. bit ``1 << (d - a)`` of the integer.  A full state is an
+array of shape (2**d, d): entry [x, a-1] is the amplitude of the photon
+leaving vertex x along direction a.  Its dtype follows the coefficients: a
+walk with real ones never leaves the reals, so it can hold float64, and the
+default is complex128.  Flattening in C order gives the linear layout
+index(x, a) = x*d + (a - 1).  The constructors here store
 that array direction-major, so ``state.T`` is a C-contiguous (d, 2**d)
 array whose row j holds direction j + 1: the layout the in-place step
 kernel (``sqrw.evolution``) works in.
 Indexing and ``np.ravel`` see the same (2**d, d) values either way.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
-overridable through the SQRW_MEMORY_BYTES environment variable) are refused
-up front, so an oversized run fails with a clear error instead of swapping.
+overridable through the SQRW_MEMORY_BYTES environment variable, counted in
+complex rows whatever the dtype) are refused up front, so an oversized run
+fails with a clear error instead of swapping.
 With the default budget the largest usable dimension is d = 21.
 """
 
@@ -24,7 +27,7 @@ import os
 from functools import lru_cache
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import DTypeLike, NDArray
 
 from .errors import MemoryCapError, ValidationError
 from .layers import LayerState, _require_tail_free
@@ -127,14 +130,14 @@ def vertex_weights(d: int) -> NDArray[np.int64]:
     return w
 
 
-def zero_full_state(d: int) -> NDArray[np.complex128]:
+def zero_full_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
     ensure_full_state_fits(d)
-    return np.zeros((d, 1 << d), dtype=np.complex128).T
+    return np.zeros((d, 1 << d), dtype=dtype).T
 
 
-def initial_symmetric_state(d: int) -> NDArray[np.complex128]:
+def initial_symmetric_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
     """Amplitude 1/sqrt(d) on each edge leaving the all-zeros vertex."""
-    state = zero_full_state(d)
+    state = zero_full_state(d, dtype)
     state[0, :] = 1.0 / math.sqrt(d)
     return state
 
@@ -149,18 +152,23 @@ def state_dimension(state: NDArray[np.complex128]) -> int:
     return d
 
 
-def embed_layer_state(s: LayerState) -> NDArray[np.complex128]:
-    """Spread layer coefficients over every edge of their (layer, direction) class."""
+def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
+    """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``."""
     _require_tail_free(s)
     d = s.d
     ensure_full_state_fits(d)
+    up, down = s.up, s.down
+    if np.dtype(dtype).kind != "c":  # a real state takes the real parts, and only those
+        if s.line.imag.any():
+            raise ValidationError(f"a {np.dtype(dtype)} state cannot hold an imaginary layer amplitude")
+        up, down = up.real, down.real
     w = vertex_weights(d)
-    psi = np.empty((d, 1 << d), dtype=np.complex128)
+    psi = np.empty((d, 1 << d), dtype=dtype)
     for j in range(d):
         # the middle axis is the bit direction j + 1 flips: 0 on up edges, 1 on
         # down edges; mode="clip" (indices are in range) writes without a buffer
         halves = psi[j].reshape(1 << j, 2, -1)
         weights = w.reshape(halves.shape)
-        np.take(s.up, weights[:, 0], out=halves[:, 0], mode="clip")
-        np.take(s.down, weights[:, 1], out=halves[:, 1], mode="clip")
+        np.take(up, weights[:, 0], out=halves[:, 0], mode="clip")
+        np.take(down, weights[:, 1], out=halves[:, 1], mode="clip")
     return psi.T

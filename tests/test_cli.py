@@ -269,6 +269,17 @@ def test_plot_scripts_compile(tmp_path):
     py_compile.compile(str(script), doraise=True)
 
 
+def test_plot_script_saves_its_png_beside_itself(tmp_path):
+    la = tmp_path / "lay.csv"
+    run(["layers", "--dim", 4, "--steps", 3, "--out", la])
+    runs = tmp_path / "runs.d"
+    runs.mkdir()
+    for name, png in (("plot", "plot.png"), ("plot.py", "plot.png"), ("fig.v2.py", "fig.v2.png")):
+        script = runs / name
+        emit_plot_script(str(la), str(script))
+        assert f"plt.savefig({str(runs / png)!r}, dpi=150)" in script.read_text(), name
+
+
 def test_plot_script_missing_csv(tmp_path):
     with pytest.raises(OSError):
         emit_plot_script(str(tmp_path / "nope.csv"), str(tmp_path / "p.py"))
@@ -365,18 +376,31 @@ def test_full_budget_counts_the_working_set(tmp_path, capsys, monkeypatch):
     assert "4608 bytes" in _error_line(capsys)
 
 
-def test_full_working_set_bounds_the_peak(tmp_path):
-    d = 16
-    run(["full", "--dim", 3, "--steps", 1, "--out", tmp_path / "warm.csv"])
+def _full_peak(tmp_path, d, multiport):
+    run(["full", "--dim", 3, "--steps", 1, "--multiport", multiport, "--out", tmp_path / "warm.csv"])
     tracemalloc.start()
     try:
-        assert run(["full", "--dim", d, "--steps", 3, "--out", tmp_path / "x.csv"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert run(["full", "--dim", d, "--steps", 3, "--multiport", multiport, "--out", tmp_path / "x.csv"]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_full_working_set_bounds_the_peak(tmp_path):
+    # a complex coin holds complex rows, as the budget counts them
+    d = 16
+    peak = _full_peak(tmp_path, d, "symmetric:p=1")
     row = (1 << d) * 16
     # numpy's ufunc buffers for strided operands add a fixed few hundred KiB
     assert d * row < peak <= (d + 4) * row + (1 << 20)
+
+
+def test_full_real_coin_working_set_is_half_the_complex_one(tmp_path):
+    # grover is real, so its state, scratch and reading rows are float64
+    d = 16
+    peak = _full_peak(tmp_path, d, "grover")
+    row = (1 << d) * 16
+    assert d * row // 2 < peak <= (d + 4) * row // 2 + (1 << 20)
 
 
 def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkeypatch):

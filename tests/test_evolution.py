@@ -127,6 +127,38 @@ def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
         assert np.array_equal(rows, rowwise_layer_distribution(psi.T)), block
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("strided", [False, True])
+def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
+    # grover and its negative: real coefficients, so a real state stays real
+    n = 1 << d
+    real = random_unit_state(d, 60 + d).real
+    for coeffs in (grover_coeffs(d), MultiportCoeffs(1 - 2 / d, -2 / d, d)):
+        cfg = EvolutionConfig(d, coeffs)
+        for block in (2, 4, 16):
+            states = [real.astype(dtype) for dtype in (np.float64, np.complex128)]
+            psis = [s.copy().T if strided else s.T.copy() for s in states]
+            pvs = [np.full(n, np.nan), np.full(n, np.nan)]
+            with small_blocks(block):
+                for _ in range(3):
+                    for psi, pv in zip(psis, pvs):
+                        _full_kernel(psi, cfg, _kernel_scratch(d, psi.dtype), pv)
+                    (f, c), (pf, pc) = psis, pvs
+                    assert f.dtype == np.float64 and c.dtype == np.complex128
+                    assert np.array_equal(f, c.real), block
+                    assert not c.imag.any(), block
+                    assert np.array_equal(pf, pc), block
+
+
+def test_real_state_refuses_a_complex_coefficient():
+    d = 3
+    psi = np.ones((d, 1 << d))
+    cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
+    with pytest.raises(ValidationError, match="real state"):
+        _full_kernel(psi, cfg, _kernel_scratch(d, np.float64))
+    assert np.array_equal(psi, np.ones((d, 1 << d)))  # refused before any write
+
+
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
     state = random_unit_state(d, 40 + d)
@@ -142,6 +174,8 @@ def test_kernel_scratch_is_one_row_and_one_block():
     assert _kernel_scratch(5).shape == (2 * 32,)
     with small_blocks():
         assert _kernel_scratch(5).shape == (32 + 4,)
+    assert _kernel_scratch(5).dtype == np.complex128
+    assert _kernel_scratch(5, np.float64).dtype == np.float64
 
 
 def test_gather_incoming_reads_either_memory_order():

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_layer_coeffs, stacked
 from oracles import extract_layer_state, where_embed_layer_state
 
-from sqrw.errors import MemoryCapError
+from sqrw.errors import MemoryCapError, ValidationError
 from sqrw.hypercube import (
     MEMORY_ENV_VAR,
     direction_mask,
@@ -120,6 +120,26 @@ def test_embed_matches_where_construction(init):
         got = embed_layer_state(s)
         assert np.array_equal(got, where_embed_layer_state(s))
         assert got.T.flags.c_contiguous  # direction-major, as the step kernel reads it
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_real_states_are_the_real_parts(d):
+    inits = (origin_state, corner_pair_state, middle_state)
+    pairs = [(zero_full_state(d), zero_full_state(d, np.float64))]
+    pairs.append((initial_symmetric_state(d), initial_symmetric_state(d, np.float64)))
+    pairs += [(embed_layer_state(init(d)), embed_layer_state(init(d), np.float64)) for init in inits]
+    for c, f in pairs:
+        assert c.dtype == np.complex128 and f.dtype == np.float64
+        assert f.T.flags.c_contiguous  # direction-major, as the step kernel reads it
+        assert np.array_equal(f, c.real) and not c.imag.any()
+
+
+def test_embed_refuses_an_imaginary_part_in_a_real_state():
+    s = zero_layer_state(3)
+    s.up[1] = 0.5j
+    with pytest.raises(ValidationError, match="imaginary"):
+        embed_layer_state(s, np.float64)
+    assert embed_layer_state(s)[parse_vertex(3, "001"), 0] == 0.5j
 
 
 def test_embed_norm_is_edge_counting_norm():
