@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuit import operator_deviation
 from .errors import MemoryCapError, TruncationError, ValidationError
-from .evolution import EvolutionConfig, _full_kernel, _kernel_scratch, layer_distribution_full
+from .evolution import EvolutionConfig, _full_kernel, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
 from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state
 from .hypercube import parse_vertex, vertex_weights
@@ -153,10 +153,9 @@ def _cmd_full(args: argparse.Namespace) -> int:
     psi = np.ascontiguousarray(state.T)
     series = np.empty((args.steps + 1, args.dim + 1))
     series[0] = layer_distribution_full(psi.T)
-    buf = _kernel_scratch(args.dim, dtype)
     pv = np.empty(1 << args.dim)  # each vertex's probability, filled by the kernel as it writes
     for n in range(1, args.steps + 1):
-        _full_kernel(psi, cfg, buf, pv)
+        _full_kernel(psi, cfg, pv)
         series[n] = np.bincount(vertex_weights(args.dim), weights=pv, minlength=args.dim + 1)
     _write_rows(args.out, "step,w,probability", _table(series.ravel(), width=args.dim + 1))
     return 0

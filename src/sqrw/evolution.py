@@ -10,11 +10,12 @@ order, so results are reproducible to the bit.  Pass 2 rewrites each row
 one block-sized tile at a time through one block of scratch, and can add
 each new tile's |amplitude|**2 into a per-vertex probability row, as
 ``layer_distribution_full`` sums it, while the tile is in cache, so the
-layer distribution needs no second pass over the state.  The state's dtype
-follows the coefficients: real ones step a float64 state with float scratch
-and scalars, bit for bit the real part of the complex walk.  Every vertex
-scatters with the same coefficients; the marked-vertex search runs on the
-layer walk (``sqrw.search``).
+layer distribution needs no second pass over the state.  Each step
+allocates its scratch, the 2**d totals row and one block, in the state's
+kind.  The state's dtype follows the coefficients: real ones step a float64
+state with float64 scratch and scalars, bit for bit the real part of the
+complex walk.  Every vertex scatters with the same coefficients; the
+marked-vertex search runs on the layer walk (``sqrw.search``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import DTypeLike, NDArray
+from numpy.typing import NDArray
 
 from .errors import ValidationError
 from .hypercube import state_dimension, vertex_weights
@@ -63,16 +64,10 @@ def gather_incoming(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
 _BLOCK = 1 << 14  # vertices per block of the step kernel: 256 KiB of complex
 
 
-def _kernel_scratch(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
-    """Scratch for ``_full_kernel`` at dimension d: the 2**d totals row, then one block."""
-    n = 1 << d
-    return np.empty(n + min(n, _BLOCK), dtype=dtype)
-
-
 def _add_probability(
-    pv: NDArray[np.float64], amps: NDArray[np.complex128], edge: NDArray[np.float64]
+    pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
 ) -> None:
-    """``pv += abs(amps) ** 2``, through the float scratch ``edge``."""
+    """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, through the float scratch ``edge``."""
     np.abs(amps, out=edge)
     np.multiply(edge, edge, out=edge)
     np.add(pv, edge, out=pv)
@@ -81,13 +76,13 @@ def _add_probability(
 def _full_kernel(
     psi: NDArray,
     cfg: EvolutionConfig,
-    buf: NDArray,
     pv: NDArray[np.float64] | None = None,
 ) -> None:
     """Step the direction-major state ``psi`` (d, 2**d) in place.
 
-    ``buf`` comes from ``_kernel_scratch`` in the dtype of ``psi``; a float64
-    ``psi`` with a coefficient that is not real raises.  If ``pv`` (2**d
+    A float64 ``psi`` with a coefficient that is not real raises.  The step
+    allocates its scratch, one 2**d totals row and one block, in float64 for
+    a real ``psi`` and in complex128 for any complex one.  If ``pv`` (2**d
     floats) is given, it receives the probability on each vertex's d edges
     after the step, summed by ``_add_probability`` in ascending direction
     order, as ``layer_distribution_full`` sums it.  Rows of ``psi`` may be strided.
@@ -96,13 +91,14 @@ def _full_kernel(
     ``size`` vertices that hold both partners of every pair across its bit.
     """
     r, t = cfg.coeffs.r, cfg.coeffs.t
+    dtype = np.complex128
     if psi.dtype.kind == "f":
         if r.imag or t.imag:
             raise ValidationError(f"a real state cannot step with r={r}, t={t}")
-        r, t = r.real, t.real
+        r, t, dtype = r.real, t.real, np.float64
     d, n = psi.shape
     size = min(n, _BLOCK)
-    totals, block = buf[:n], buf[n:]
+    totals, block = np.empty(n, dtype), np.empty(size, dtype)
     edge = block.view(np.float64)[:size]
 
     def arrived(j: int, lo: int) -> NDArray[np.complex128]:
@@ -139,22 +135,21 @@ def _full_kernel(
                 _add_probability(pv.reshape(shape)[a, :, :, b], tile, edges)
 
 
-def step(state: NDArray[np.complex128], cfg: EvolutionConfig) -> NDArray[np.complex128]:
+def step(state: NDArray, cfg: EvolutionConfig) -> NDArray:
     """Scatter every edge amplitude at its arrival vertex; norm preserving."""
     return evolve(state, cfg, 1)
 
 
-def evolve(state: NDArray[np.complex128], cfg: EvolutionConfig, n: int) -> NDArray[np.complex128]:
-    """Apply the walk step n times to a copy of ``state`` (n = 0 returns the copy)."""
+def evolve(state: NDArray, cfg: EvolutionConfig, n: int) -> NDArray:
+    """Apply the walk step n times to a copy of ``state``, in its dtype (n = 0 returns the copy)."""
     if n < 0:
         raise ValidationError(f"step count must be >= 0 (got {n})")
     d = state_dimension(state)
     if d != cfg.dim:
         raise ValidationError(f"state dimension {d} != config dimension {cfg.dim}")
     out = state.T.copy().T  # direction-major, so the kernel walks contiguous rows
-    buf = _kernel_scratch(d)
     for _ in range(n):
-        _full_kernel(out.T, cfg, buf)
+        _full_kernel(out.T, cfg)
     return out
 
 

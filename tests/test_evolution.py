@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from sqrw.errors import ValidationError
 from sqrw.evolution import (
     EvolutionConfig,
     _full_kernel,
-    _kernel_scratch,
     evolve,
     gather_incoming,
     layer_distribution_full,
@@ -121,7 +121,7 @@ def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
         psi = state.copy().T if strided else state.T.copy()
         pv = np.full(n, np.nan)  # the kernel must overwrite every entry
         with small_blocks(block):
-            _full_kernel(psi, cfg, _kernel_scratch(d), pv)
+            _full_kernel(psi, cfg, pv)
         assert np.array_equal(psi.T, want), block
         rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
         assert np.array_equal(rows, rowwise_layer_distribution(psi.T)), block
@@ -142,7 +142,7 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
             with small_blocks(block):
                 for _ in range(3):
                     for psi, pv in zip(psis, pvs):
-                        _full_kernel(psi, cfg, _kernel_scratch(d, psi.dtype), pv)
+                        _full_kernel(psi, cfg, pv)
                     (f, c), (pf, pc) = psis, pvs
                     assert f.dtype == np.float64 and c.dtype == np.complex128
                     assert np.array_equal(f, c.real), block
@@ -150,12 +150,33 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
                     assert np.array_equal(pf, pc), block
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_step_and_evolve_run_float64_states_as_the_real_part(d):
+    starts = [lambda dtype: initial_symmetric_state(d, dtype)]
+    starts.append(lambda dtype: embed_layer_state(corner_pair_state(d), dtype))
+    for coeffs in (grover_coeffs(d), MultiportCoeffs(1 - 2 / d, -2 / d, d)):
+        cfg = EvolutionConfig(d, coeffs)
+        for block in (2, 4, 16):
+            with small_blocks(block):
+                for start in starts:
+                    real, cplx = start(np.float64), start(np.complex128)
+                    assert np.array_equal(evolve(real, cfg, 4), evolve(cplx, cfg, 4).real)
+                    for _ in range(4):
+                        real, cplx = step(real, cfg), step(cplx, cfg)
+                        assert real.dtype == np.float64, block
+                        assert np.array_equal(real, cplx.real), block
+    state = initial_symmetric_state(d, np.float64)
+    with pytest.raises(ValidationError, match="real state"):
+        step(state, EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1)))
+    assert np.array_equal(state, initial_symmetric_state(d, np.float64))
+
+
 def test_real_state_refuses_a_complex_coefficient():
     d = 3
     psi = np.ones((d, 1 << d))
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     with pytest.raises(ValidationError, match="real state"):
-        _full_kernel(psi, cfg, _kernel_scratch(d, np.float64))
+        _full_kernel(psi, cfg)
     assert np.array_equal(psi, np.ones((d, 1 << d)))  # refused before any write
 
 
@@ -169,13 +190,26 @@ def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
             assert np.array_equal(layer_distribution_full(layout), want)
 
 
-def test_kernel_scratch_is_one_row_and_one_block():
-    assert _kernel_scratch(20).shape == ((1 << 20) + (1 << 14),)
-    assert _kernel_scratch(5).shape == (2 * 32,)
-    with small_blocks():
-        assert _kernel_scratch(5).shape == (32 + 4,)
-    assert _kernel_scratch(5).dtype == np.complex128
-    assert _kernel_scratch(5, np.float64).dtype == np.float64
+# numpy's ufunc buffer for strided operands (8,192 elements, 128 KiB of complex) plus
+# bookkeeping; a second scratch block at d = 16 would exceed it on either dtype
+SCRATCH_SLACK = 160 << 10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("with_pv", [False, True])
+def test_kernel_allocates_one_row_and_one_block_in_the_state_kind(dtype, with_pv):
+    # the scratch is the 2**d totals row plus one 2**14-vertex block, float64 for a real state
+    d = 16
+    psi = initial_symmetric_state(d, dtype).T
+    pv = np.empty(1 << d) if with_pv else None
+    cfg = EvolutionConfig(d, grover_coeffs(d))
+    tracemalloc.start()
+    try:
+        _full_kernel(psi, cfg, pv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((1 << 16) + (1 << 14)) * np.dtype(dtype).itemsize + SCRATCH_SLACK
 
 
 def test_gather_incoming_reads_either_memory_order():

@@ -1,7 +1,10 @@
-"""Every name a module of ``sqrw`` exports resolves, and star imports succeed."""
+"""Every name a module of ``sqrw`` exports resolves, star imports succeed, and no
+private name of ``sqrw`` is left for the tests alone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,35 @@ def test_package_reexports_only_exported_names():
         home = importlib.import_module(getattr(value, "__module__", None) or "sqrw")
         if not name.startswith("_") and hasattr(home, "__all__"):
             assert name in home.__all__, f"sqrw.{name} is not in {home.__name__}.__all__"
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level function, class or assignment whose name starts with _."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_used_in_src():
+    # code that only tests call belongs in tests/; an import alone is not a use
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(Path(sqrw.__file__).parent.glob("*.py"))}
+    uses = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                uses.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                uses.setdefault(n.attr, []).append(n)
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in uses.get(name, [])):
+                unused.append(f"{module}:{name}")
+    assert unused == []
