@@ -152,14 +152,16 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_step_and_evolve_run_float64_states_as_the_real_part(d):
-    starts = [lambda dtype: initial_symmetric_state(d, dtype)]
-    starts.append(lambda dtype: embed_layer_state(corner_pair_state(d), dtype))
+    layer = corner_pair_state(d)
+    starts = [
+        (initial_symmetric_state(d, np.float64), initial_symmetric_state(d)),
+        (embed_layer_state(layer, np.float64), embed_layer_state(layer)),
+    ]
     for coeffs in (grover_coeffs(d), MultiportCoeffs(1 - 2 / d, -2 / d, d)):
         cfg = EvolutionConfig(d, coeffs)
         for block in (2, 4, 16):
             with small_blocks(block):
-                for start in starts:
-                    real, cplx = start(np.float64), start(np.complex128)
+                for real, cplx in starts:
                     assert np.array_equal(evolve(real, cfg, 4), evolve(cplx, cfg, 4).real)
                     for _ in range(4):
                         real, cplx = step(real, cfg), step(cplx, cfg)
