@@ -72,9 +72,9 @@ def operator_deviation(d: int, c: MultiportCoeffs) -> float:
     full-state budget.
     """
     # the probe plus two states inside circuit_step (a gate's input and
-    # output) or step (the gate result and the stepped copy), and at most
-    # three 2**d rows: the phases and the step kernel's scratch, which is
-    # one row plus one block of at most 2**14 vertices
+    # output) or step (the gate result and the stepped copy), the 2**d
+    # phases, and the walk's scratch of two blocks of at most 2**14 vertices;
+    # counted as three rows, which leaves room to spare
     ensure_full_state_fits(d, columns=3 * (d + 1))
     cfg = EvolutionConfig(d, c)
     coin = multiport_matrix(c)

@@ -2,25 +2,28 @@
 
 Each amplitude moves along its edge to the arrival vertex y and scatters
 there: the new amplitude on |y; b> is (r - t) times the amplitude that
-arrived along b plus t times the total arriving at y.  The step runs in
-place on the state stored direction-major, (d, 2**d) with row j holding
-direction j + 1, in blocks of 2**14 vertices that stay in cache.  Pass 1
-sums the arriving amplitudes per vertex over directions in fixed ascending
-order, so results are reproducible to the bit.  Pass 2 rewrites each row
-one block-sized tile at a time through one block of scratch, and can add
-each new tile's |amplitude|**2 into a per-vertex probability row, as
-``layer_distribution_full`` sums it, while the tile is in cache, so the
-layer distribution needs no second pass over the state.  Each step
-allocates its scratch, the 2**d totals row and one block, in the state's
-kind.  The state's dtype follows the coefficients: real ones step a float64
-state with float64 scratch and scalars, bit for bit the real part of the
-complex walk.  Every vertex scatters with the same coefficients; the
-marked-vertex search runs on the layer walk (``sqrw.search``).
+arrived along b plus t times the total arriving at y.  The walk steps in
+place the state stored direction-major, (d, 2**d) with row j holding
+direction j + 1, in one pass per step over blocks of 2**14 vertices that
+stay in cache.  Per block, each row first holds its arrivals in vertex
+order: a row whose bit lies inside the block is reversed in place across
+it, and a row whose bit is above the block is read from the partner block
+and written back there, so its halves swap between steps.  Then the
+arrivals are summed per vertex over directions in fixed ascending order,
+so results are reproducible to the bit, each row is rewritten, and its
+|amplitude|**2 can be added into a per-vertex probability row, as
+``layer_distribution_full`` sums it, while the block is in cache.  The
+scratch is two blocks in the state's kind, whatever d.  The state's dtype
+follows the coefficients: real ones step a float64 state with float64
+scratch and scalars, bit for bit the real part of the complex walk.  Every
+vertex scatters with the same coefficients; the marked-vertex search runs
+on the layer walk (``sqrw.search``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,45 +53,50 @@ class EvolutionConfig:
         require_valid(self.coeffs, degree=self.dim)
 
 
-def gather_incoming(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Amplitudes entering each vertex: out[y, a-1] = state[y ^ mask(a), a-1]."""
+def gather_incoming(state: NDArray) -> NDArray:
+    """Amplitudes entering each vertex, in the state's dtype: out[y, a-1] = state[y ^ mask(a), a-1]."""
     d = state_dimension(state)
     cube = state.reshape((2,) * d + (d,))
-    incoming = np.empty(state.shape, dtype=np.complex128)  # C order, so the cube view writes
+    incoming = np.empty(state.shape, dtype=state.dtype)  # C order, so the cube view writes
     inc_cube = incoming.reshape((2,) * d + (d,))
     for j in range(d):
         inc_cube[..., j] = np.flip(cube[..., j], axis=j)
     return incoming
 
 
-_BLOCK = 1 << 14  # vertices per block of the step kernel: 256 KiB of complex
+_BLOCK = 1 << 14  # vertices per block of the walk: 256 KiB of complex
 
 
 def _add_probability(
     pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
 ) -> None:
     """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, through the float scratch ``edge``."""
-    np.abs(amps, out=edge)
-    np.multiply(edge, edge, out=edge)
+    if amps.dtype != np.float64:
+        np.abs(amps, out=edge)
+        amps = edge
+    np.multiply(amps, amps, out=edge)  # x * x is |x| * |x| to the bit
     np.add(pv, edge, out=pv)
 
 
-def _full_kernel(
+def _full_walk(
     psi: NDArray,
     cfg: EvolutionConfig,
+    steps: int,
     pv: NDArray[np.float64] | None = None,
-) -> None:
-    """Step the direction-major state ``psi`` (d, 2**d) in place.
+) -> Iterator[int]:
+    """Step the direction-major state ``psi`` (d, 2**d) in place ``steps`` times, yielding n after step n.
 
-    A float64 ``psi`` with a coefficient that is not real raises.  The step
-    allocates its scratch, one 2**d totals row and one block, in float64 for
-    a real ``psi`` and in complex128 for any complex one.  If ``pv`` (2**d
-    floats) is given, it receives the probability on each vertex's d edges
-    after the step, summed by ``_add_probability`` in ascending direction
-    order, as ``layer_distribution_full`` sums it.  Rows of ``psi`` may be strided.
-    Pass 1 goes block by block, so each block of ``totals`` sums all d
-    directions while it is in cache.  Pass 2 cuts each row into tiles of
-    ``size`` vertices that hold both partners of every pair across its bit.
+    A float64 ``psi`` with a coefficient that is not real raises before any
+    write.  The walk allocates its scratch once: two blocks of at most 2**14
+    vertices, the totals and the reversal (whose float view also squares
+    ``pv``'s terms), in float64 for a real ``psi`` and in complex128 for any
+    complex one.  If ``pv`` (2**d floats) is given, it holds at each yield
+    the probability on each vertex's d edges, summed by ``_add_probability``
+    in ascending direction order, as ``layer_distribution_full`` sums it.
+    Rows of ``psi`` may be strided.  The rows whose bit m = 2**(d - 1 - j)
+    is at least the block size are stored with their halves across m
+    swapped between an odd step and the next; the walk swaps them back when
+    it is exhausted, so only then is ``psi`` in vertex order.
     """
     r, t = cfg.coeffs.r, cfg.coeffs.t
     dtype = np.complex128
@@ -98,41 +106,41 @@ def _full_kernel(
         r, t, dtype = r.real, t.real, np.float64
     d, n = psi.shape
     size = min(n, _BLOCK)
-    totals, block = np.empty(n, dtype), np.empty(size, dtype)
+    totals, block = np.empty(size, dtype), np.empty(size, dtype)
     edge = block.view(np.float64)[:size]
-
-    def arrived(j: int, lo: int) -> NDArray[np.complex128]:
-        # what direction j + 1 brings to the block at lo: for a bit above the
-        # block, block lo ^ m; else the block as (., 2, m), flipped bit reversed
-        m = 1 << (d - 1 - j)
-        if m >= size:
-            return psi[j, lo ^ m : (lo ^ m) + size]
-        return psi[j, lo : lo + size].reshape(-1, 2, m)[:, ::-1]
-
-    for lo in range(0, n, size):
-        acc = totals[lo : lo + size]
-        amp = arrived(0, lo)
-        np.copyto(acc.reshape(amp.shape), amp)
-        for j in range(1, d):
-            amp = arrived(j, lo)
-            acc = acc.reshape(amp.shape)
-            np.add(acc, amp, acc)
-    np.multiply(totals, t, totals)
-    if pv is not None:
-        pv.fill(0.0)
-    for j in range(d):
-        m = 1 << (d - 1 - j)
-        k = min(m, size // 2)
-        c = size // (2 * k)
-        shape = (-1, c, 2, m // k, k)
-        rows, sums = psi[j].reshape(shape), totals.reshape(shape)
-        scratch, edges = block[:size].reshape(c, 2, k), edge.reshape(c, 2, k)
-        for a, b in np.ndindex(len(rows), m // k):
-            tile = rows[a, :, :, b]
-            np.multiply(tile[:, ::-1], r - t, scratch)
-            np.add(scratch, sums[a, :, :, b], tile)
+    bits = [1 << (d - 1 - j) for j in range(d)]
+    swapped = False  # the rows with a bit above the block hold their halves swapped
+    for done in range(1, steps + 1):
+        for lo in range(0, n, size):
+            rows = []
+            for j, m in enumerate(bits):
+                at = lo ^ m if m >= size and not swapped else lo
+                rows.append(psi[j, at : at + size])
+                if m < size:  # reverse in place across m: the arrivals in vertex order
+                    np.copyto(block.reshape(-1, 2, m), rows[-1].reshape(-1, 2, m)[:, ::-1])
+                    np.copyto(rows[-1], block)
+            np.copyto(totals, rows[0])
+            for row in rows[1:]:
+                np.add(totals, row, totals)
+            np.multiply(totals, t, totals)
             if pv is not None:
-                _add_probability(pv.reshape(shape)[a, :, :, b], tile, edges)
+                acc = pv[lo : lo + size]
+                acc.fill(0.0)
+            for row in rows:
+                np.multiply(row, r - t, row)
+                np.add(row, totals, row)
+                if pv is not None:
+                    _add_probability(acc, row, edge)
+        swapped = not swapped
+        yield done
+    if swapped:  # after an odd count: swap back the halves of every row above the block
+        for j, m in enumerate(bits):
+            for lo in range(0, n, size):
+                if m >= size and not lo & m:
+                    a, b = psi[j, lo : lo + size], psi[j, lo + m : lo + m + size]
+                    np.copyto(block, a)
+                    np.copyto(a, b)
+                    np.copyto(b, block)
 
 
 def step(state: NDArray, cfg: EvolutionConfig) -> NDArray:
@@ -147,9 +155,9 @@ def evolve(state: NDArray, cfg: EvolutionConfig, n: int) -> NDArray:
     d = state_dimension(state)
     if d != cfg.dim:
         raise ValidationError(f"state dimension {d} != config dimension {cfg.dim}")
-    out = state.T.copy().T  # direction-major, so the kernel walks contiguous rows
-    for _ in range(n):
-        _full_kernel(out.T, cfg)
+    out = state.T.copy().T  # direction-major, so the walk steps contiguous rows
+    for _ in _full_walk(out.T, cfg, n):
+        pass
     return out
 
 

@@ -407,7 +407,7 @@ def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkey
     import sqrw.cli
 
     calls = []
-    monkeypatch.setattr(sqrw.cli, "_full_kernel", lambda *args: calls.append(args))
+    monkeypatch.setattr(sqrw.cli, "_full_walk", lambda *args: calls.append(args) or iter(()))
     out = tmp_path / "missing" / "x.csv"
     assert run(["full", "--dim", 20, "--steps", 2, "--out", out]) == 2
     assert "No such file or directory" in _error_line(capsys)

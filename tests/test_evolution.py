@@ -1,6 +1,7 @@
 """Full edge-state step: scattering rule, unitarity, symmetry, reductions."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from oracles import (
 from sqrw.errors import ValidationError
 from sqrw.evolution import (
     EvolutionConfig,
-    _full_kernel,
+    _full_walk,
     evolve,
     gather_incoming,
     layer_distribution_full,
@@ -107,24 +108,34 @@ def _unitary_coeffs(d, a, b):
     return MultiportCoeffs(cmath.exp(1j * b) + t, t, d)
 
 
+def _chained_reference(state, cfg, steps):
+    """``state`` and ``reference_step`` applied to it 1 .. ``steps`` times."""
+    states = [state]
+    for _ in range(steps):
+        states.append(reference_step(states[-1], cfg))
+    return states
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("strided", [False, True])
 def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
-    # pass 2's tiles: k = 1 for every bit at block 2; k = block // 2 < m for the
-    # bits above a block of 4 or 16; the whole row at block 16 and d <= 4
+    # blocks of 2, 4 and 16 put some bits above the block and the rest inside it
+    # (every bit inside at block 16 and d <= 4); walks of 1, 2 and 3 steps end
+    # with the rows above the block swapped and not swapped
     n = 1 << d
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     state = random_unit_state(d, d)
-    want = reference_step(state, cfg)
-    for block in (2, 4, 16):
+    want = _chained_reference(state, cfg, 3)
+    for block, steps in itertools.product((2, 4, 16), (1, 2, 3)):
         # direction-major rows, contiguous or strided (a vertex-major copy), never a view of state
         psi = state.copy().T if strided else state.T.copy()
-        pv = np.full(n, np.nan)  # the kernel must overwrite every entry
+        pv = np.full(n, np.nan)  # the walk must overwrite every entry at every step
         with small_blocks(block):
-            _full_kernel(psi, cfg, pv)
-        assert np.array_equal(psi.T, want), block
-        rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
-        assert np.array_equal(rows, rowwise_layer_distribution(psi.T)), block
+            for k in _full_walk(psi, cfg, steps, pv):
+                rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
+                assert np.array_equal(rows, rowwise_layer_distribution(want[k])), (block, k)
+                pv.fill(np.nan)
+        assert np.array_equal(psi.T, want[steps]), (block, steps)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -135,19 +146,27 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
     real = random_unit_state(d, 60 + d).real
     for coeffs in (grover_coeffs(d), MultiportCoeffs(1 - 2 / d, -2 / d, d)):
         cfg = EvolutionConfig(d, coeffs)
-        for block in (2, 4, 16):
+        want = _chained_reference(real.astype(np.complex128), cfg, 3)
+        for block, steps in itertools.product((2, 4, 16), (1, 2, 3)):
             states = [real.astype(dtype) for dtype in (np.float64, np.complex128)]
             psis = [s.copy().T if strided else s.T.copy() for s in states]
             pvs = [np.full(n, np.nan), np.full(n, np.nan)]
             with small_blocks(block):
-                for _ in range(3):
-                    for psi, pv in zip(psis, pvs):
-                        _full_kernel(psi, cfg, pv)
-                    (f, c), (pf, pc) = psis, pvs
-                    assert f.dtype == np.float64 and c.dtype == np.complex128
-                    assert np.array_equal(f, c.real), block
-                    assert not c.imag.any(), block
-                    assert np.array_equal(pf, pc), block
+                walks = [_full_walk(psi, cfg, steps, pv) for psi, pv in zip(psis, pvs)]
+                for k in range(1, steps + 1):
+                    assert [next(walk) for walk in walks] == [k, k]
+                    pf, pc = pvs
+                    assert np.array_equal(pf, pc), (block, k)
+                    rows = np.bincount(vertex_weights(d), weights=pf, minlength=d + 1)
+                    assert np.array_equal(rows, rowwise_layer_distribution(want[k])), (block, k)
+                    for pv in pvs:
+                        pv.fill(np.nan)
+                assert [next(walk, None) for walk in walks] == [None, None]  # exhausted
+            f, c = psis
+            assert f.dtype == np.float64 and c.dtype == np.complex128
+            assert np.array_equal(c.T, want[steps]), (block, steps)
+            assert np.array_equal(f, c.real), (block, steps)
+            assert not c.imag.any(), (block, steps)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -178,7 +197,7 @@ def test_real_state_refuses_a_complex_coefficient():
     psi = np.ones((d, 1 << d))
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     with pytest.raises(ValidationError, match="real state"):
-        _full_kernel(psi, cfg)
+        next(_full_walk(psi, cfg, 1))
     assert np.array_equal(psi, np.ones((d, 1 << d)))  # refused before any write
 
 
@@ -192,32 +211,40 @@ def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
             assert np.array_equal(layer_distribution_full(layout), want)
 
 
-# numpy's ufunc buffer for strided operands (8,192 elements, 128 KiB of complex) plus
-# bookkeeping; a second scratch block at d = 16 would exceed it on either dtype
-SCRATCH_SLACK = 160 << 10
+# bookkeeping (about 5 KiB): the walk's operands are contiguous, so numpy allocates no
+# ufunc buffer; a third block, or a 2**d row, would exceed it on either dtype
+SCRATCH_SLACK = 32 << 10
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("with_pv", [False, True])
-def test_kernel_allocates_one_row_and_one_block_in_the_state_kind(dtype, with_pv):
-    # the scratch is the 2**d totals row plus one 2**14-vertex block, float64 for a real state
-    d = 16
+@pytest.mark.parametrize("d", [16, 18])
+def test_walk_step_allocates_two_blocks_in_the_state_kind(d, with_pv, dtype):
+    # the scratch is two 2**14-vertex blocks, float64 for a real state, whatever d;
+    # one step, so the rows above the block are swapped back through a block too
     psi = initial_symmetric_state(d, dtype).T
     pv = np.empty(1 << d) if with_pv else None
-    cfg = EvolutionConfig(d, grover_coeffs(d))
+    walk = _full_walk(psi, EvolutionConfig(d, grover_coeffs(d)), 1, pv)
     tracemalloc.start()
     try:
-        _full_kernel(psi, cfg, pv)
+        assert list(walk) == [1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ((1 << 16) + (1 << 14)) * np.dtype(dtype).itemsize + SCRATCH_SLACK
+    assert peak <= 2 * (1 << 14) * np.dtype(dtype).itemsize + SCRATCH_SLACK
 
 
 def test_gather_incoming_reads_either_memory_order():
     s = random_unit_state(5, 12)
     direction_major = np.ascontiguousarray(s.T).T
     assert np.array_equal(gather_incoming(direction_major), gather_incoming(s))
+
+
+def test_gather_incoming_keeps_a_float64_state_real():
+    real = random_unit_state(5, 13).real.copy()
+    incoming = gather_incoming(real)
+    assert incoming.dtype == np.float64
+    assert np.array_equal(incoming, gather_incoming(real.astype(np.complex128)).real)
 
 
 def test_two_steps_d2_all_on_far_corner():

@@ -7,8 +7,9 @@ its shared kernel, so they also pin that refactor to the old bytes.  The
 stepped in blocks, so they pin the blocked walk and its complex-coin
 readings to the one-state-per-step bytes), the ``full`` hashes from the in-place direction-major step kernel (the d = 16 one before
 that kernel was split into blocks, so it pins the blocked kernel to the
-unblocked bytes; the last three, two grover and one real ``custom:`` pair, from the
-complex state, so they pin the float64 state of real coins to its bytes), the ``spectrum`` hashes from the
+unblocked bytes; the next three, two grover and one real ``custom:`` pair, from the
+complex state, so they pin the float64 state of real coins to its bytes; the
+last two from the two-pass step, so they pin the one-pass walk to its bytes), the ``spectrum`` hashes from the
 one-solve-per-momentum-weight spectrum.  ``SEAM_GOLDENS`` were recorded
 from the one-row-at-a-time CSV writer; each output is longer than one
 4,096-row chunk of the chunked writer, so they pin its seams to those bytes.
@@ -93,6 +94,15 @@ FULL_GOLDENS = [
         ["--dim", "5", "--steps", "9", "--multiport", "custom:-1,0,0,0"],
         "06393b4e28875d7b002695fee1962a195197f37870f7b45c8470628acd67ed93",
     ),
+    (
+        # two bits above the 2**14-vertex block and an odd count
+        ["--dim", "16", "--steps", "3", "--multiport", "grover"],
+        "16f21e8ff218f2c19666ad26933dd4c971d7fee6d99d1cb8e100e189820d6d6e",
+    ),
+    (
+        ["--dim", "16", "--steps", "3", "--multiport", "symmetric:p=1"],
+        "74ad6d7e5ef22e15ac997de8774b565da2fd67f74970a3878e083cc4ad156e58",
+    ),
 ]
 
 
@@ -144,6 +154,8 @@ def test_scatter_bytes(tmp_path, flags, csv_hash):
         "d15-corners-grover",
         "d12-middle-grover",
         "d5-origin-custom-real",
+        "d16-origin-grover-odd",
+        "d16-origin-symmetric-odd",
     ],
 )
 def test_full_bytes(tmp_path, flags, csv_hash):

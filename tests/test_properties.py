@@ -63,8 +63,8 @@ def test_step_equals_reference_gather_and_combine(case):
 @settings(max_examples=150, deadline=None)
 @given(step_cases())
 def test_blocked_step_equals_reference_bit_for_bit(case):
-    # the kernel without pv: tiles with k = 1 (block 2), k = block // 2 < m
-    # (bits above a block of 4 or 16) and whole rows (block 16, d <= 4)
+    # one step of the walk without pv: bits above and inside a block of 2, 4
+    # or 16 (all inside at block 16, d <= 4), swapped back after the step
     cfg, state = case
     want = reference_step(state, cfg)
     for block in (2, 4, 16):
