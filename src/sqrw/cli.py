@@ -24,8 +24,7 @@ from .circuit import operator_deviation
 from .errors import MemoryCapError, TruncationError, ValidationError
 from .evolution import EvolutionConfig, _full_walk, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
-from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state
-from .hypercube import parse_vertex, vertex_weights
+from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state, parse_vertex
 from .layers import (
     MAX_LAYER_DIM,
     corner_pair_state,
@@ -137,9 +136,10 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 
 def _cmd_full(args: argparse.Namespace) -> int:
-    # d state rows, four 2**d float or int rows (pv, vertex_weights, step 0's per-vertex
-    # sums, np.bincount's temporary) and the walk's two blocks of at most 2**14 vertices;
-    # counted as complex rows whatever the coin, so admission does not depend on it
+    # d state rows, at most two 2**d float or int rows at a time (per-vertex probabilities
+    # and vertex weights: step 0's, then the walk's), counted as four, and the walk's two
+    # blocks of at most 2**14 vertices; complex rows whatever the coin, so admission does
+    # not depend on it
     ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)
@@ -149,13 +149,9 @@ def _cmd_full(args: argparse.Namespace) -> int:
         state = initial_symmetric_state(args.dim, dtype)
     else:
         state = embed_layer_state(_layer_init(args.init, args.dim), dtype)
-    # direction-major (d, 2**d); the constructors already store it so, no copy
-    psi = np.ascontiguousarray(state.T)
     series = np.empty((args.steps + 1, args.dim + 1))
-    series[0] = layer_distribution_full(psi.T)
-    pv = np.empty(1 << args.dim)  # each vertex's probability, filled by the walk as it writes
-    for n in _full_walk(psi, cfg, args.steps, pv):
-        series[n] = np.bincount(vertex_weights(args.dim), weights=pv, minlength=args.dim + 1)
+    series[0] = layer_distribution_full(state)
+    _full_walk(state, cfg, args.steps, series[1:])
     _write_rows(args.out, "step,w,probability", _table(series.ravel(), width=args.dim + 1))
     return 0
 

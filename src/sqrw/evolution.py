@@ -2,28 +2,31 @@
 
 Each amplitude moves along its edge to the arrival vertex y and scatters
 there: the new amplitude on |y; b> is (r - t) times the amplitude that
-arrived along b plus t times the total arriving at y.  The walk steps in
-place the state stored direction-major, (d, 2**d) with row j holding
-direction j + 1, in one pass per step over blocks of 2**14 vertices that
-stay in cache.  Per block, each row first holds its arrivals in vertex
-order: a row whose bit lies inside the block is reversed in place across
-it, and a row whose bit is above the block is read from the partner block
-and written back there, so its halves swap between steps.  Then the
-arrivals are summed per vertex over directions in fixed ascending order,
-so results are reproducible to the bit, each row is rewritten, and its
-|amplitude|**2 can be added into a per-vertex probability row, as
-``layer_distribution_full`` sums it, while the block is in cache.  The
-scratch is two blocks in the state's kind, whatever d.  The state's dtype
-follows the coefficients: real ones step a float64 state with float64
-scratch and scalars, bit for bit the real part of the complex walk.  Every
-vertex scatters with the same coefficients; the marked-vertex search runs
-on the layer walk (``sqrw.search``).
+arrived along b plus t times the total arriving at y.  One call of the
+walk steps a (2**d, d) state in place any number of times and returns it
+in vertex order.  It works on the direction-major rows ``state.T`` (row j
+holds direction j + 1), contiguous for the constructors' storage and
+strided for a vertex-major array, in one pass per step over blocks of
+2**14 vertices that stay in cache.  Per block, each row first holds its
+arrivals in vertex order: a row whose bit lies inside the block is
+reversed in place across it, and a row whose bit is above the block is
+read from the partner block and written back there, so its halves swap
+between steps and are swapped back at the end.  Then the arrivals are
+summed per vertex over directions in fixed ascending order, so results
+are reproducible to the bit, and each row is rewritten.  On request the
+walk also records each step's layer distribution: it adds each new
+|amplitude|**2 into a per-vertex row while the block is in cache, as
+``layer_distribution_full`` sums it, and folds that row by Hamming weight.
+The scratch is two blocks in the state's kind, whatever d.  The state's
+dtype follows the coefficients: real ones step a float64 state with
+float64 scratch and scalars, bit for bit the real part of the complex
+walk.  Every vertex scatters with the same coefficients; the
+marked-vertex search runs on the layer walk (``sqrw.search``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -79,38 +82,40 @@ def _add_probability(
 
 
 def _full_walk(
-    psi: NDArray,
-    cfg: EvolutionConfig,
-    steps: int,
-    pv: NDArray[np.float64] | None = None,
-) -> Iterator[int]:
-    """Step the direction-major state ``psi`` (d, 2**d) in place ``steps`` times, yielding n after step n.
+    state: NDArray, cfg: EvolutionConfig, steps: int, series: NDArray[np.float64] | None = None
+) -> NDArray:
+    """Step ``state`` (2**d, d) in place ``steps`` times and return it, in vertex order.
 
-    A float64 ``psi`` with a coefficient that is not real raises before any
-    write.  The walk allocates its scratch once: two blocks of at most 2**14
-    vertices, the totals and the reversal (whose float view also squares
-    ``pv``'s terms), in float64 for a real ``psi`` and in complex128 for any
-    complex one.  If ``pv`` (2**d floats) is given, it holds at each yield
-    the probability on each vertex's d edges, summed by ``_add_probability``
-    in ascending direction order, as ``layer_distribution_full`` sums it.
-    Rows of ``psi`` may be strided.  The rows whose bit m = 2**(d - 1 - j)
-    is at least the block size are stored with their halves across m
-    swapped between an odd step and the next; the walk swaps them back when
-    it is exhausted, so only then is ``psi`` in vertex order.
+    The walk steps the direction-major rows ``state.T``: contiguous for the
+    constructors' storage, strided for a vertex-major array.  A float64
+    ``state`` with a coefficient that is not real raises before any write.
+    The scratch is two blocks of at most 2**14 vertices, the totals and the
+    reversal (whose float view also squares the probabilities), in float64
+    for a real ``state`` and in complex128 for any complex one.  If
+    ``series`` (steps, d + 1) is given, row n - 1 gets the layer
+    distribution after step n: each vertex's d probabilities summed by
+    ``_add_probability`` in ascending direction order into one 2**d row,
+    then folded by Hamming weight, as ``layer_distribution_full`` does.
+    The rows whose bit m = 2**(d - 1 - j) is at least the block size hold
+    their halves across m swapped after an odd step; the walk swaps them
+    back before it returns.
     """
     r, t = cfg.coeffs.r, cfg.coeffs.t
     dtype = np.complex128
-    if psi.dtype.kind == "f":
+    if state.dtype.kind == "f":
         if r.imag or t.imag:
             raise ValidationError(f"a real state cannot step with r={r}, t={t}")
         r, t, dtype = r.real, t.real, np.float64
+    psi = state.T
     d, n = psi.shape
     size = min(n, _BLOCK)
     totals, block = np.empty(size, dtype), np.empty(size, dtype)
     edge = block.view(np.float64)[:size]
+    if series is not None:  # each vertex's probability, and the weights that fold it
+        pv, weights = np.empty(n), vertex_weights(d)
     bits = [1 << (d - 1 - j) for j in range(d)]
     swapped = False  # the rows with a bit above the block hold their halves swapped
-    for done in range(1, steps + 1):
+    for done in range(steps):
         for lo in range(0, n, size):
             rows = []
             for j, m in enumerate(bits):
@@ -123,16 +128,17 @@ def _full_walk(
             for row in rows[1:]:
                 np.add(totals, row, totals)
             np.multiply(totals, t, totals)
-            if pv is not None:
+            if series is not None:
                 acc = pv[lo : lo + size]
                 acc.fill(0.0)
             for row in rows:
                 np.multiply(row, r - t, row)
                 np.add(row, totals, row)
-                if pv is not None:
+                if series is not None:
                     _add_probability(acc, row, edge)
         swapped = not swapped
-        yield done
+        if series is not None:
+            series[done] = np.bincount(weights, weights=pv, minlength=d + 1)
     if swapped:  # after an odd count: swap back the halves of every row above the block
         for j, m in enumerate(bits):
             for lo in range(0, n, size):
@@ -141,6 +147,7 @@ def _full_walk(
                     np.copyto(block, a)
                     np.copyto(a, b)
                     np.copyto(b, block)
+    return state
 
 
 def step(state: NDArray, cfg: EvolutionConfig) -> NDArray:
@@ -155,13 +162,10 @@ def evolve(state: NDArray, cfg: EvolutionConfig, n: int) -> NDArray:
     d = state_dimension(state)
     if d != cfg.dim:
         raise ValidationError(f"state dimension {d} != config dimension {cfg.dim}")
-    out = state.T.copy().T  # direction-major, so the walk steps contiguous rows
-    for _ in _full_walk(out.T, cfg, n):
-        pass
-    return out
+    return _full_walk(state.T.copy().T, cfg, n)  # a direction-major copy: contiguous rows
 
 
-def layer_distribution_full(state: NDArray[np.complex128]) -> NDArray[np.float64]:
+def layer_distribution_full(state: NDArray) -> NDArray[np.float64]:
     """Probability per Hamming layer, summed over all edges leaving that layer."""
     d = state_dimension(state)
     n = 1 << d
@@ -174,7 +178,7 @@ def layer_distribution_full(state: NDArray[np.complex128]) -> NDArray[np.float64
     return np.bincount(vertex_weights(d), weights=per_vertex, minlength=d + 1)
 
 
-def vertex_probability(state: NDArray[np.complex128], x: int) -> float:
+def vertex_probability(state: NDArray, x: int) -> float:
     """Probability on the d edges leaving vertex x."""
     d = state_dimension(state)
     if not 0 <= x < (1 << d):

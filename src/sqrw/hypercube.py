@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import DTypeLike, NDArray
@@ -118,15 +117,13 @@ def parse_vertex(d: int, bits: str) -> int:
     return int(bits, 2)
 
 
-@lru_cache(maxsize=16)
 def vertex_weights(d: int) -> NDArray[np.int64]:
-    """Hamming weight of every vertex 0 .. 2**d - 1 (read-only, cached)."""
+    """Hamming weight of every vertex 0 .. 2**d - 1, in a new array the caller owns (no cache)."""
     check_dimension(d)
     w = np.zeros(1 << d, dtype=np.int64)
     for k in range(d):
         # setting bit k adds one to the weight of every smaller vertex
-        w[1 << k : 2 << k] = w[: 1 << k] + 1
-    w.setflags(write=False)
+        np.add(w[: 1 << k], 1, out=w[1 << k : 2 << k])
     return w
 
 
@@ -142,7 +139,7 @@ def initial_symmetric_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray
     return state
 
 
-def state_dimension(state: NDArray[np.complex128]) -> int:
+def state_dimension(state: NDArray) -> int:
     """Dimension d of a (2**d, d) state array; validates the shape."""
     if state.ndim != 2:
         raise ValidationError(f"state must be a 2-d array, got shape {state.shape}")

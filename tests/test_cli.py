@@ -386,28 +386,30 @@ def _full_peak(tmp_path, d, multiport):
         tracemalloc.stop()
 
 
+def _full_bound(d, itemsize):
+    """The state, the walk's two 2**d float or int rows (probabilities and weights), its two blocks and 128 KiB."""
+    return d * (1 << d) * itemsize + 2 * (1 << d) * 8 + 2 * (1 << 14) * itemsize + (128 << 10)
+
+
 def test_full_working_set_bounds_the_peak(tmp_path):
     # a complex coin holds complex rows, as the budget counts them
     d = 16
     peak = _full_peak(tmp_path, d, "symmetric:p=1")
-    row = (1 << d) * 16
-    # numpy's ufunc buffers for strided operands add a fixed few hundred KiB
-    assert d * row < peak <= (d + 4) * row + (1 << 20)
+    assert d * (1 << d) * 16 < peak <= _full_bound(d, 16)
 
 
 def test_full_real_coin_working_set_is_half_the_complex_one(tmp_path):
-    # grover is real, so its state, scratch and reading rows are float64
+    # grover is real, so its state, scratch and probability row are float64
     d = 16
     peak = _full_peak(tmp_path, d, "grover")
-    row = (1 << d) * 16
-    assert d * row // 2 < peak <= (d + 4) * row // 2 + (1 << 20)
+    assert d * (1 << d) * 8 < peak <= _full_bound(d, 8)
 
 
 def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkeypatch):
     import sqrw.cli
 
     calls = []
-    monkeypatch.setattr(sqrw.cli, "_full_walk", lambda *args: calls.append(args) or iter(()))
+    monkeypatch.setattr(sqrw.cli, "_full_walk", lambda *args: calls.append(args))
     out = tmp_path / "missing" / "x.csv"
     assert run(["full", "--dim", 20, "--steps", 2, "--out", out]) == 2
     assert "No such file or directory" in _error_line(capsys)

@@ -31,7 +31,6 @@ from sqrw.hypercube import (
     embed_layer_state,
     initial_symmetric_state,
     parse_vertex,
-    vertex_weights,
     zero_full_state,
 )
 from sqrw.layers import (
@@ -116,55 +115,51 @@ def _chained_reference(state, cfg, steps):
     return states
 
 
+def _layouts(state):
+    """Copies of ``state`` stored direction-major (contiguous rows) and vertex-major (strided rows)."""
+    return [state.T.copy().T, state.copy()]
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("strided", [False, True])
 def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
     # blocks of 2, 4 and 16 put some bits above the block and the rest inside it
     # (every bit inside at block 16 and d <= 4); walks of 1, 2 and 3 steps end
     # with the rows above the block swapped and not swapped
-    n = 1 << d
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     state = random_unit_state(d, d)
     want = _chained_reference(state, cfg, 3)
     for block, steps in itertools.product((2, 4, 16), (1, 2, 3)):
-        # direction-major rows, contiguous or strided (a vertex-major copy), never a view of state
-        psi = state.copy().T if strided else state.T.copy()
-        pv = np.full(n, np.nan)  # the walk must overwrite every entry at every step
+        psi = _layouts(state)[strided]  # never a view of state
+        series = np.full((steps, d + 1), np.nan)  # the walk must overwrite every row
         with small_blocks(block):
-            for k in _full_walk(psi, cfg, steps, pv):
-                rows = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
-                assert np.array_equal(rows, rowwise_layer_distribution(want[k])), (block, k)
-                pv.fill(np.nan)
-        assert np.array_equal(psi.T, want[steps]), (block, steps)
+            assert _full_walk(psi, cfg, steps, series) is psi
+        for k in range(1, steps + 1):
+            assert np.array_equal(series[k - 1], rowwise_layer_distribution(want[k])), (block, k)
+        assert np.array_equal(psi, want[steps]), (block, steps)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 @pytest.mark.parametrize("strided", [False, True])
 def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
     # grover and its negative: real coefficients, so a real state stays real
-    n = 1 << d
     real = random_unit_state(d, 60 + d).real
     for coeffs in (grover_coeffs(d), MultiportCoeffs(1 - 2 / d, -2 / d, d)):
         cfg = EvolutionConfig(d, coeffs)
         want = _chained_reference(real.astype(np.complex128), cfg, 3)
         for block, steps in itertools.product((2, 4, 16), (1, 2, 3)):
-            states = [real.astype(dtype) for dtype in (np.float64, np.complex128)]
-            psis = [s.copy().T if strided else s.T.copy() for s in states]
-            pvs = [np.full(n, np.nan), np.full(n, np.nan)]
+            psis = [_layouts(real.astype(dtype))[strided] for dtype in (np.float64, np.complex128)]
+            series = [np.full((steps, d + 1), np.nan), np.full((steps, d + 1), np.nan)]
             with small_blocks(block):
-                walks = [_full_walk(psi, cfg, steps, pv) for psi, pv in zip(psis, pvs)]
-                for k in range(1, steps + 1):
-                    assert [next(walk) for walk in walks] == [k, k]
-                    pf, pc = pvs
-                    assert np.array_equal(pf, pc), (block, k)
-                    rows = np.bincount(vertex_weights(d), weights=pf, minlength=d + 1)
-                    assert np.array_equal(rows, rowwise_layer_distribution(want[k])), (block, k)
-                    for pv in pvs:
-                        pv.fill(np.nan)
-                assert [next(walk, None) for walk in walks] == [None, None]  # exhausted
+                for psi, rows in zip(psis, series):
+                    assert _full_walk(psi, cfg, steps, rows) is psi
+            sf, sc = series
+            assert np.array_equal(sf, sc), (block, steps)
+            for k in range(1, steps + 1):
+                assert np.array_equal(sf[k - 1], rowwise_layer_distribution(want[k])), (block, k)
             f, c = psis
             assert f.dtype == np.float64 and c.dtype == np.complex128
-            assert np.array_equal(c.T, want[steps]), (block, steps)
+            assert np.array_equal(c, want[steps]), (block, steps)
             assert np.array_equal(f, c.real), (block, steps)
             assert not c.imag.any(), (block, steps)
 
@@ -194,17 +189,18 @@ def test_step_and_evolve_run_float64_states_as_the_real_part(d):
 
 def test_real_state_refuses_a_complex_coefficient():
     d = 3
-    psi = np.ones((d, 1 << d))
+    state = np.ones((1 << d, d))
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     with pytest.raises(ValidationError, match="real state"):
-        next(_full_walk(psi, cfg, 1))
-    assert np.array_equal(psi, np.ones((d, 1 << d)))  # refused before any write
+        _full_walk(state, cfg, 1, np.empty((1, d + 1)))
+    assert np.array_equal(state, np.ones((1 << d, d)))  # refused before any write
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
+    # complex and float64 states (the real parts), each in both memory orders
     state = random_unit_state(d, 40 + d)
-    for layout in (state, np.ascontiguousarray(state.T).T):
+    for layout in _layouts(state) + _layouts(state.real):
         want = rowwise_layer_distribution(layout)
         assert np.array_equal(layer_distribution_full(layout), want)
         with small_blocks():
@@ -217,21 +213,23 @@ SCRATCH_SLACK = 32 << 10
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("with_pv", [False, True])
+@pytest.mark.parametrize("with_series", [False, True])
 @pytest.mark.parametrize("d", [16, 18])
-def test_walk_step_allocates_two_blocks_in_the_state_kind(d, with_pv, dtype):
+def test_walk_step_allocates_two_blocks_in_the_state_kind(d, with_series, dtype):
     # the scratch is two 2**14-vertex blocks, float64 for a real state, whatever d;
-    # one step, so the rows above the block are swapped back through a block too
-    psi = initial_symmetric_state(d, dtype).T
-    pv = np.empty(1 << d) if with_pv else None
-    walk = _full_walk(psi, EvolutionConfig(d, grover_coeffs(d)), 1, pv)
+    # one step, so the rows above the block are swapped back through a block too.
+    # A series adds the walk's own two 2**d rows: the probabilities and the weights
+    state = initial_symmetric_state(d, dtype)
+    series = np.empty((1, d + 1)) if with_series else None
+    cfg = EvolutionConfig(d, grover_coeffs(d))
     tracemalloc.start()
     try:
-        assert list(walk) == [1]
+        _full_walk(state, cfg, 1, series)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (1 << 14) * np.dtype(dtype).itemsize + SCRATCH_SLACK
+    rows = 2 * (1 << d) * 8 if with_series else 0
+    assert peak <= 2 * (1 << 14) * np.dtype(dtype).itemsize + SCRATCH_SLACK + rows
 
 
 def test_gather_incoming_reads_either_memory_order():

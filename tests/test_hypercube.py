@@ -1,6 +1,7 @@
 """Indexing, layers, state construction and embedding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,10 +60,29 @@ def test_vertex_weights_matches_scalar():
     assert all(w[x] == x.bit_count() for x in range(64))
     for d in (1, 20):
         w = vertex_weights(d)
-        assert w.shape == (1 << d,) and w.dtype == np.int64 and not w.flags.writeable
+        assert w.shape == (1 << d,) and w.dtype == np.int64
         # bit by bit, the way the weights were built before the doubling
         x = np.arange(1 << d, dtype=np.int64)
-        assert np.array_equal(w, sum((x >> shift) & 1 for shift in range(d)))
+        want = sum((x >> shift) & 1 for shift in range(d))
+        assert np.array_equal(w, want)
+        # no cache: each call returns a new array, and a caller's writes stay its own
+        again = vertex_weights(d)
+        assert again is not w and not np.shares_memory(again, w)
+        w[:] = -1
+        assert np.array_equal(vertex_weights(d), want)
+
+
+@pytest.mark.parametrize("d", [16, 18])
+def test_vertex_weights_allocates_only_its_result(d):
+    # every call builds its row (no cache), and a temporary of half the row
+    # (w[: 1 << k] + 1 at the top bit) would exceed the slack
+    tracemalloc.start()
+    try:
+        vertex_weights(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (1 << d) * 8 <= peak <= (1 << d) * 8 + (4 << 10)
 
 
 def test_vertex_bits_round_trip():
