@@ -26,7 +26,7 @@ from .evolution import EvolutionConfig, _full_walk, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
 from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state, parse_vertex
 from .layers import (
-    MAX_LAYER_DIM,
+    _binomials,
     corner_pair_state,
     hitting_ratio_table,
     layer_distribution_series,
@@ -126,8 +126,7 @@ def _table(*columns: np.ndarray, width: int = 1, first: int = 0) -> Iterator[str
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
-    if args.dim > MAX_LAYER_DIM:
-        raise ValidationError(f"layers dimension must be at most {MAX_LAYER_DIM} (got {args.dim})")
+    _binomials(args.dim)  # the dimension check, before the middle start computes C(d, d//2 + 1) exactly
     c = parse_multiport(args.multiport, args.dim)
     init = _layer_init(args.init, args.dim)
     series = layer_distribution_series(args.dim, c, init, args.steps)

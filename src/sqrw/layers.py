@@ -62,7 +62,7 @@ __all__ = [
     "hitting_ratio_table",
 ]
 
-# Largest dimension the ``layers`` command and ``run_search`` accept.  The
+# Largest dimension of a layer distribution and of ``run_search``.  The
 # layer distribution weighs each layer by C(d, w) as a float, which
 # overflows above d = 1029; the uniform search start puts 1/(d * 2**d) on
 # each edge, which stops being a normal float above d = 1012.
@@ -152,6 +152,8 @@ def middle_state(d: int) -> LayerState:
 
 
 def _binomials(d: int) -> NDArray[np.float64]:
+    if d > MAX_LAYER_DIM:
+        raise ValidationError(f"layer dimension must be at most {MAX_LAYER_DIM} (got {d})")
     return np.array([math.comb(d, w) for w in range(d + 1)], dtype=np.float64)
 
 

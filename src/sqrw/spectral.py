@@ -10,9 +10,9 @@ column signs:  block(k)[i, j] = [r if i == j else t] * (-1)^(k_j).  The
 union of the 2**d block spectra is the full spectrum.  The vertex matrix
 is invariant under permutations of the coordinates, and a permutation
 carries the sign pattern of k to that of any k' with the same Hamming
-weight, so those blocks are similar and share one spectrum: d + 1
-eigenproblems of size d, on the representatives k = 2**m - 1, give all
-d * 2**d eigenvalues.
+weight, so those blocks are similar and share one spectrum.  Its closed
+form (``weight_class_spectra``) is computed in Python floats: no
+eigensolver runs, and every CPU rounds it alike.
 
 A further symmetry cyclically shifts the vertex bit string right by one
 place while advancing the direction index, a rotation about the axis
@@ -23,12 +23,14 @@ commute with each other, but each commutes with the walk.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
 from .hypercube import ensure_full_state_fits, state_dimension, vertex_weights
-from .multiport import MultiportCoeffs, multiport_matrix, require_valid
+from .multiport import MultiportCoeffs, multiport_matrix, pseudo_eigensystem, require_valid
 
 __all__ = [
     "translation_apply",
@@ -61,16 +63,37 @@ def block_matrix(c: MultiportCoeffs, k: int) -> NDArray[np.complex128]:
     return multiport_matrix(c) * signs[None, :]
 
 
+def _sqrt(z: complex) -> complex:
+    """A square root of z from ``math.sqrt`` and + - * / alone (libm's complex sqrt is not).
+
+    z is never 0 here: the two roots would coincide, which needs t = 0, and there z = r**2."""
+    x, y = z.real, z.imag
+    s = math.sqrt((math.sqrt(x * x + y * y) + abs(x)) / 2)
+    return complex(s, y / (2 * s)) if x >= 0 else complex(abs(y) / (2 * s), s if y >= 0 else -s)
+
+
 def weight_class_spectra(c: MultiportCoeffs) -> list[NDArray[np.complex128]]:
     """Sorted eigenvalues of the momentum-k block for every weight |k| = 0..d.
 
     Entry m is the spectrum of ``block_matrix(c, 2**m - 1)``, shared by all
-    C(d, m) blocks whose momentum has m ones.
+    C(d, m) blocks whose momentum has m ones.  For m = 0 and m = d the block
+    is +/- the vertex matrix (``pseudo_eigensystem``).  For 0 < m < d, with s
+    the sign vector of k, the block is (r - t) diag(s) + t 1 s^T: vectors on
+    the plus (minus) coordinates summing to zero give r - t (-(r - t)),
+    d - m - 1 (m - 1) times, and the indicators of the two sets span a 2 x 2
+    block of trace 2h = t(d - 2m) and determinant -(r - t)(r + (d - 1) t).
+    Copies of a value are one float, no part is -0.0 (adding 0.0 makes it
+    0.0), and each class is sorted by real part, then by imaginary part.
     """
-    return [
-        np.sort_complex(np.linalg.eigvals(block_matrix(c, (1 << m) - 1)))
-        for m in range(c.degree + 1)
-    ]
+    d, r, t = c.degree, c.r, c.t
+    vertex = [z for z, n in pseudo_eigensystem(c) for _ in range(n)]
+    classes = [vertex]
+    for m in range(1, d):
+        h = t * (d - 2 * m) / 2
+        root = _sqrt(h * h + (r - t) * (r + (d - 1) * t))
+        classes.append([r - t] * (d - m - 1) + [-(r - t)] * (m - 1) + [h + root, h - root])
+    classes.append([-z for z in vertex])
+    return [np.sort_complex(np.array([complex(z.real + 0.0, z.imag + 0.0) for z in vals])) for vals in classes]
 
 
 def full_spectrum_via_blocks(d: int, c: MultiportCoeffs) -> NDArray[np.complex128]:

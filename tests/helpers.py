@@ -99,8 +99,8 @@ def traversal_amplitude(gamma: np.ndarray, c: MultiportCoeffs) -> complex:
 def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
     """Row k: sorted eigenvalues of the momentum-k block, one eigen-solve per block.
 
-    The 2**d-solve route the weight-class spectra replace (reference for
-    ``weight_class_spectra`` and the ``spectrum`` command).
+    The eigensolver route that the closed-form weight-class spectra replace
+    (reference for ``weight_class_spectra`` and the ``spectrum`` command).
     """
     return np.array([np.sort_complex(np.linalg.eigvals(block_matrix(c, k))) for k in range(1 << d)])
 

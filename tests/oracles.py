@@ -1,18 +1,17 @@
 """Reference code that only the tests call.
 
 The unitarity residuals of a coefficient pair, dense operators and dense
-spectra, the closed-form block spectrum, the character basis, the
-basis-column circuit comparison, the flip-gate structure check, the audit
-and classical layer series, the layer distribution, layer embedding and
-layer extraction of a full state, the tailed corner rows, the layer walk on
-two arrays, the tailed step on six arrays with shifting tails, the search
-stepped on the full state, and the one-row-at-a-time CSV writer.  They
-check the library from outside and are not part of its API.
+spectra, the character basis, the basis-column circuit comparison, the
+flip-gate structure check, the audit and classical layer series, the layer
+distribution, layer embedding and layer extraction of a full state, the
+tailed corner rows, the layer walk on two arrays, the tailed step on six
+arrays with shifting tails, the search stepped on the full state, and the
+one-row-at-a-time CSV writer.  They check the library from outside and are
+not part of its API.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -267,31 +266,6 @@ def basis_operator_deviation(d: int, c: MultiportCoeffs, cap: int = 8) -> float:
         worst = max(worst, float(np.max(np.abs(diff))))
         flat[i] = 0.0
     return worst
-
-
-def closed_form_block_spectrum(c: MultiportCoeffs, m: int) -> NDArray[np.complex128]:
-    """Eigenvalues of a momentum block with m minus signs, without an eigensolver.
-
-    With s the sign vector of k and S_k = diag(s), the block is
-    B_k = (r - t) S_k + t 1 s^T.  A vector that vanishes off the plus
-    (minus) coordinates and sums to zero on them has s^T v = 0, so it is an
-    eigenvector with eigenvalue r - t (-(r - t)): d - m - 1 (m - 1) of them.
-    On the indicator vectors u of the plus and w of the minus coordinates
-    the block acts as [[(r-t) + t(d-m), -t m], [t(d-m), -(r-t) - t m]],
-    whose trace is t(d - 2m) and determinant -(r - t)(r + (d-1) t).  For
-    m = 0 and m = d the block is +/-[(r - t) I + t 1 1^T]: +/-(r + (d-1) t)
-    once and +/-(r - t) d - 1 times.
-    """
-    d, r, t = c.degree, complex(c.r), complex(c.t)
-    if not 0 <= m <= d:
-        raise ValidationError(f"minus-sign count {m} out of range for d={d}")
-    if m in (0, d):
-        sign = 1 if m == 0 else -1
-        return sign * np.array([r + (d - 1) * t] + [r - t] * (d - 1))
-    half_trace = t * (d - 2 * m) / 2
-    root = cmath.sqrt(half_trace**2 + (r - t) * (r + (d - 1) * t))
-    pair = [half_trace + root, half_trace - root]
-    return np.array([r - t] * (d - m - 1) + [-(r - t)] * (m - 1) + pair)
 
 
 def extract_layer_state(

@@ -1,5 +1,6 @@
-"""Every name a module of ``sqrw`` exports resolves, star imports succeed, and no
-private name of ``sqrw`` is left for the tests alone."""
+"""Every name a module of ``sqrw`` exports resolves, star imports succeed, no
+private name of ``sqrw`` is left for the tests alone, and no module names
+``linalg``."""
 
 import ast
 import importlib
@@ -59,3 +60,22 @@ def test_every_private_name_is_used_in_src():
             if all(id(n) in own for n in uses.get(name, [])):
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_src_reaches_no_linalg():
+    # OpenBLAS picks its LAPACK kernels by CPU, so a linalg call would make the bytes depend on it
+    found = []
+    for path in sorted(Path(sqrw.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name):
+                names = [n.id]
+            elif isinstance(n, ast.Attribute):
+                names = [n.attr]
+            elif isinstance(n, ast.alias):
+                names = n.name.split(".")
+            elif isinstance(n, ast.ImportFrom):
+                names = (n.module or "").split(".")
+            else:
+                continue
+            found += [f"{path.name}:{n.lineno}" for name in names if name == "linalg"]
+    assert found == []

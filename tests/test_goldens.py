@@ -10,15 +10,22 @@ that kernel was split into blocks, so it pins the blocked kernel to the
 unblocked bytes; the next three, two grover and one real ``custom:`` pair, from the
 complex state, so they pin the float64 state of real coins to its bytes; the
 last two from the two-pass step, so they pin the one-pass walk to its bytes), the ``spectrum`` hashes from the
-one-solve-per-momentum-weight spectrum.  ``SEAM_GOLDENS`` were recorded
-from the one-row-at-a-time CSV writer; each output is longer than one
+closed-form weight-class spectra, which no OpenBLAS core choice changes.
+``SEAM_GOLDENS`` were recorded from the one-row-at-a-time CSV writer (the
+spectrum one from it over the closed form); each output is longer than one
 4,096-row chunk of the chunked writer, so they pin its seams to those bytes.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqrw
 from sqrw.cli import main
 
 REPRO_SHA256 = {
@@ -108,10 +115,14 @@ FULL_GOLDENS = [
 
 # (flags, CSV hash)
 SPECTRUM_GOLDENS = [
-    (["--dim", "3"], "06e4711926944e3eace48eeef89f5d24e548a19754f3ae33c9cf6d80e9502eda"),
+    (["--dim", "3"], "fb0d90aa68d919e01847a4dbf0732f72f1e9146305fb1f6412686977d82594ca"),
     (
         ["--dim", "6", "--multiport", "symmetric:p=1"],
-        "c436320b76e61b52f0dd97b2a76c1391d4d16e3eca5b7ae44b6aebeaf07337a1",
+        "bb984f4e31f5db1fb0a5a92497b3874859ac87a50363bdb2889f2a17a36d8957",
+    ),
+    (
+        ["--dim", "12", "--multiport", "grover"],  # the benchmark's command
+        "ed11b44104f9c199062fd094cb12c737436d478e81989b0513e0975ec1e49bf7",
     ),
 ]
 
@@ -164,7 +175,7 @@ def test_full_bytes(tmp_path, flags, csv_hash):
     assert sha256(out) == csv_hash
 
 
-@pytest.mark.parametrize("flags,csv_hash", SPECTRUM_GOLDENS, ids=["d3-grover", "d6-symmetric"])
+@pytest.mark.parametrize("flags,csv_hash", SPECTRUM_GOLDENS, ids=["d3-grover", "d6-symmetric", "d12-grover"])
 def test_spectrum_bytes(tmp_path, flags, csv_hash):
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", *flags, "--out", str(out)]) == 0
@@ -175,7 +186,7 @@ def test_spectrum_bytes(tmp_path, flags, csv_hash):
 SEAM_GOLDENS = [
     (
         ["spectrum", "--dim", "9", "--multiport", "grover"],  # 4,608 rows
-        "56aa4c85e488bf06fff882c9d9ffe355cc50bec69ac3b3bc5a53be55fca03ff8",
+        "da16d0c121159547b4c791813f620d993371d044e9055d2469d951e289a8ea93",
     ),
     (
         ["scatter", "--dim", "10", "--steps", "4500", "--multiport", "symmetric:p=1"],  # 4,501 rows
@@ -200,3 +211,17 @@ def test_chunk_seam_bytes(tmp_path, argv, csv_hash):
     out = tmp_path / "seam.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert sha256(out) == csv_hash
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Sandybridge", "Haswell"])
+def test_spectrum_bytes_on_every_openblas_core(tmp_path, core):
+    # OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE overrides the pick; no
+    # spectrum byte may depend on it
+    goldens = [(["spectrum", *flags], h) for flags, h in SPECTRUM_GOLDENS]
+    goldens += [(argv, h) for argv, h in SEAM_GOLDENS if argv[0] == "spectrum"]
+    argvs = [[*argv, "--out", str(tmp_path / f"{i}.csv")] for i, (argv, _) in enumerate(goldens)]
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=str(Path(sqrw.__file__).parents[1]))
+    code = "import json, sys; from sqrw.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    child = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert [sha256(tmp_path / f"{i}.csv") for i in range(len(goldens))] == [h for _, h in goldens]

@@ -20,6 +20,7 @@ from oracles import (
 from sqrw.errors import ValidationError
 from sqrw.hypercube import embed_layer_state
 from sqrw.layers import (
+    MAX_LAYER_DIM,
     LayerState,
     _WALK_BLOCK,
     _layer_factors,
@@ -237,6 +238,18 @@ def test_series_weighs_layers_once(monkeypatch):
     monkeypatch.setattr(sqrw.layers, "_binomials", lambda d: calls.append(d) or binomials(d))
     layer_distribution_series(50, grover_coeffs(50), origin_state(50), 250)
     assert calls == [50]
+
+
+def test_layer_weights_refuse_a_dimension_past_the_cap():
+    # C(d, w) overflows a float above d = 1029; the refusal names the cap, not the overflow
+    d = MAX_LAYER_DIM + 100
+    for weigh in (
+        lambda: layer_distribution_series(d, grover_coeffs(d), origin_state(d), 1),
+        lambda: edge_counting_norm(origin_state(d)),
+        lambda: layer_distribution(origin_state(d)),
+    ):
+        with pytest.raises(ValidationError, match=str(MAX_LAYER_DIM)):
+            weigh()
 
 
 @pytest.mark.parametrize("mode", ["plain", "photon", "both-pads", "search"])
