@@ -126,7 +126,7 @@ def _table(*columns: np.ndarray, width: int = 1, first: int = 0) -> Iterator[str
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
-    _binomials(args.dim)  # the dimension check, before the middle start computes C(d, d//2 + 1) exactly
+    _binomials(args.dim)  # the dimension check, before any start state of 2d + 4 entries is built
     c = parse_multiport(args.multiport, args.dim)
     init = _layer_init(args.init, args.dim)
     series = layer_distribution_series(args.dim, c, init, args.steps)

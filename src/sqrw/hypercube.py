@@ -29,7 +29,7 @@ import numpy as np
 from numpy.typing import DTypeLike, NDArray
 
 from .errors import MemoryCapError, ValidationError
-from .layers import LayerState, _require_tail_free
+from .layers import LayerState, _require_closed
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
@@ -151,7 +151,7 @@ def state_dimension(state: NDArray) -> int:
 
 def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
     """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``."""
-    _require_tail_free(s)
+    _require_closed(s)
     d = s.d
     ensure_full_state_fits(d)
     up, down = s.up, s.down

@@ -13,14 +13,14 @@ The physical norm of the embedded state is the edge-counting form
 (each layer-w vertex owns d-w up-edges and w down-edges).  This quantity is
 conserved exactly by ``reduced_step``.
 
-Every state is one line of the n = d + 1 + 2L sites -L..d+L: layers 0..d
-and L tail sites on each side (``sqrw.scattering``; L = 0 without tails).
-``LayerState.line`` is its padded vector [up[-L-1..d+L], down[-L..d+L+1]]
-of length 2n + 2: ``line[1:-1].reshape(2, n)`` is [up; down], and for site
-w ``line[:n]`` is up[w-1] and ``line[-n:]`` is down[w+1].  The pads
-``line[0]`` and ``line[-1]`` enter the line on the next step (what unstored
-tails send into the corners); a step leaves them zero: what leaves the
-line never returns.
+Every state is the padded line ``[pad, up[0..d], down[0..d], pad]`` of
+length 2d + 4 (``LayerState.line``): ``line[1:-1].reshape(2, d + 1)`` is
+[up; down], and for layer w ``line[:d + 1]`` is up[w-1] and
+``line[-d - 1:]`` is down[w+1].  The pads enter the line on the next step:
+they are what the tails of ``sqrw.scattering`` send into the corners, and
+``up[d]`` and ``down[0]`` are what the corners send out onto them.  A step
+leaves the pads zero: what leaves the line never returns.  A cube without
+tails keeps all four zero (``_require_closed``).
 
 ``_layer_walk`` is the only code that steps a line: the layer series, the
 detection series, the search, ``reduced_step`` and ``scatter_step`` all go
@@ -74,48 +74,33 @@ MAX_HITTING_DIM = 712
 
 @dataclass(eq=False)
 class LayerState:
-    """Layer coefficients of a symmetric edge state on the line of sites -L..d+L.
+    """Layer coefficients of a symmetric edge state on the padded line of the module docstring.
 
-    ``line`` is the padded vector of the module docstring; the other fields
-    are views of it.  ``up`` and ``down`` have length d+1 and are indexed by
-    the layer of the vertex the edge leaves.  ``up[d]`` and ``down[0]`` are
-    the exits onto the right and left tail; without tails they do not label
-    edges and are pinned to zero.  Tail views are indexed by distance from
-    the cube, ``left_in[i]`` / ``left_out[i]`` at site -(1+i) moving toward /
-    away from the cube, ``right_out[i]`` / ``right_in[i]`` at site d+1+i
-    moving away / toward; they are empty at L = 0.
+    ``up`` and ``down`` are views of ``line`` of length d+1, indexed by the
+    layer of the vertex the edge leaves.  ``up[d]`` and ``down[0]`` are the
+    exits onto the right and left tail; they do not label edges of the cube.
     """
 
     d: int
     line: NDArray[np.complex128]
-    tail_length: int = 0
 
     def __post_init__(self) -> None:
-        d, L = self.d, self.tail_length
+        d = self.d
         if d < 1:
             raise ValidationError(f"dimension must be >= 1 (got {d})")
-        if L < 0:
-            raise ValidationError(f"tail length must be >= 0 (got {L})")
-        n = d + 1 + 2 * L
         self.line = np.asarray(self.line, dtype=np.complex128)
-        if self.line.shape != (2 * n + 2,):
-            raise ValidationError(f"line must have length {2 * n + 2}, got {self.line.shape}")
-        u, w = self.line[1:-1].reshape(2, n)
-        self.up, self.down = u[L : L + d + 1], w[L : L + d + 1]
-        self.left_in, self.left_out = u[:L][::-1], w[:L][::-1]
-        self.right_out, self.right_in = u[L + d + 1 :], w[L + d + 1 :]
-        if L == 0 and (self.up[d] != 0 or self.down[0] != 0):
-            raise ValidationError("up[d] and down[0] are structural zeros of a tail-free layer state")
+        if self.line.shape != (2 * d + 4,):
+            raise ValidationError(f"line must have length {2 * d + 4}, got {self.line.shape}")
+        self.up, self.down = self.line[1:-1].reshape(2, d + 1)
 
 
-def zero_layer_state(d: int, tail_length: int = 0) -> LayerState:
-    n = max(d + 1 + 2 * tail_length, 0)  # the constructor rejects d < 1 and tail_length < 0
-    return LayerState(d, np.zeros(2 * n + 2, np.complex128), tail_length)
+def zero_layer_state(d: int) -> LayerState:
+    return LayerState(d, np.zeros(max(2 * d + 4, 0), np.complex128))  # the constructor rejects d < 1
 
 
-def _require_tail_free(s: LayerState) -> None:
-    if s.tail_length != 0:
-        raise ValidationError(f"a tail-free layer state is required (got tail length {s.tail_length})")
+def _require_closed(s: LayerState) -> None:
+    if np.any(s.line[[0, s.d + 1, s.d + 2, -1]]):
+        raise ValidationError("pads and exits up[d], down[0] are structural zeros of a tail-free layer state")
 
 
 def origin_state(d: int) -> LayerState:
@@ -140,6 +125,7 @@ def middle_state(d: int) -> LayerState:
     Both travel directions at w0 = d//2 + 1 carry the same amplitude
     1/sqrt(d * C(d, w0)); for w0 = d only the down coefficient exists.
     """
+    _require_layer_dim(d)  # before C(d, w0), which takes seconds at d = 10**6
     w0 = d // 2 + 1
     s = zero_layer_state(d)
     c = math.comb(d, w0)
@@ -151,9 +137,13 @@ def middle_state(d: int) -> LayerState:
     return s
 
 
-def _binomials(d: int) -> NDArray[np.float64]:
+def _require_layer_dim(d: int) -> None:
     if d > MAX_LAYER_DIM:
         raise ValidationError(f"layer dimension must be at most {MAX_LAYER_DIM} (got {d})")
+
+
+def _binomials(d: int) -> NDArray[np.float64]:
+    _require_layer_dim(d)
     return np.array([math.comb(d, w) for w in range(d + 1)], dtype=np.float64)
 
 
@@ -180,7 +170,7 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     with out-of-range coefficients contributing zero.  Conserves the
     edge-counting norm.
     """
-    _require_tail_free(s)
+    _require_closed(s)
     require_valid(c, degree=s.d)
     return LayerState(s.d, next(_layer_walk(s.line, 1, _layer_factors(s.d, c.r, c.t)))[1])
 
@@ -230,13 +220,12 @@ def _layer_walk(
 ) -> Iterator[NDArray[np.complex128]]:
     """Padded states after 0..steps steps of the ``reduced_step`` formula, in blocks.
 
-    ``factors`` is ``(below, above)`` from ``_layer_factors`` (widened by the
-    tail sites in ``sqrw.scattering``).  Each yield is a (k, len(s)) view of
-    one buffer of at most ``_WALK_BLOCK`` + 1 rows holding the states not yet
-    yielded, state 0 (``s``) first; a full buffer's last row becomes its row
-    0.  The next yield overwrites the view, so a reader that keeps a block
-    copies it.  The pads of ``s`` enter on the first step only; a step leaves
-    them zero.  No validation.
+    ``factors`` is ``(below, above)`` from ``_layer_factors``.  Each yield
+    is a (k, len(s)) view of one buffer of at most ``_WALK_BLOCK`` + 1 rows
+    holding the states not yet yielded, state 0 (``s``) first; a full
+    buffer's last row becomes its row 0.  The next yield overwrites the
+    view, so a reader that keeps a block copies it.  The pads of ``s``
+    enter on the first step only; a step leaves them zero.  No validation.
     """
     fac = np.stack(factors)  # (2, 2, n)
     n = fac.shape[2]
@@ -274,7 +263,7 @@ def layer_distribution_series(
     """Matrix of layer probabilities, row n = distribution after n steps."""
     if init.d != d:
         raise ValidationError(f"initial state dimension {init.d} != {d}")
-    _require_tail_free(init)
+    _require_closed(init)
     require_valid(c, degree=d)
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")

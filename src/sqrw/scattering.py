@@ -7,30 +7,27 @@ two corners become (d+1)-ports with their own boundary coefficients
 the left and d+1, d+2, ... on the right; every tail site carries one
 amplitude per travel direction.
 
-The symmetric reduced picture is the layer walk of ``sqrw.layers`` with
-its exit slots active: ``down[0]`` leaves vertex 0...0 onto the left tail,
-``up[d]`` leaves the far vertex onto the right tail.  The step is the layer
-kernel with the corners as parameters, not a second update rule: layers 0
-and d scatter with (rb, tb), the incoming tail amplitudes left_in (site -1)
-and right_in (site d+1) feed them, and four entries of the factor rows
-``below`` (weights of up[w-1]) and ``above`` (weights of down[w+1]) are
-tail ports:
+The symmetric reduced picture is the padded line of ``sqrw.layers`` with
+its exit slots and pads active.  ``down[0]`` leaves vertex 0...0 onto the
+left tail and ``up[d]`` leaves the far vertex onto the right tail; the
+left and right pad are what the tails send in (sites -1 and d+1, heading
+toward the cube).  The step is the layer kernel with the corners as
+parameters, not a second update rule: layers 0 and d scatter with
+(rb, tb), and four entries of the factor rows ``below`` (weights of
+up[w-1]) and ``above`` (weights of down[w+1]) are tail ports:
 
-    below[0, 0] = tb   (left_in  -> up[0])
-    below[1, 0] = rb   (left_in  -> down[0], back onto the left tail)
-    above[0, d] = rb   (right_in -> up[d], back onto the right tail)
-    above[1, d] = tb   (right_in -> down[d])
+    below[0, 0] = tb   (left pad  -> up[0])
+    below[1, 0] = rb   (left pad  -> down[0], back onto the left tail)
+    above[0, d] = rb   (right pad -> up[d], back onto the right tail)
+    above[1, d] = tb   (right pad -> down[d])
 
 The interior formula gives the other corner factors, e.g.
-up[0]' = tb * left_in + [(d-1) tb + rb] * down[1].  The right_in input is
-zero in the standard source-on-the-left run but is required for exact
-unitarity, so it is kept.
+up[0]' = tb * left pad + [(d-1) tb + rb] * down[1].
 
-Stored tails are truncated at L sites.  A tail site is a two-port of the
-same line (``LayerState(d, line, L)``, ``sqrw.layers``), so amplitude moves
-ballistically along a tail, one site per step: a run of n steps with
-L >= n + 1 never reaches the cut and the truncation is exact; reaching it
-raises ``TruncationError``.
+The tails are not stored.  What leaves onto a tail moves away one site per
+step and never returns, so a tail only matters at the cube, and its
+length L is only a number: an exit at step k would reach the cut of a tail
+of L sites at step k + L + 1, which raises ``TruncationError``.
 
 Detection probability at step n is the instantaneous weight on the edge
 leaving the far vertex onto the right tail (``up[d]``); a cumulative
@@ -76,39 +73,22 @@ def boundary_coeffs(d: int) -> MultiportCoeffs:
     return MultiportCoeffs(r=2.0 / (d + 1) - 1.0, t=2.0 / (d + 1), degree=d + 1)
 
 
-def _truncation_message(tail_length: int) -> str:
-    return (
-        f"outgoing amplitude reached the tail cut at length {tail_length}; "
-        "increase the tail length beyond the step count"
-    )
-
-
-def _check_tail_length(tail_length: int) -> None:
-    if tail_length < 1:
-        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
-
-
-def initial_tail_photon(d: int, tail_length: int) -> LayerState:
-    """Photon at left-tail site -1 heading toward the cube."""
-    _check_tail_length(tail_length)
-    s = zero_layer_state(d, tail_length)
-    s.left_in[0] = 1.0
+def initial_tail_photon(d: int) -> LayerState:
+    """Photon on the left pad: left-tail site -1, heading toward the cube."""
+    s = zero_layer_state(d)
+    s.line[0] = 1.0
     return s
 
 
 def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> LayerState:
-    """One step of ``_layer_walk`` on the tailed line; ``b`` is the (d+1)-port boundary pair."""
-    d, L = s.d, s.tail_length
-    _check_tail_length(L)
-    require_valid(c, degree=d)
-    require_valid(b, degree=d + 1)
-    if s.left_out[-1] != 0 or s.right_out[-1] != 0:
-        raise TruncationError(_truncation_message(L))
+    """One step of the tailed cube; ``b`` is the (d+1)-port boundary pair.
 
-    below, above = np.zeros((2, 2, d + 1 + 2 * L), np.complex128)
-    below[0] = above[1] = 1.0  # tail two-ports: up[w-1] -> up[w], down[w+1] -> down[w]
-    below[:, L : L + d + 1], above[:, L : L + d + 1] = _layer_factors(d, c.r, c.t, b)
-    return LayerState(d, next(_layer_walk(s.line, 1, (below, above)))[1], L)
+    The pads of ``s`` feed the corners, the new exits land in ``up[d]`` and
+    ``down[0]``, and the exits of ``s`` leave for good.
+    """
+    require_valid(c, degree=s.d)
+    require_valid(b, degree=s.d + 1)
+    return LayerState(s.d, next(_layer_walk(s.line, 1, _layer_factors(s.d, c.r, c.t, b)))[1])
 
 
 def detection_probability_series(
@@ -123,9 +103,8 @@ def detection_probability_series(
     Entry n is the instantaneous probability of occupying the detector edge
     after n steps; it is exactly zero through n = d (one layer per step).
     The cumulative detector reading is ``np.cumsum`` of this series.
-    Raises ``TruncationError`` exactly when stepping ``scatter_step`` for
-    ``n_max`` steps would: when amplitude leaving the cube has time to
-    reach the tail cut.
+    Raises ``TruncationError`` exactly when amplitude leaving the cube has
+    time to reach the cut of a tail of ``tail_length`` stored sites.
     """
     if b is None:
         b = boundary_coeffs(d)
@@ -133,26 +112,23 @@ def detection_probability_series(
         tail_length = n_max + 2
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
-    _check_tail_length(tail_length)
+    if tail_length < 1:
+        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
     require_valid(c, degree=d)
     require_valid(b, degree=d + 1)
-    # Only step 1 takes amplitude from a tail (the photon at site -1).  What
-    # leaves onto a tail never comes back, so the tails are unstored sinks
-    # and the tail length is only a number: an exit at step k reaches the
-    # cut at step k + L + 1.  The walk is the tail-free line, its pads the
-    # tail sites next to the cube: the photon is on the left pad.
-    start = zero_layer_state(d).line
-    start[0] = 1.0
     series = np.empty(n_max + 1, dtype=np.float64)
     # column d + 1 is up[d] (onto the right tail), d + 2 is down[0] (onto the left);
     # an exit in a state n <= n_max - tail_length - 1 reaches the cut
     n = 0
-    for block in _layer_walk(start, n_max, _layer_factors(d, c.r, c.t, b)):
+    for block in _layer_walk(initial_tail_photon(d).line, n_max, _layer_factors(d, c.r, c.t, b)):
         k = len(block)
         # per element on Python scalars: the array forms round some values differently
         series[n : n + k] = [abs(z) ** 2 for z in block[:, d + 1].tolist()]
         if np.any(block[: max(n_max - tail_length - n, 0), d + 1 : d + 3]):
-            raise TruncationError(_truncation_message(tail_length))
+            raise TruncationError(
+                f"outgoing amplitude reached the tail cut at length {tail_length}; "
+                "increase the tail length beyond the step count"
+            )
         n += k
     return series
 

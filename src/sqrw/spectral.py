@@ -103,11 +103,6 @@ def full_spectrum_via_blocks(d: int, c: MultiportCoeffs) -> NDArray[np.complex12
     return np.stack(weight_class_spectra(c))[vertex_weights(d)].ravel()
 
 
-def _rotate_left(x: NDArray[np.int64], d: int) -> NDArray[np.int64]:
-    n_mask = (1 << d) - 1
-    return ((x << 1) & n_mask) | (x >> (d - 1))
-
-
 def rotation_apply(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """|x; a> -> |bit string of x shifted right; direction advanced cyclically>.
 
@@ -117,11 +112,5 @@ def rotation_apply(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
     applications give the identity.
     """
     d = state_dimension(state)
-    if d == 1:
-        return state.copy()
-    n = 1 << d
-    src_vertex = _rotate_left(np.arange(n, dtype=np.int64), d)
-    out = np.empty_like(state)
-    for j in range(d):
-        out[:, j] = state[src_vertex, (j - 1) % d]
-    return out
+    x = np.arange(1 << d, dtype=np.int64)
+    return np.roll(state[((x << 1) & ((1 << d) - 1)) | (x >> (d - 1))], 1, axis=1)

@@ -12,8 +12,8 @@ from sqrw import evolution
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.hypercube import zero_full_state
 from sqrw.multiport import MultiportCoeffs
-from sqrw.layers import LayerState, _layer_walk, edge_counting_norm, zero_layer_state
-from sqrw.scattering import boundary_coeffs, initial_tail_photon, scatter_step
+from sqrw.layers import _layer_walk
+from sqrw.scattering import boundary_coeffs
 from sqrw.spectral import block_matrix
 
 
@@ -108,38 +108,22 @@ def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
 def stepped_detection_series(
     d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_max: int, tail_length: int
 ) -> np.ndarray:
-    """Detection series by stepping ``scatter_step`` with the tails stored as line sites.
+    """Detection series with the tails stored, by stepping ``oracles.shifting_scatter_step``.
 
     Reference for ``detection_probability_series``, including where the
     truncation error is raised.
     """
-    s = initial_tail_photon(d, tail_length)
-    series = np.empty(n_max + 1, dtype=np.float64)
-    series[0] = abs(s.up[d]) ** 2
+    from oracles import shifting_scatter_step  # oracles imports this module
+
+    up, down = np.zeros((2, d + 1), np.complex128)
+    left_in, left_out, right_out, right_in = np.zeros((4, tail_length), np.complex128)
+    left_in[0] = 1.0  # the photon at left-tail site -1, heading toward the cube
+    fields = (up, down, left_in, left_out, right_out, right_in)
+    series = np.zeros(n_max + 1, dtype=np.float64)
     for n in range(1, n_max + 1):
-        s = scatter_step(s, c, b)
-        series[n] = abs(s.up[d]) ** 2
+        fields = shifting_scatter_step(fields, c, b)
+        series[n] = abs(fields[0][d]) ** 2
     return series
-
-
-def scatter_from_layer(layer: LayerState, tail_length: int) -> LayerState:
-    """Place a pure layer state inside empty tails."""
-    s = zero_layer_state(layer.d, tail_length)
-    s.up[:] = layer.up
-    s.down[:] = layer.down
-    return s
-
-
-def scatter_norm(s: LayerState) -> float:
-    """Total squared amplitude: edge-counting layers + both exit edges + tails.
-
-    ``edge_counting_norm`` weighs the exit slots ``up[d]`` and ``down[0]`` by zero.
-    """
-    total = edge_counting_norm(s)
-    total += abs(s.up[s.d]) ** 2 + abs(s.down[0]) ** 2
-    for arr in (s.left_in, s.left_out, s.right_out, s.right_in):
-        total += float(np.sum(np.abs(arr) ** 2))
-    return total
 
 
 def stacked(up: np.ndarray, down: np.ndarray) -> np.ndarray:

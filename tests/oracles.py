@@ -469,20 +469,22 @@ def concatenate_layer_walk(
     return walk
 
 
-# The views of a tailed ``sqrw.layers.LayerState``, in the order ``shifting_scatter_step`` takes them.
-SCATTER_FIELDS = ("up", "down", "left_in", "left_out", "right_out", "right_in")
-
-
 def shifting_scatter_step(
     fields: tuple[NDArray[np.complex128], ...], c: MultiportCoeffs, b: MultiportCoeffs
 ) -> tuple[NDArray[np.complex128], ...]:
-    """One tailed step on six separate arrays, ordered as ``SCATTER_FIELDS``.
+    """One step of the cube with stored tails, on six separate arrays.
 
-    The cube is one step of ``concatenate_layer_walk`` with ``left_in[0]``
-    and ``right_in[0]`` as the tail inputs, and each tail is shifted one
-    site by hand.  Raises ``TruncationError`` when an outgoing tail is
-    occupied at its last site.  Reference, to the bit, for the one-line
-    ``sqrw.scattering.scatter_step``.
+    ``fields`` is (up, down, left_in, left_out, right_out, right_in); the
+    tail arrays are indexed by distance from the cube: ``left_in[i]`` and
+    ``left_out[i]`` at site -(1+i) moving toward and away from it,
+    ``right_out[i]`` and ``right_in[i]`` at site d+1+i.  The cube is one
+    step of ``concatenate_layer_walk`` with ``left_in[0]`` and
+    ``right_in[0]`` as the tail inputs, and each tail is shifted one site by
+    hand.  Raises ``TruncationError`` when an outgoing tail is occupied at
+    its last site.  Reference, to the bit, for ``sqrw.scattering.scatter_step``
+    with ``left_in[0]`` and ``right_in[0]`` on the pads, and, stepped by
+    ``helpers.stepped_detection_series``, for where the detection series
+    raises ``TruncationError``.
     """
     up, down, left_in, left_out, right_out, right_in = fields
     d, L = up.shape[0] - 1, left_in.shape[0]

@@ -5,7 +5,10 @@ oracle check per command.  Here every ``paper_cli`` and ``marked_search``
 command runs through ``sqrw.cli.main`` in a temporary directory, and its
 check must pass; ``full_walk``'s check runs on a d = 6 walk instead of its
 d = 20 one.  So a library change that the benchmark would reject fails the
-suite first.  The file is only loaded; nothing in it is changed.
+suite first.  The file is only loaded; nothing in it is changed.  The
+``paper_cli`` commands also run once with ``sqrw.scattering.scatter_step``
+made to raise, because the tracer's note on that span reads a field the
+layer state no longer has.
 """
 
 import importlib.util
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import sqrw
 from sqrw.cli import main
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -45,3 +49,14 @@ def test_workload_checks_pass(workload, tmp_path, capsys):
 def test_full_check_passes_at_small_dimension(tmp_path):
     assert main(["full", "--dim", "6", "--steps", "4", "--out", "full.csv"]) == 0
     assert workloads._check_full(6, 4)(tmp_path / "full.csv", "") is None
+
+
+def test_paper_cli_never_calls_scatter_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scatter_step was called")
+
+    monkeypatch.setattr(sqrw.scattering, "scatter_step", refuse)
+    monkeypatch.setattr(sqrw, "scatter_step", refuse)
+    tailed = ("scatter", "--dim", "10", "--steps", "400", "--cumulative", "--tail-length", "399", "--out", "t.csv")
+    for argv in [cmd.argv for cmd in workloads.commands("paper_cli", seed=0)] + [tailed]:
+        assert main(list(argv)) == 0, argv

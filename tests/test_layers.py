@@ -1,11 +1,12 @@
 """Reduced layer walk: recursion, closed forms, classical chain, revivals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from helpers import count_local_maxima, scatter_from_layer, stacked, walk_states
+from helpers import count_local_maxima, random_layer_coeffs, stacked, walk_states
 from oracles import (
     classical_initial_distribution,
     classical_walk_step,
@@ -38,58 +39,63 @@ from sqrw.layers import (
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
-from sqrw.scattering import boundary_coeffs, detection_probability_series
+from sqrw.scattering import boundary_coeffs, detection_probability_series, scatter_step
 from sqrw.search import SearchConfig, run_search
 
 
 def test_layer_state_structural_zeros_enforced():
-    up = np.zeros(4, dtype=np.complex128)
-    up[3] = 1.0
-    with pytest.raises(ValidationError):
-        LayerState(3, stacked(up, np.zeros(4, dtype=np.complex128)))
+    # the constructor takes any line, the tailed cube's too; the walk without
+    # tails leaves the pads and the exits zero, so its states stay closed
+    d = 5
+    c = symmetric_coeffs(d, 1.0)
+    s = LayerState(d, stacked(*random_layer_coeffs(d, 3)))
+    for _ in range(20):
+        s = reduced_step(s, c)
+        assert not np.any(s.line[[0, d + 1, d + 2, -1]])
 
 
-@pytest.mark.parametrize("L", [0, 2])
-def test_exit_slots_are_pinned_only_without_tails(L):
+@pytest.mark.parametrize("tails", [0, 2])
+def test_exit_slots_are_pinned_only_without_tails(tails):
+    # with both tails attached the exits are scatter_step's output and are taken
+    # as its input; the walk without tails refuses them
     for slot, index in (("up", 3), ("down", 0)):
-        s = zero_layer_state(3, L)
+        s = zero_layer_state(3)
         getattr(s, slot)[index] = 1.0
-        if L == 0:
+        if tails == 0:
             with pytest.raises(ValidationError, match="structural zeros"):
-                LayerState(3, s.line, L)
+                reduced_step(s, grover_coeffs(3))
         else:
-            assert getattr(LayerState(3, s.line, L), slot)[index] == 1.0
+            assert not np.any(scatter_step(s, grover_coeffs(3), boundary_coeffs(3)).line)
 
 
-@pytest.mark.parametrize("L", [0, 1, 3])
-def test_layer_state_views_write_through_to_the_line(L):
+def test_layer_state_views_write_through_to_the_line():
     d = 4
-    s = zero_layer_state(d, L)
-    assert s.line.shape == (2 * (d + 1 + 2 * L) + 2,)
-    for name, size in [("up", d + 1), ("down", d + 1)] + [
-        (tail, L) for tail in ("left_in", "left_out", "right_out", "right_in")
-    ]:
+    s = zero_layer_state(d)
+    assert s.line.shape == (2 * d + 4,)
+    for name in ("up", "down"):
         view = getattr(s, name)
-        assert view.shape == (size,), name  # the tail views are empty at L = 0
+        assert view.shape == (d + 1,), name
         view[:] = 1.0
-        assert np.count_nonzero(s.line) == size, name
+        assert np.count_nonzero(s.line) == d + 1, name
         view[:] = 0.0
-    with pytest.raises(ValidationError):
-        zero_layer_state(d, -1)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda s: reduced_step(s, grover_coeffs(3)),
-        lambda s: layer_distribution_series(3, grover_coeffs(3), s, 2),
-        embed_layer_state,
-    ],
-    ids=["reduced_step", "layer_distribution_series", "embed_layer_state"],
-)
+CLOSED_CUBE_FUNCTIONS = {
+    "reduced_step": lambda s: reduced_step(s, grover_coeffs(s.d)),
+    "layer_distribution_series": lambda s: layer_distribution_series(s.d, grover_coeffs(s.d), s, 2),
+    "embed_layer_state": embed_layer_state,
+}
+
+
+@pytest.mark.parametrize("call", CLOSED_CUBE_FUNCTIONS.values(), ids=CLOSED_CUBE_FUNCTIONS)
 def test_tail_free_functions_reject_tailed_states(call):
-    with pytest.raises(ValidationError, match="tail-free"):
-        call(scatter_from_layer(origin_state(3), 2))
+    # a pad is what a tail sends in, an exit what it takes out; a pad was once
+    # dropped without an error by the series and the embedding
+    for slot in (0, 5, 6, -1):  # the pads and the exits up[4], down[0] of d = 4
+        s = origin_state(4)
+        s.line[slot] = 0.5
+        with pytest.raises(ValidationError, match="structural zeros of a tail-free"):
+            call(s)
 
 
 def test_equality_of_array_holders_is_identity():
@@ -250,6 +256,15 @@ def test_layer_weights_refuse_a_dimension_past_the_cap():
     ):
         with pytest.raises(ValidationError, match=str(MAX_LAYER_DIM)):
             weigh()
+
+
+@pytest.mark.parametrize("d", [MAX_LAYER_DIM + 1, 1028, 10**6])
+def test_middle_state_refuses_a_dimension_past_the_cap(d):
+    # before C(d, d//2 + 1): past d = 1027 its square root overflows, and at 10**6 it takes seconds
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=str(MAX_LAYER_DIM)):
+        middle_state(d)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("mode", ["plain", "photon", "both-pads", "search"])

@@ -9,8 +9,6 @@ import pytest
 from helpers import (
     brute_force_first_detection,
     count_local_maxima,
-    scatter_from_layer,
-    scatter_norm,
     stacked,
     stepped_detection_series,
     tailed_cube_exits,
@@ -18,11 +16,11 @@ from helpers import (
     walk_states,
 )
 
-from oracles import SCATTER_FIELDS, shifting_scatter_step, tailed_corner_rows, unitarity_residuals
+from oracles import shifting_scatter_step, tailed_corner_rows, unitarity_residuals
 
 from sqrw.cli import main
 from sqrw.errors import TruncationError, ValidationError
-from sqrw.layers import LayerState, _WALK_BLOCK, _layer_factors, origin_state, zero_layer_state
+from sqrw.layers import LayerState, _WALK_BLOCK, _layer_factors, edge_counting_norm, origin_state
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
 from sqrw.scattering import (
     boundary_coeffs,
@@ -45,10 +43,11 @@ def test_boundary_coeffs_default_values_and_unitarity():
 def test_first_step_from_tail_splits_into_rt():
     d = 4
     b = boundary_coeffs(d)
-    s = scatter_step(initial_tail_photon(d, 8), grover_coeffs(d), b)
+    s = scatter_step(initial_tail_photon(d), grover_coeffs(d), b)
     assert s.up[0] == pytest.approx(b.t, abs=1e-15)
     assert s.down[0] == pytest.approx(b.r, abs=1e-15)
-    assert scatter_norm(s) == pytest.approx(1.0, abs=1e-14)
+    assert s.line[0] == s.line[-1] == 0  # the pad's photon has entered
+    assert edge_counting_norm(s) + abs(s.up[d]) ** 2 + abs(s.down[0]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -75,68 +74,41 @@ def test_tail_port_factors_match_corner_rows(d):
         assert np.array_equal(new_down[1:d], plain_down[1:d])
 
 
-def test_tail_propagation_is_ballistic():
-    d = 3
-    s = initial_tail_photon(d, 6)
-    s.left_in[0] = 0.0
-    s.left_in[3] = 1.0  # site -4 heading right
-    out = scatter_step(s, grover_coeffs(d), boundary_coeffs(d))
-    assert out.left_in[2] == 1.0
-    assert np.count_nonzero(out.left_in) == 1
-    assert scatter_norm(out) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_outgoing_tail_amplitude_marches_away():
-    d = 2
-    c, b = grover_coeffs(d), boundary_coeffs(d)
-    s = scatter_step(initial_tail_photon(d, 10), c, b)
-    reflected = s.down[0]
-    for i in range(5):
-        s = scatter_step(s, c, b)
-        assert s.left_out[i] == reflected
-
-
-def test_truncation_error_raised():
-    d = 2
-    c, b = grover_coeffs(d), boundary_coeffs(d)
-    s = initial_tail_photon(d, 3)
-    with pytest.raises(TruncationError):
-        for _ in range(10):
-            s = scatter_step(s, c, b)
-
-
 @pytest.mark.parametrize("start", ["photon", "origin", "tails"])
 @pytest.mark.parametrize(
     "d, family",  # symmetric coefficients need degree >= 2
     [(1, "grover")] + [(d, f) for d in (2, 3, 5, 10) for f in ("grover", "symmetric")],
 )
 def test_line_step_matches_shifting_tails_to_the_bit(d, family, start):
+    # the oracle stores both tails; before each step the line's pads take what
+    # the incoming tails send in, left_in[0] and right_in[0]
     c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
     b = boundary_coeffs(d)
     L = d + 5
+    up, down = np.zeros((2, d + 1), np.complex128)
+    left_in, left_out, right_out, right_in = np.zeros((4, L), np.complex128)
     if start == "photon":
-        s = initial_tail_photon(d, L)
+        left_in[0] = 1.0
     elif start == "origin":
-        s = scatter_from_layer(origin_state(d), L)
-    else:  # every site occupied but the pads and the outer half of each outgoing tail
+        up = origin_state(d).up.copy()
+    else:  # every site occupied but the outer half of each outgoing tail
         rng = np.random.default_rng(d)
-        size = 2 * (d + 1 + 2 * L) + 2
-        s = LayerState(d, rng.normal(size=size) + 1j * rng.normal(size=size), L)
-        s.line[[0, -1]] = 0.0
-        s.left_out[L // 2 :] = s.right_out[L // 2 :] = 0.0
-    fields = tuple(getattr(s, name).copy() for name in SCATTER_FIELDS)
+        up, down, left_in, left_out, right_out, right_in = (
+            rng.normal(size=size) + 1j * rng.normal(size=size) for size in [d + 1] * 2 + [L] * 4
+        )
+        left_out[L // 2 :] = right_out[L // 2 :] = 0.0
+    fields = (up, down, left_in, left_out, right_out, right_in)
+    s = LayerState(d, stacked(up, down))
     for n in range(1, 2 * L + 1):
+        s.line[0], s.line[-1] = fields[2][0], fields[5][0]
         try:
             fields = shifting_scatter_step(fields, c, b)
-        except TruncationError:
-            with pytest.raises(TruncationError):
-                scatter_step(s, c, b)
+        except TruncationError:  # the oracle's outgoing tails are full
             break
         s = scatter_step(s, c, b)
-        for name, want in zip(SCATTER_FIELDS, fields):
-            assert np.array_equal(getattr(s, name), want), f"{name} after step {n}"
-    else:
-        pytest.fail(f"no truncation in {2 * L} steps")
+        assert np.array_equal(s.up, fields[0]) and np.array_equal(s.down, fields[1]), f"after step {n}"
+        assert s.line[0] == s.line[-1] == 0
+    assert n > L // 2
 
 
 def test_scatter_step_is_one_layer_kernel_call(monkeypatch):
@@ -147,18 +119,16 @@ def test_scatter_step_is_one_layer_kernel_call(monkeypatch):
     calls = []
     walk = sqrw.scattering._layer_walk
     monkeypatch.setattr(sqrw.scattering, "_layer_walk", lambda *args: calls.append(args[1]) or walk(*args))
-    stepped_detection_series(d, c, b, n_max=9, tail_length=11)
+    s = initial_tail_photon(d)
+    for _ in range(9):
+        s = scatter_step(s, c, b)
     assert calls == [1] * 9
-    # a walk that moves nothing leaves nothing: no tail amplitude moves outside it
+    # a walk that moves nothing leaves nothing: no amplitude moves outside it
     monkeypatch.setattr(
         sqrw.scattering, "_layer_walk", lambda s, steps, factors: iter([np.zeros((steps + 1, len(s)), complex)])
     )
-    s = initial_tail_photon(d, 6)
-    s.line[1:-1] = 1.0
-    s.left_out[-1] = s.right_out[-1] = 0.0  # clear of the cut
-    out = scatter_step(s, c, b)
-    for name in SCATTER_FIELDS + ("line",):
-        assert not np.any(getattr(out, name)), name
+    s.line[:] = 1.0
+    assert not np.any(scatter_step(s, c, b).line)
 
 
 @pytest.mark.parametrize("family", ["grover", "symmetric"])
@@ -208,12 +178,15 @@ def test_series_truncates_where_stepping_does_past_the_first_block(tmp_path, d):
 
 
 def test_norm_conserved_with_tails():
+    # what left the cube is on the tails: the exits of every step so far
     d = 10
     c, b = symmetric_coeffs(d, 1.0), boundary_coeffs(d)
-    s = initial_tail_photon(d, 120)
+    s = initial_tail_photon(d)
+    left = 0.0
     for _ in range(100):
         s = scatter_step(s, c, b)
-        assert abs(scatter_norm(s) - 1.0) <= 1e-10
+        left += abs(s.up[d]) ** 2 + abs(s.down[0]) ** 2
+        assert abs(edge_counting_norm(s) + left - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -265,7 +238,7 @@ def test_any_origin_start_exits_as_the_layer_walk(d, family):
     c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
     b = boundary_coeffs(d)
     n = 6 * d
-    s = scatter_from_layer(origin_state(d), n + 2)
+    s = origin_state(d)
     layer = [(s.down[0], s.up[d])]
     for _ in range(n):
         s = scatter_step(s, c, b)
@@ -332,28 +305,20 @@ def test_interferometer_gamma_shape_checked():
 
 
 def test_scatter_state_validation():
+    with pytest.raises(ValidationError):  # d = 3: a line of 2d + 4 = 10 entries
+        LayerState(3, np.zeros(9))
     with pytest.raises(ValidationError):
-        initial_tail_photon(3, 0)
-    with pytest.raises(ValidationError):
-        initial_tail_photon(3, -5)
-    # d = 3, L = 2: n = 8 sites, a line of 18 entries
-    with pytest.raises(ValidationError):
-        LayerState(3, np.zeros(17), 2)
-    with pytest.raises(ValidationError):
-        LayerState(3, np.zeros(18), -1)
-    with pytest.raises(ValidationError):
-        LayerState(0, np.zeros(16), 2)
-    s = LayerState(3, np.arange(18.0), 2)
+        LayerState(0, np.zeros(4))
+    s = LayerState(3, np.arange(10.0))
     assert s.line.dtype == np.complex128
-    # [pad, up at sites -2..5, down at sites -2..5, pad]
-    assert np.array_equal(s.up, [3, 4, 5, 6]) and np.array_equal(s.down, [11, 12, 13, 14])
-    assert np.array_equal(s.left_in, [2, 1]) and np.array_equal(s.left_out, [10, 9])
-    assert np.array_equal(s.right_out, [7, 8]) and np.array_equal(s.right_in, [15, 16])
-    s.left_in[0] = s.right_in[1] = -1.0
-    assert s.line[2] == s.line[16] == -1.0
+    # [pad, up, down, pad]
+    assert np.array_equal(s.up, [1, 2, 3, 4]) and np.array_equal(s.down, [5, 6, 7, 8])
+    s.up[3] = s.down[0] = -1.0  # the exits
+    assert s.line[4] == s.line[5] == -1.0
+    for tail_length in (0, -5):
+        with pytest.raises(ValidationError):
+            detection_probability_series(3, grover_coeffs(3), None, 5, tail_length)
     with pytest.raises(ValidationError):
-        detection_probability_series(3, grover_coeffs(3), None, 5, tail_length=0)
-    with pytest.raises(ValidationError):
-        scatter_step(initial_tail_photon(3, 4), grover_coeffs(4), boundary_coeffs(3))
-    with pytest.raises(ValidationError):  # no stored tails to step
-        scatter_step(zero_layer_state(3), grover_coeffs(3), boundary_coeffs(3))
+        scatter_step(initial_tail_photon(3), grover_coeffs(4), boundary_coeffs(3))
+    with pytest.raises(ValidationError):  # the boundary pair is a (d+1)-port
+        scatter_step(initial_tail_photon(3), grover_coeffs(3), grover_coeffs(3))
