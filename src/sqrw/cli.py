@@ -135,10 +135,8 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 
 def _cmd_full(args: argparse.Namespace) -> int:
-    # d state rows, at most two 2**d float or int rows at a time (per-vertex probabilities
-    # and vertex weights: step 0's, then the walk's), counted as four, and the walk's two
-    # blocks of at most 2**14 vertices; complex rows whatever the coin, so admission does
-    # not depend on it
+    # d state rows plus four rows, all complex whatever the coin so admission does not depend
+    # on it; the four are slack over the walk's and the readings' blocks of 2**14 vertices
     ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)

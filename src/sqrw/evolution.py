@@ -14,13 +14,13 @@ read from the partner block and written back there, so its halves swap
 between steps and are swapped back at the end.  Then the arrivals are
 summed per vertex over directions in fixed ascending order, so results
 are reproducible to the bit, and each row is rewritten.  On request the
-walk also records each step's layer distribution: it adds each new
-|amplitude|**2 into a per-vertex row while the block is in cache, as
-``layer_distribution_full`` sums it, and folds that row by Hamming weight.
-The scratch is two blocks in the state's kind, whatever d.  The state's
-dtype follows the coefficients: real ones step a float64 state with
-float64 scratch and scalars, bit for bit the real part of the complex
-walk.  Every vertex scatters with the same coefficients; the
+walk also records each step's layer distribution: it sums each new
+|amplitude|**2 into a block tile, as ``layer_distribution_full`` does, and
+folds the tile into the layers the block touches.  The scratch is two
+blocks in the state's kind and the fold's two block rows, whatever d.  The
+state's dtype follows the coefficients: real ones step a float64 state
+with float64 scratch and scalars, bit for bit the real part of the
+complex walk.  Every vertex scatters with the same coefficients; the
 marked-vertex search runs on the layer walk (``sqrw.search``).
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import state_dimension, vertex_weights
+from .hypercube import state_dimension
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -73,12 +73,33 @@ _BLOCK = 1 << 14  # vertices per block of the walk: 256 KiB of complex
 def _add_probability(
     pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
 ) -> None:
-    """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, through the float scratch ``edge``."""
+    """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, squared in the float scratch ``edge``."""
     if amps.dtype != np.float64:
         np.abs(amps, out=edge)
         amps = edge
-    np.multiply(amps, amps, out=edge)  # x * x is |x| * |x| to the bit
+    np.square(amps, out=edge)  # x * x, which is |x| * |x| to the bit
     np.add(pv, edge, out=pv)
+
+
+def _layer_fold(size: int):
+    """A zero float64 tile for ``size`` = 2**(k - 1) vertices, and ``fold(out, lo)``.
+
+    The fold bincounts [out[c : c + k] | tile] by [0 .. k - 1 | weights in the block]
+    into out[c : c + k], c = popcount(lo), and zeroes the tile.  bincount adds in index
+    order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
+    """
+    k = size.bit_length()
+    buf, idx = np.zeros(k + size), np.zeros(k + size, np.int64)
+    idx[:k] = range(k)
+    for b in range(k - 1):  # vertex_weights' doubling, in place: bit b adds one to every smaller vertex
+        np.add(idx[k : k + (1 << b)], 1, out=idx[k + (1 << b) : k + (2 << b)])
+
+    def fold(out: NDArray[np.float64], lo: int) -> None:
+        c = lo.bit_count()
+        buf[:k] = out[c : c + k]
+        out[c : c + k] = np.bincount(idx, weights=buf, minlength=k)
+        buf.fill(0.0)
+    return buf[k:], fold
 
 
 def _full_walk(
@@ -93,12 +114,10 @@ def _full_walk(
     reversal (whose float view also squares the probabilities), in float64
     for a real ``state`` and in complex128 for any complex one.  If
     ``series`` (steps, d + 1) is given, row n - 1 gets the layer
-    distribution after step n: each vertex's d probabilities summed by
-    ``_add_probability`` in ascending direction order into one 2**d row,
-    then folded by Hamming weight, as ``layer_distribution_full`` does.
-    The rows whose bit m = 2**(d - 1 - j) is at least the block size hold
-    their halves across m swapped after an odd step; the walk swaps them
-    back before it returns.
+    distribution after step n, read per block as ``layer_distribution_full``
+    reads it, through the tile and fold of ``_layer_fold``.  The rows whose
+    bit m = 2**(d - 1 - j) is at least the block size hold their halves
+    across m swapped after an odd step; the walk swaps them back before it returns.
     """
     r, t = cfg.coeffs.r, cfg.coeffs.t
     dtype = np.complex128
@@ -111,8 +130,9 @@ def _full_walk(
     size = min(n, _BLOCK)
     totals, block = np.empty(size, dtype), np.empty(size, dtype)
     edge = block.view(np.float64)[:size]
-    if series is not None:  # each vertex's probability, and the weights that fold it
-        pv, weights = np.empty(n), vertex_weights(d)
+    if series is not None:  # each block's probabilities, folded into the zeroed rows
+        acc, fold = _layer_fold(size)
+        series[:steps] = 0.0
     bits = [1 << (d - 1 - j) for j in range(d)]
     swapped = False  # the rows with a bit above the block hold their halves swapped
     for done in range(steps):
@@ -128,17 +148,14 @@ def _full_walk(
             for row in rows[1:]:
                 np.add(totals, row, totals)
             np.multiply(totals, t, totals)
-            if series is not None:
-                acc = pv[lo : lo + size]
-                acc.fill(0.0)
             for row in rows:
                 np.multiply(row, r - t, row)
                 np.add(row, totals, row)
                 if series is not None:
                     _add_probability(acc, row, edge)
+            if series is not None:
+                fold(series[done], lo)
         swapped = not swapped
-        if series is not None:
-            series[done] = np.bincount(weights, weights=pv, minlength=d + 1)
     if swapped:  # after an odd count: swap back the halves of every row above the block
         for j, m in enumerate(bits):
             for lo in range(0, n, size):
@@ -168,14 +185,14 @@ def evolve(state: NDArray, cfg: EvolutionConfig, n: int) -> NDArray:
 def layer_distribution_full(state: NDArray) -> NDArray[np.float64]:
     """Probability per Hamming layer, summed over all edges leaving that layer."""
     d = state_dimension(state)
-    n = 1 << d
-    size = min(n, _BLOCK)
-    per_vertex = np.zeros(n)
-    edge = np.empty(size)
-    for lo in range(0, n, size):  # block by block, so per_vertex stays in cache
+    size = min(1 << d, _BLOCK)
+    acc, fold = _layer_fold(size)
+    edge, out = np.empty(size), np.zeros(d + 1)
+    for lo in range(0, 1 << d, size):  # block by block, so the tile stays in cache
         for j in range(d):
-            _add_probability(per_vertex[lo : lo + size], state[lo : lo + size, j], edge)
-    return np.bincount(vertex_weights(d), weights=per_vertex, minlength=d + 1)
+            _add_probability(acc, state[lo : lo + size, j], edge)
+        fold(out, lo)
+    return out
 
 
 def vertex_probability(state: NDArray, x: int) -> float:

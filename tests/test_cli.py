@@ -386,8 +386,8 @@ def _full_peak(tmp_path, d, multiport):
 
 
 def _full_bound(d, itemsize):
-    """The state, the walk's two 2**d float or int rows (probabilities and weights), its two blocks and 128 KiB."""
-    return d * (1 << d) * itemsize + 2 * (1 << d) * 8 + 2 * (1 << 14) * itemsize + (128 << 10)
+    """The state, the walk's two blocks, the fold's float64 and int64 block rows and 128 KiB: no 2**d row."""
+    return d * (1 << d) * itemsize + 2 * (1 << 14) * itemsize + 2 * ((1 << 14) + 15) * 8 + (128 << 10)
 
 
 def test_full_working_set_bounds_the_peak(tmp_path):
@@ -398,7 +398,7 @@ def test_full_working_set_bounds_the_peak(tmp_path):
 
 
 def test_full_real_coin_working_set_is_half_the_complex_one(tmp_path):
-    # grover is real, so its state, scratch and probability row are float64
+    # grover is real, so its state and scratch are float64, as the fold's tile always is
     d = 16
     peak = _full_peak(tmp_path, d, "grover")
     assert d * (1 << d) * 8 < peak <= _full_bound(d, 8)

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     rowwise_layer_distribution,
 )
 
+from sqrw import evolution
 from sqrw.errors import ValidationError
 from sqrw.evolution import (
     EvolutionConfig,
@@ -31,6 +33,7 @@ from sqrw.hypercube import (
     embed_layer_state,
     initial_symmetric_state,
     parse_vertex,
+    vertex_weights,
     zero_full_state,
 )
 from sqrw.layers import (
@@ -120,26 +123,78 @@ def _layouts(state):
     return [state.T.copy().T, state.copy()]
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@contextmanager
+def _fold_windows():
+    """Record the first layer c and layer count k of every block the walk and the reading fold."""
+    windows = []
+    make = evolution._layer_fold
+
+    def layer_fold(size):
+        tile, fold = make(size)
+
+        def record(out, lo):
+            windows.append((lo.bit_count(), size.bit_length()))
+            fold(out, lo)
+
+        return tile, record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_layer_fold", layer_fold)
+        yield windows
+
+
+def _assert_every_window(windows, d):
+    # every offset c of the block's k layers is folded, up to the last window c + k = d + 1
+    (k,) = {k for _, k in windows}
+    assert {c for c, _ in windows} == set(range(d + 2 - k))
+
+
+BLOCKS = (1, 2, 4, 16)  # from one vertex per block to every bit inside it (d <= 4)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_layer_fold_sums_as_one_bincount_bit_for_bit(d):
+    # probabilities over seven decades, so any other order of the additions shows in the bits
+    rng = np.random.default_rng(70 + d)
+    pv = rng.random(1 << d) * 10.0 ** rng.integers(-6, 1, 1 << d)
+    want = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
+    for block in BLOCKS:
+        size = min(block, 1 << d)
+        tile, fold = evolution._layer_fold(size)
+        assert tile.shape == (size,) and not tile.any()
+        out = np.zeros(d + 1)
+        for lo in range(0, 1 << d, size):
+            tile[:] = pv[lo : lo + size]
+            fold(out, lo)
+            assert not tile.any(), (block, lo)  # zeroed for the next block
+        assert np.array_equal(out, want), block
+
+
+@pytest.mark.parametrize("d", range(1, 11))
 @pytest.mark.parametrize("strided", [False, True])
 def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
-    # blocks of 2, 4 and 16 put some bits above the block and the rest inside it
+    # blocks of 1, 2, 4 and 16 put some bits above the block and the rest inside it
     # (every bit inside at block 16 and d <= 4); walks of 1, 2 and 3 steps end
     # with the rows above the block swapped and not swapped
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     state = random_unit_state(d, d)
     want = _chained_reference(state, cfg, 3)
-    for block, steps in itertools.product((2, 4, 16), (1, 2, 3)):
+    for block, steps in itertools.product(BLOCKS, (1, 2, 3)):
         psi = _layouts(state)[strided]  # never a view of state
         series = np.full((steps, d + 1), np.nan)  # the walk must overwrite every row
-        with small_blocks(block):
+        with small_blocks(block), _fold_windows() as windows:
             assert _full_walk(psi, cfg, steps, series) is psi
+        _assert_every_window(windows, d)
+        assert np.array_equal(series[-1], rowwise_layer_distribution(psi)), (block, steps)
+        if block == 1:  # numpy's in-place complex multiply rounds a one-element row its own way
+            np.testing.assert_allclose(psi, want[steps], rtol=0, atol=1e-15)
+            continue
         for k in range(1, steps + 1):
             assert np.array_equal(series[k - 1], rowwise_layer_distribution(want[k])), (block, k)
         assert np.array_equal(psi, want[steps]), (block, steps)
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 11))
 @pytest.mark.parametrize("strided", [False, True])
 def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
     # grover and its negative: real coefficients, so a real state stays real
@@ -147,7 +202,7 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
     for coeffs in (grover_coeffs(d), MultiportCoeffs(1 - 2 / d, -2 / d, d)):
         cfg = EvolutionConfig(d, coeffs)
         want = _chained_reference(real.astype(np.complex128), cfg, 3)
-        for block, steps in itertools.product((2, 4, 16), (1, 2, 3)):
+        for block, steps in itertools.product(BLOCKS, (1, 2, 3)):
             psis = [_layouts(real.astype(dtype))[strided] for dtype in (np.float64, np.complex128)]
             series = [np.full((steps, d + 1), np.nan), np.full((steps, d + 1), np.nan)]
             with small_blocks(block):
@@ -196,20 +251,23 @@ def test_real_state_refuses_a_complex_coefficient():
     assert np.array_equal(state, np.ones((1 << d, d)))  # refused before any write
 
 
-@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("d", range(1, 11))
 def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
     # complex and float64 states (the real parts), each in both memory orders
     state = random_unit_state(d, 40 + d)
     for layout in _layouts(state) + _layouts(state.real):
         want = rowwise_layer_distribution(layout)
         assert np.array_equal(layer_distribution_full(layout), want)
-        with small_blocks():
-            assert np.array_equal(layer_distribution_full(layout), want)
+        for block in BLOCKS:
+            with small_blocks(block), _fold_windows() as windows:
+                assert np.array_equal(layer_distribution_full(layout), want), block
+            _assert_every_window(windows, d)
 
 
 # bookkeeping (about 5 KiB): the walk's operands are contiguous, so numpy allocates no
 # ufunc buffer; a third block, or a 2**d row, would exceed it on either dtype
 SCRATCH_SLACK = 32 << 10
+FOLD_ROWS = 2 * ((1 << 14) + 15) * 8  # the fold's float64 tile and int64 index row, 15 layers each
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -218,7 +276,7 @@ SCRATCH_SLACK = 32 << 10
 def test_walk_step_allocates_two_blocks_in_the_state_kind(d, with_series, dtype):
     # the scratch is two 2**14-vertex blocks, float64 for a real state, whatever d;
     # one step, so the rows above the block are swapped back through a block too.
-    # A series adds the walk's own two 2**d rows: the probabilities and the weights
+    # A series adds the fold's two block rows, and no 2**d row
     state = initial_symmetric_state(d, dtype)
     series = np.empty((1, d + 1)) if with_series else None
     cfg = EvolutionConfig(d, grover_coeffs(d))
@@ -228,8 +286,22 @@ def test_walk_step_allocates_two_blocks_in_the_state_kind(d, with_series, dtype)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = 2 * (1 << d) * 8 if with_series else 0
-    assert peak <= 2 * (1 << 14) * np.dtype(dtype).itemsize + SCRATCH_SLACK + rows
+    fold = FOLD_ROWS if with_series else 0
+    assert peak <= 2 * (1 << 14) * np.dtype(dtype).itemsize + fold + SCRATCH_SLACK
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("d", [16, 18])
+def test_layer_distribution_full_allocates_one_block_and_the_fold(d, dtype):
+    # a float64 block for the squares and the fold's two block rows, whatever d and dtype
+    state = initial_symmetric_state(d, dtype)
+    tracemalloc.start()
+    try:
+        layer_distribution_full(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 14) * 8 + FOLD_ROWS + SCRATCH_SLACK
 
 
 def test_gather_incoming_reads_either_memory_order():

@@ -171,3 +171,17 @@ def test_layer_search_state_keeps_unit_norm():
     for s in walk_states(stacked(up, down), 2000, _layer_factors(d, r, t)):
         assert abs(edge_counting_norm(LayerState(d, s)) - 1.0) <= 1e-10
 
+
+@pytest.mark.parametrize("metric", ["out", "in"])
+def test_search_peak_follows_the_skw_asymptotics(metric):
+    # Shenvi, Kempe and Whaley (PRA 67, 052307): the success probability peaks near
+    # t_SKW = (pi/2) sqrt(2**(d - 1)) steps, at 1/2 - O(1/d).  Scaled by d, both corrections
+    # read 0.54 .. 0.66 (step) and 0.53 .. 0.57 (probability) over even d = 20 .. 34
+    peaks = []
+    for d in range(20, 35, 2):
+        t_skw = math.pi / 2 * math.sqrt(2 ** (d - 1))
+        res = run_search(SearchConfig(d, 0, math.ceil(1.3 * t_skw), metric=metric))
+        assert 0.45 <= d * (res.peak_step / t_skw - 1) <= 0.75, d
+        assert 0.48 <= d * (0.5 - res.peak_probability) <= 0.62, d
+        peaks.append(res.peak_probability)
+    assert all(a < b for a, b in zip(peaks, peaks[1:]))  # rising towards 1/2
