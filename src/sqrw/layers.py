@@ -23,13 +23,12 @@ leaves the pads zero: what leaves the line never returns.  A cube without
 tails keeps all four zero (``_require_closed``).
 
 ``_layer_walk`` is the only code that steps a line: the layer series, the
-detection series, the search, ``reduced_step`` and ``scatter_step`` all go
-through it.  It steps into one preallocated block of states, two ufunc calls
-and no allocation per step, and its readers take each block whole: the
-layer series weighs it with one ``_distribution`` call.  The search and
-detection readings stay per-element Python scalars (``abs(z)``,
-``abs(z) ** 2``), because numpy's array ``abs`` and ``** 2`` round some
-values differently, and the CSV bytes would move.
+detection series, the search, ``reduced_step`` and ``scatter_step`` are each
+one call of it.  It steps into one preallocated block of states, two ufunc
+calls and no allocation per step, and each reader takes a block whole with
+one array expression.  The search and detection readings use ``_abs``
+(libm ``hypot``) and ``np.float_power(x, 2)`` (libm ``pow``), which round as
+Python's ``abs(z)`` and ``x ** 2`` do, where numpy's ``abs`` and ``** 2`` do not.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -156,6 +155,11 @@ def _distribution(
     return b * ((d - w) * np.abs(up) ** 2 + w * np.abs(down) ** 2)
 
 
+def _abs(z: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """|z| per element, rounded as Python's ``abs(complex)``: both are libm ``hypot``."""
+    return np.hypot(z.real, z.imag)
+
+
 def edge_counting_norm(s: LayerState) -> float:
     """Squared norm of the embedded state: sum_w C(d,w)[(d-w)|up|^2 + w|down|^2]."""
     return float(np.sum(_distribution(s.up, s.down, _binomials(s.d))))
@@ -172,7 +176,8 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     """
     _require_closed(s)
     require_valid(c, degree=s.d)
-    return LayerState(s.d, next(_layer_walk(s.line, 1, _layer_factors(s.d, c.r, c.t)))[1])
+    states = np.empty((2, len(s.line)), np.complex128)
+    return LayerState(s.d, _layer_walk(s.line, _layer_factors(s.d, c.r, c.t), states, lambda block, n: block)[1])
 
 
 def _layer_factors(
@@ -214,19 +219,23 @@ _WALK_BLOCK = 256
 
 
 def _layer_walk(
-    s: NDArray[np.complex128],
-    steps: int,
+    line: NDArray[np.complex128],
     factors: tuple[NDArray[np.complex128], NDArray[np.complex128]],
-) -> Iterator[NDArray[np.complex128]]:
-    """Padded states after 0..steps steps of the ``reduced_step`` formula, in blocks.
+    out: NDArray,
+    read: Callable[[NDArray[np.complex128], int], NDArray],
+) -> NDArray:
+    """Walk ``line`` for ``len(out) - 1`` steps of the ``reduced_step`` formula; return ``out``.
 
-    ``factors`` is ``(below, above)`` from ``_layer_factors``.  Each yield
-    is a (k, len(s)) view of one buffer of at most ``_WALK_BLOCK`` + 1 rows
-    holding the states not yet yielded, state 0 (``s``) first; a full
-    buffer's last row becomes its row 0.  The next yield overwrites the
-    view, so a reader that keeps a block copies it.  The pads of ``s``
-    enter on the first step only; a step leaves them zero.  No validation.
+    ``factors`` is ``(below, above)`` from ``_layer_factors``.  The states
+    are stepped into one buffer of at most ``_WALK_BLOCK`` + 1 rows, and
+    each block of k states, after n .. n + k - 1 steps, is read whole:
+    ``out[n : n + k] = read(block, n)``.  The next block overwrites it, so
+    a reader that keeps a block copies it.  The caller allocates ``out``,
+    so a step count too large to store fails before any step.  The pads of
+    ``line`` enter on the first step only; a step leaves them zero.  No
+    validation.
     """
+    steps = len(out) - 1
     fac = np.stack(factors)  # (2, 2, n)
     n = fac.shape[2]
     width = 2 * n + 2
@@ -237,17 +246,17 @@ def _layer_walk(
     dst = list(buf[:, 1 : width - 1].reshape(len(buf), 2, n))
     prod = np.empty_like(fac)
     below_term, above_term = prod  # below * s[:n] and above * s[-n:]
-    buf[0, :width] = s
+    buf[0, :width] = line
     first = done = 0
     while True:
         k = min(steps - done, len(buf) - 1)
         for x, y in zip(src[:k], dst[1 : k + 1]):
             np.multiply(fac, x, out=prod)
             np.add(below_term, above_term, out=y)
-        yield buf[first : k + 1, :width]
+        out[done + first : done + k + 1] = read(buf[first : k + 1, :width], done + first)
         done += k
         if done == steps:
-            return
+            return out
         buf[0] = buf[k]
         first = 1
 
@@ -268,14 +277,10 @@ def layer_distribution_series(
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
     b = _binomials(d)
-    # allocated before the walk, so a step count too large to store fails at once
     series = np.empty((n_max + 1, d + 1), dtype=np.float64)
-    n = 0
-    for block in _layer_walk(init.line, n_max, _layer_factors(d, c.r, c.t)):
-        walk = block.reshape(len(block), 2, d + 2)  # rows [pad, up] and [down, pad]
-        series[n : n + len(block)] = _distribution(walk[:, 0, 1:], walk[:, 1, :-1], b)
-        n += len(block)
-    return series
+    return _layer_walk(
+        init.line, _layer_factors(d, c.r, c.t), series, lambda s, n: _distribution(s[:, 1 : d + 2], s[:, d + 2 : -1], b)
+    )
 
 
 def hitting_amplitude_closed_form(d: int, c: MultiportCoeffs) -> complex:

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import TruncationError, ValidationError
-from .layers import LayerState, _layer_factors, _layer_walk, zero_layer_state
+from .layers import LayerState, _abs, _layer_factors, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -88,7 +88,8 @@ def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> Layer
     """
     require_valid(c, degree=s.d)
     require_valid(b, degree=s.d + 1)
-    return LayerState(s.d, next(_layer_walk(s.line, 1, _layer_factors(s.d, c.r, c.t, b)))[1])
+    states = np.empty((2, len(s.line)), np.complex128)
+    return LayerState(s.d, _layer_walk(s.line, _layer_factors(s.d, c.r, c.t, b), states, lambda block, n: block)[1])
 
 
 def detection_probability_series(
@@ -116,21 +117,18 @@ def detection_probability_series(
         raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
     require_valid(c, degree=d)
     require_valid(b, degree=d + 1)
-    series = np.empty(n_max + 1, dtype=np.float64)
-    # column d + 1 is up[d] (onto the right tail), d + 2 is down[0] (onto the left);
-    # an exit in a state n <= n_max - tail_length - 1 reaches the cut
-    n = 0
-    for block in _layer_walk(initial_tail_photon(d).line, n_max, _layer_factors(d, c.r, c.t, b)):
-        k = len(block)
-        # per element on Python scalars: the array forms round some values differently
-        series[n : n + k] = [abs(z) ** 2 for z in block[:, d + 1].tolist()]
+
+    def read(block: NDArray[np.complex128], n: int) -> NDArray[np.float64]:
+        # column d + 1 is up[d] (onto the right tail), d + 2 is down[0] (onto the left);
+        # an exit in a state n <= n_max - tail_length - 1 reaches the cut
         if np.any(block[: max(n_max - tail_length - n, 0), d + 1 : d + 3]):
             raise TruncationError(
                 f"outgoing amplitude reached the tail cut at length {tail_length}; "
                 "increase the tail length beyond the step count"
             )
-        n += k
-    return series
+        return np.float_power(_abs(block[:, d + 1]), 2)
+
+    return _layer_walk(initial_tail_photon(d).line, _layer_factors(d, c.r, c.t, b), np.empty(n_max + 1), read)
 
 
 def interferometer_amplitude(d: int, gamma: NDArray[np.complex128], c: MultiportCoeffs) -> complex:

@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .evolution import vertex_probability
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps it)
 from .hypercube import direction_mask, ensure_full_state_fits
-from .layers import MAX_LAYER_DIM, _layer_factors, _layer_walk, zero_layer_state
+from .layers import MAX_LAYER_DIM, _abs, _layer_factors, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_valid
 
 __all__ = [
@@ -118,13 +118,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     start.up[:d] = start.down[1:] = 1.0 / math.sqrt(d * (1 << d))
     # the mark's d out-edges (up[0] = s[1]) or in-edges (down[1] = s[d + 3]) share one amplitude
     col = 1 if cfg.metric == "out" else d + 3
-    # allocated before the walk, so a step count too large to store fails at once
-    series = np.empty(cfg.steps + 1, dtype=np.float64)
-    n = 0
-    for block in _layer_walk(start.line, cfg.steps, _layer_factors(d, r, t)):
-        # per element on Python complex: a bulk np.abs rounds some |z| differently
-        series[n : n + len(block)] = [abs(z) for z in block[:, col].tolist()]
-        n += len(block)
+    series = _layer_walk(start.line, _layer_factors(d, r, t), np.empty(cfg.steps + 1), lambda s, n: _abs(s[:, col]))
     series = cfg.dim * series**2
     peak_step = int(np.argmax(series))
     return SearchResult(series, peak_step, float(series[peak_step]))

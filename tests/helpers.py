@@ -134,9 +134,9 @@ def stacked(up: np.ndarray, down: np.ndarray) -> np.ndarray:
 def walk_states(line: np.ndarray, steps: int, factors) -> np.ndarray:
     """Every padded state of ``sqrw.layers._layer_walk``, row n after n steps.
 
-    Each yielded block is copied: the walk overwrites it with the next one.
+    The walk reads each block into the returned rows before it overwrites it.
     """
-    return np.concatenate([block.copy() for block in _layer_walk(line, steps, factors)])
+    return _layer_walk(line, factors, np.empty((steps + 1, len(line)), np.complex128), lambda block, n: block)
 
 
 def count_local_maxima(series: np.ndarray, floor: float = 1e-12) -> int:

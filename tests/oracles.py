@@ -5,7 +5,8 @@ spectra, the character basis, the basis-column circuit comparison, the
 flip-gate structure check, the audit and classical layer series, the layer
 distribution, layer embedding and layer extraction of a full state, the
 tailed corner rows, the layer walk on two arrays, the tailed step on six
-arrays with shifting tails, the search stepped on the full state, and the
+arrays with shifting tails, the search stepped on the full state, the
+per-element Python readings of the search and detection series, and the
 one-row-at-a-time CSV writer.  They check the library from outside and are
 not part of its API.
 """
@@ -518,6 +519,32 @@ def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:
         state = reference_step(state, evo, mark)
         series[n] = success_probability(state, cfg)
     return series
+
+
+def scalar_abs(z: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """``abs`` of each element as a Python ``complex``: libm ``hypot``."""
+    return np.array([abs(x) for x in z.tolist()], dtype=np.float64)
+
+
+def scalar_square(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``** 2`` of each element as a Python ``float``: libm ``pow``."""
+    return np.array([v**2 for v in x.tolist()], dtype=np.float64)
+
+
+def scalar_search_series(states: NDArray[np.complex128], col: int) -> NDArray[np.float64]:
+    """``run_search``'s series read per element from its padded layer states.
+
+    ``col`` is 1 (up[0], the mark's out-edges) or d + 3 (down[1], its
+    in-edges); each of the d edges carries the amplitude read there.
+    """
+    d = (states.shape[1] - 4) // 2
+    return d * scalar_abs(states[:, col]) ** 2
+
+
+def scalar_detection_series(states: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """``detection_probability_series`` read per element: |up[d]|**2 of each padded state."""
+    d = (states.shape[1] - 4) // 2
+    return scalar_square(scalar_abs(states[:, d + 1]))
 
 
 def _fmt(x: float) -> str:

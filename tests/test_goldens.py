@@ -5,7 +5,9 @@ its shared kernel, so they also pin that refactor to the old bytes.  The
 ``search`` hashes were recorded from the layer-reduced search (the d = 8
 ``symmetric:p=1`` ones, like the ``scatter`` hash, before the layer walk
 stepped in blocks, so they pin the blocked walk and its complex-coin
-readings to the one-state-per-step bytes), the ``full`` hashes from the in-place direction-major step kernel (the d = 16 one before
+readings to the one-state-per-step bytes; the d = 30 one, 1.3 t_SKW steps
+long, from the per-element Python ``abs`` reading, so it pins the array
+readings to those bytes), the ``full`` hashes from the in-place direction-major step kernel (the d = 16 one before
 that kernel was split into blocks, so it pins the blocked kernel to the
 unblocked bytes; the next three, two grover and one real ``custom:`` pair, from the
 complex state, so they pin the float64 state of real coins to its bytes; the
@@ -60,6 +62,12 @@ SEARCH_GOLDENS = [
         ["--dim", "8", "--marked", "10101101", "--steps", "300", "--multiport", "symmetric:p=1", "--metric", "in"],
         "4e64506720e675d5a8c85899199e4ad1f0abbe2dfdea2c9199a9a65210997566",
         "peak_step=41 peak_probability=0.0066065048613202504\n",
+    ),
+    (
+        # 1.3 t_SKW steps: the layer walk crosses 184 block seams
+        ["--dim", "30", "--marked", "101101101101101101101101101101", "--steps", "47314"],
+        "edc1953ebb5bf9eb000e3474b2b4dcc2aae0c23c93a1fadd5f73e0793941198b",
+        "peak_step=37067 peak_probability=0.48203399310375433\n",
     ),
 ]
 
@@ -139,7 +147,7 @@ def test_repro_preset_bytes(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "flags,csv_hash,stdout", SEARCH_GOLDENS, ids=["d6-in", "d8-out", "d8-symmetric-out", "d8-symmetric-in"]
+    "flags,csv_hash,stdout", SEARCH_GOLDENS, ids=["d6-in", "d8-out", "d8-symmetric-out", "d8-symmetric-in", "d30-long"]
 )
 def test_search_bytes(tmp_path, capsys, flags, csv_hash, stdout):
     out = tmp_path / "search.csv"

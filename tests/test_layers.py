@@ -39,7 +39,7 @@ from sqrw.layers import (
     zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
-from sqrw.scattering import boundary_coeffs, detection_probability_series, scatter_step
+from sqrw.scattering import boundary_coeffs, detection_probability_series, initial_tail_photon, scatter_step
 from sqrw.search import SearchConfig, run_search
 
 
@@ -291,9 +291,12 @@ def test_stacked_walk_matches_two_array_walk_to_the_bit(d, family, mode):
     want = concatenate_layer_walk(up, down, steps, r, t, tails, left_in, right_in)
     start = stacked(up, down)
     start[0], start[-1] = left_in, right_in
-    blocks = [block.copy() for block in _layer_walk(start, steps, _layer_factors(d, r, t, tails))]
+    blocks = []
+    out = np.empty((steps + 1, len(start)), np.complex128)
+    got = _layer_walk(start, _layer_factors(d, r, t, tails), out, lambda block, n: blocks.append(block.copy()) or block)
+    assert got is out
     assert [len(block) for block in blocks] == [_WALK_BLOCK + 1, _WALK_BLOCK, steps - 2 * _WALK_BLOCK]
-    got = np.concatenate(blocks)
+    assert np.array_equal(np.concatenate(blocks), got)
     assert len(got) == len(want) == steps + 1
     for n, (s, (want_up, want_down)) in enumerate(zip(got, want)):
         assert np.array_equal(s[1:-1], np.concatenate((want_up, want_down)))
@@ -308,9 +311,9 @@ def test_every_layer_series_steps_through_one_kernel(monkeypatch):
     steps = []
     walk = sqrw.layers._layer_walk
 
-    def counted(s, n, factors):
-        steps.append(n)
-        yield from walk(s, n, factors)
+    def counted(line, factors, out, read):
+        steps.append(len(out) - 1)
+        return walk(line, factors, out, read)
 
     for module in (sqrw.layers, sqrw.scattering, sqrw.search):
         monkeypatch.setattr(module, "_layer_walk", counted)
@@ -318,16 +321,22 @@ def test_every_layer_series_steps_through_one_kernel(monkeypatch):
     detection_probability_series(6, grover_coeffs(6), n_max=9)
     run_search(SearchConfig(dim=6, marked=5, steps=7))
     reduced_step(origin_state(6), grover_coeffs(6))
-    assert steps == [5, 9, 7, 1]
+    scatter_step(initial_tail_photon(6), grover_coeffs(6), boundary_coeffs(6))
+    assert steps == [5, 9, 7, 1, 1]
 
 
 @pytest.mark.parametrize("steps", [0, 1, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 3 * _WALK_BLOCK])
 def test_walk_yields_each_state_once_in_bounded_blocks(steps):
     d = 5
     factors = _layer_factors(d, grover_coeffs(d).r, grover_coeffs(d).t)
-    sizes = [len(block) for block in _layer_walk(origin_state(d).line, steps, factors)]
+    reads = []  # (offset, rows) of each block the reader sees
+    out = np.full(steps + 1, -1)
+    _layer_walk(origin_state(d).line, factors, out, lambda block, n: reads.append((n, len(block))) or n)
+    offsets, sizes = zip(*reads)
+    assert offsets == tuple(np.cumsum((0,) + sizes[:-1]))  # 0 first, each block where the last ended
     assert sum(sizes) == steps + 1
     assert max(sizes) <= _WALK_BLOCK + 1
+    assert np.array_equal(out, np.repeat(offsets, sizes))  # block n .. n + k - 1 went to out[n : n + k]
     # across the seams the blocked walk is the stepped one, one reduced_step per row
     row = origin_state(d)
     for n, line in enumerate(walk_states(origin_state(d).line, steps, factors)):
