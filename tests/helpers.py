@@ -32,17 +32,25 @@ def reference_step(
 
     The amplitudes arriving at each vertex are copied out with
     ``gather_incoming``, summed per vertex in ascending direction order, and
-    combined row by row with the vertex matrix.  A vertex in ``overrides``
-    scatters with its own coefficients instead (the marked vertex of the
-    search).  Shares no code with the in-place kernel, but makes the same
-    floating-point operations in the same order (numpy's complex product
-    depends on operand order), so the kernel must match it bit for bit.
+    combined row by row as (r - t) * a + T, T = t * total: one multiply and
+    one add in the state's dtype (a float64 state steps with the real parts
+    of r and t).  A vertex in ``overrides`` scatters with its own
+    coefficients instead (the marked vertex of the search).  Shares no code
+    with the in-place kernel, so the kernel must match it bit for bit.  For a
+    complex state, and for a float64 one with r - t != -1.0, the kernel makes
+    the same floating-point operations in the same order (numpy's complex
+    product depends on operand order).  The float64 Grover walk (r - t ==
+    -1.0) writes T - a in one subtraction instead, which has the same bits:
+    (-1.0) * a is -a exactly, and IEEE addition commutes, signed zeros
+    included.
     """
     incoming = gather_incoming(state)
     totals = incoming[:, 0].copy()
     for j in range(1, incoming.shape[1]):
         totals += incoming[:, j]
     r, t = cfg.coeffs.r, cfg.coeffs.t
+    if state.dtype.kind == "f":
+        r, t = r.real, t.real
     out = incoming * (r - t) + (totals * t)[:, None]
     for vertex, c in (overrides or {}).items():
         out[vertex, :] = (c.r - c.t) * incoming[vertex, :] + c.t * totals[vertex]

@@ -149,7 +149,9 @@ def _assert_every_window(windows, d):
     assert {c for c, _ in windows} == set(range(d + 2 - k))
 
 
-BLOCKS = (1, 2, 4, 16)  # from one vertex per block to every bit inside it (d <= 4)
+# from one vertex per block to every bit inside it (d <= 4 at 16, d <= 6 at 64); 64 also
+# puts the bits m = 16 and 32 inside a block, which production reaches only from d = 15
+BLOCKS = (1, 2, 4, 16, 64)
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -217,6 +219,57 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
             assert np.array_equal(c, want[steps]), (block, steps)
             assert np.array_equal(f, c.real), (block, steps)
             assert not c.imag.any(), (block, steps)
+
+
+def _tied_start(d):
+    """A float64 state of -1, -0.0, 0.0, 1 and 2, both zeros at any d: many arrivals tie T = t * total."""
+    state = np.random.default_rng(200 + d).choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(1 << d, d))
+    state[0, 0], state[-1, 0] = 0.0, -0.0
+    return state
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("strided", [False, True])
+def test_grover_subtraction_has_the_bytes_of_multiply_then_add(d, strided):
+    # the float64 Grover walk writes T - a, the float64 oracle (-1.0) * a + T; compared
+    # as bytes, so a -0.0 where the oracle has 0.0 fails
+    cfg = EvolutionConfig(d, grover_coeffs(d))
+    start = _tied_start(d)
+    assert set(np.signbit(start[start == 0])) == {False, True}
+    incoming = gather_incoming(start)
+    ties = incoming == incoming.sum(axis=1, keepdims=True) * (2 / d)
+    assert (ties & (incoming == 0)).any() and (d == 1 or (ties & (incoming != 0)).any())
+    want = _chained_reference(start, cfg, 3)
+    assert {w.dtype for w in want} == {np.dtype(np.float64)}
+    for block, steps, with_series in itertools.product(BLOCKS, (1, 2, 3), (False, True)):
+        psi = _layouts(start)[strided]
+        series = np.full((steps, d + 1), np.nan) if with_series else None
+        with small_blocks(block):
+            assert _full_walk(psi, cfg, steps, series) is psi
+        assert psi.tobytes() == want[steps].tobytes(), (block, steps, with_series)
+        for k in range(1, steps + 1) if with_series else ():
+            assert series[k - 1].tobytes() == rowwise_layer_distribution(want[k]).tobytes(), (block, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("strided", [False, True])
+def test_reverse_moves_the_bytes_of_the_reversed_view(dtype, strided):
+    # random bits (NaN payloads and signed zeros included) for every bit m inside a block
+    size = evolution._BLOCK
+    words = np.dtype(dtype).itemsize // 8
+    rng = np.random.default_rng(9)
+    state = rng.integers(0, 1 << 64, size=(size, 3 * words), dtype=np.uint64).view(dtype)
+    row = state[:, 1] if strided else np.ascontiguousarray(state[:, 1])
+    assert row.flags.c_contiguous != strided
+    before = row.tobytes()
+    m = 1
+    while m < size:
+        out, want = np.empty(size, dtype), np.empty(size, dtype)
+        np.copyto(want.reshape(-1, 2, m), row.reshape(-1, 2, m)[:, ::-1])
+        evolution._reverse(out, row, m)
+        assert out.tobytes() == want.tobytes(), m
+        m *= 2
+    assert row.tobytes() == before
 
 
 @pytest.mark.parametrize("d", range(1, 9))
