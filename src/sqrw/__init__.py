@@ -15,7 +15,7 @@ is fixed by construction, or that restates numpy or another function in one
 expression, is not.
 """
 
-from .errors import MemoryCapError, SqrwError, TruncationError, ValidationError
+from .errors import MemoryCapError, SqrwError, ValidationError
 from .multiport import (
     MultiportCoeffs,
     grover_coeffs,

@@ -6,7 +6,7 @@ Rows go out 4,096 at a time, one ``%`` call each; ``%.17g`` writes the bytes of 
 
 Exit codes: 0 success, 1 failed verification, 2 bad flags, invalid
 parameters or a file that cannot be read or written, 3 memory budget
-exceeded or a request too large to allocate, 4 tail truncation reached.
+exceeded or a request too large to allocate.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Collection, Iterator, Sequence
 import numpy as np
 
 from .circuit import operator_deviation
-from .errors import MemoryCapError, TruncationError, ValidationError
+from .errors import MemoryCapError, ValidationError
 from .evolution import EvolutionConfig, _full_walk, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
 from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state, parse_vertex
@@ -155,9 +155,7 @@ def _cmd_full(args: argparse.Namespace) -> int:
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
     c = parse_multiport(args.multiport, args.dim)
-    series = detection_probability_series(
-        args.dim, c, n_max=args.steps, tail_length=args.tail_length
-    )
+    series = detection_probability_series(args.dim, c, n_max=args.steps)
     columns = [series, np.cumsum(series)] if args.cumulative else [series]
     header = "step,detection_probability" + (",cumulative_probability" if args.cumulative else "")
     _write_rows(args.out, header, _table(*columns))
@@ -360,11 +358,7 @@ _COMMANDS = {
         _cmd_full,
         [_DIM, _STEPS, _FULL_INIT, _MULTIPORT, _OUT],
     ),
-    "scatter": (
-        "tail-to-tail detection series",
-        _cmd_scatter,
-        [_DIM, _STEPS, ("--tail-length", dict(type=int, dest="tail_length")), _ADD_CUMULATIVE, _MULTIPORT, _OUT],
-    ),
+    "scatter": ("tail-to-tail detection series", _cmd_scatter, [_DIM, _STEPS, _ADD_CUMULATIVE, _MULTIPORT, _OUT]),
     "mz": ("interferometer amplitude for a direction-amplitude file", _cmd_mz, [_DIM, _GAMMA, _MULTIPORT]),
     "search": (
         "marked-vertex walk, rows step,success_probability",
@@ -438,9 +432,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a request too large to allocate ends like one over the budget
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 def cli_entry() -> None:  # pragma: no cover - thin wrapper

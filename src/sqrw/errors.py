@@ -11,7 +11,3 @@ class ValidationError(SqrwError, ValueError):
 
 class MemoryCapError(SqrwError, RuntimeError):
     """A full-state allocation would exceed the configured memory budget."""
-
-
-class TruncationError(SqrwError, RuntimeError):
-    """Amplitude reached the truncated end of a semi-infinite tail."""

@@ -6,12 +6,12 @@ of that string, i.e. bit ``1 << (d - a)`` of the integer.  A full state is an
 array of shape (2**d, d): entry [x, a-1] is the amplitude of the photon
 leaving vertex x along direction a.  Its dtype follows the coefficients: a
 walk with real ones never leaves the reals, so it can hold float64, and the
-default is complex128.  Flattening in C order gives the linear layout
-index(x, a) = x*d + (a - 1).  The constructors here store
-that array direction-major, so ``state.T`` is a C-contiguous (d, 2**d)
-array whose row j holds direction j + 1: the layout the in-place step
-kernel (``sqrw.evolution``) works in.
-Indexing and ``np.ravel`` see the same (2**d, d) values either way.
+default is complex128; the constructors here refuse any other dtype.
+Flattening in C order gives the linear layout index(x, a) = x*d + (a - 1).
+The constructors here store that array direction-major, so ``state.T``
+is a C-contiguous (d, 2**d) array whose row j holds direction j + 1: the
+layout the in-place step kernel (``sqrw.evolution``) works in.  Indexing
+and ``np.ravel`` see the same (2**d, d) values either way.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable, counted in
@@ -39,7 +39,6 @@ __all__ = [
     "ensure_full_state_fits",
     "direction_mask",
     "state_dimension",
-    "vertex_bits",
     "parse_vertex",
     "vertex_weights",
     "zero_full_state",
@@ -101,16 +100,8 @@ def direction_mask(d: int, a: int) -> int:
     return 1 << (d - a)
 
 
-def vertex_bits(d: int, x: int) -> str:
-    """Binary string of vertex ``x``, most significant bit first."""
-    check_dimension(d)
-    if not 0 <= x < (1 << d):
-        raise ValidationError(f"vertex must be in 0..{(1 << d) - 1} (got {x})")
-    return format(x, f"0{d}b")
-
-
 def parse_vertex(d: int, bits: str) -> int:
-    """Inverse of ``vertex_bits``; validates length and characters."""
+    """Vertex of the d-character 0/1 string ``bits``, most significant bit first; validates both."""
     check_dimension(d)
     if len(bits) != d or any(ch not in "01" for ch in bits):
         raise ValidationError(f"vertex string must be {d} characters of 0/1 (got {bits!r})")
@@ -127,7 +118,14 @@ def vertex_weights(d: int) -> NDArray[np.int64]:
     return w
 
 
+def _require_walk_dtype(dtype: DTypeLike) -> None:
+    if np.dtype(dtype) not in (np.float64, np.complex128):
+        raise ValidationError(f"a full state is float64 or complex128, not {np.dtype(dtype)}")
+
+
 def zero_full_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
+    """Zeros as a full state of ``dtype``, float64 or complex128: the two the walk steps in."""
+    _require_walk_dtype(dtype)
     ensure_full_state_fits(d)
     return np.zeros((d, 1 << d), dtype=dtype).T
 
@@ -152,6 +150,7 @@ def state_dimension(state: NDArray) -> int:
 def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
     """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``."""
     _require_closed(s)
+    _require_walk_dtype(dtype)
     d = s.d
     ensure_full_state_fits(d)
     up, down = s.up, s.down

@@ -25,9 +25,7 @@ The interior formula gives the other corner factors, e.g.
 up[0]' = tb * left pad + [(d-1) tb + rb] * down[1].
 
 The tails are not stored.  What leaves onto a tail moves away one site per
-step and never returns, so a tail only matters at the cube, and its
-length L is only a number: an exit at step k would reach the cut of a tail
-of L sites at step k + L + 1, which raises ``TruncationError``.
+step and never returns, so a tail only matters at the cube.
 
 Detection probability at step n is the instantaneous weight on the edge
 leaving the far vertex onto the right tail (``up[d]``); a cumulative
@@ -53,7 +51,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import TruncationError, ValidationError
+from .errors import ValidationError
 from .layers import LayerState, _abs, _layer_factors, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, require_valid
 
@@ -93,42 +91,26 @@ def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> Layer
 
 
 def detection_probability_series(
-    d: int,
-    c: MultiportCoeffs,
-    b: MultiportCoeffs | None = None,
-    n_max: int = 100,
-    tail_length: int | None = None,
+    d: int, c: MultiportCoeffs, b: MultiportCoeffs | None = None, n_max: int = 100
 ) -> NDArray[np.float64]:
     """|up[d]|^2 after each step for a photon sent in from left-tail site -1.
 
     Entry n is the instantaneous probability of occupying the detector edge
     after n steps; it is exactly zero through n = d (one layer per step).
     The cumulative detector reading is ``np.cumsum`` of this series.
-    Raises ``TruncationError`` exactly when amplitude leaving the cube has
-    time to reach the cut of a tail of ``tail_length`` stored sites.
     """
     if b is None:
         b = boundary_coeffs(d)
-    if tail_length is None:
-        tail_length = n_max + 2
     if n_max < 0:
         raise ValidationError(f"step count must be >= 0 (got {n_max})")
-    if tail_length < 1:
-        raise ValidationError(f"tail length must be >= 1 (got {tail_length})")
     require_valid(c, degree=d)
     require_valid(b, degree=d + 1)
-
-    def read(block: NDArray[np.complex128], n: int) -> NDArray[np.float64]:
-        # column d + 1 is up[d] (onto the right tail), d + 2 is down[0] (onto the left);
-        # an exit in a state n <= n_max - tail_length - 1 reaches the cut
-        if np.any(block[: max(n_max - tail_length - n, 0), d + 1 : d + 3]):
-            raise TruncationError(
-                f"outgoing amplitude reached the tail cut at length {tail_length}; "
-                "increase the tail length beyond the step count"
-            )
-        return np.float_power(_abs(block[:, d + 1]), 2)
-
-    return _layer_walk(initial_tail_photon(d).line, _layer_factors(d, c.r, c.t, b), np.empty(n_max + 1), read)
+    return _layer_walk(
+        initial_tail_photon(d).line,
+        _layer_factors(d, c.r, c.t, b),
+        np.empty(n_max + 1),
+        lambda block, n: np.float_power(_abs(block[:, d + 1]), 2),  # column d + 1 is up[d]
+    )
 
 
 def interferometer_amplitude(d: int, gamma: NDArray[np.complex128], c: MultiportCoeffs) -> complex:

@@ -10,7 +10,8 @@ import pytest
 
 from sqrw import evolution
 from sqrw.evolution import EvolutionConfig, gather_incoming
-from sqrw.hypercube import zero_full_state
+from sqrw.errors import ValidationError
+from sqrw.hypercube import check_dimension, zero_full_state
 from sqrw.multiport import MultiportCoeffs
 from sqrw.layers import _layer_walk
 from sqrw.scattering import boundary_coeffs
@@ -21,6 +22,14 @@ def random_unit_state(d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     state = rng.normal(size=(1 << d, d)) + 1j * rng.normal(size=(1 << d, d))
     return (state / np.linalg.norm(state)).astype(np.complex128)
+
+
+def vertex_bits(d: int, x: int) -> str:
+    """Binary string of vertex ``x``, most significant bit first (inverse of ``parse_vertex``)."""
+    check_dimension(d)
+    if not 0 <= x < (1 << d):
+        raise ValidationError(f"vertex must be in 0..{(1 << d) - 1} (got {x})")
+    return format(x, f"0{d}b")
 
 
 def reference_step(
@@ -113,18 +122,17 @@ def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
     return np.array([np.sort_complex(np.linalg.eigvals(block_matrix(c, k))) for k in range(1 << d)])
 
 
-def stepped_detection_series(
-    d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_max: int, tail_length: int
-) -> np.ndarray:
+def stepped_detection_series(d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_max: int) -> np.ndarray:
     """Detection series with the tails stored, by stepping ``oracles.shifting_scatter_step``.
 
-    Reference for ``detection_probability_series``, including where the
-    truncation error is raised.
+    Reference for ``detection_probability_series``.  Each tail stores
+    n_max + 2 sites, more than anything leaving the cube can cross in n_max
+    steps, so no amplitude reaches the oracle's tail ends.
     """
     from oracles import shifting_scatter_step  # oracles imports this module
 
     up, down = np.zeros((2, d + 1), np.complex128)
-    left_in, left_out, right_out, right_in = np.zeros((4, tail_length), np.complex128)
+    left_in, left_out, right_out, right_in = np.zeros((4, n_max + 2), np.complex128)
     left_in[0] = 1.0  # the photon at left-tail site -1, heading toward the cube
     fields = (up, down, left_in, left_out, right_out, right_in)
     series = np.zeros(n_max + 1, dtype=np.float64)

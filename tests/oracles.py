@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 from helpers import reference_step, stacked
 
 from sqrw.circuit import circuit_step
-from sqrw.errors import TruncationError, ValidationError
+from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, evolve, step, vertex_probability
 from sqrw.hypercube import (
     check_dimension,
@@ -481,16 +481,16 @@ def shifting_scatter_step(
     ``right_out[i]`` and ``right_in[i]`` at site d+1+i.  The cube is one
     step of ``concatenate_layer_walk`` with ``left_in[0]`` and
     ``right_in[0]`` as the tail inputs, and each tail is shifted one site by
-    hand.  Raises ``TruncationError`` when an outgoing tail is occupied at
-    its last site.  Reference, to the bit, for ``sqrw.scattering.scatter_step``
-    with ``left_in[0]`` and ``right_in[0]`` on the pads, and, stepped by
-    ``helpers.stepped_detection_series``, for where the detection series
-    raises ``TruncationError``.
+    hand.  Raises ``AssertionError`` when an outgoing tail is occupied at
+    its last site, where the next shift would drop it.  Reference, to the
+    bit, for ``sqrw.scattering.scatter_step`` with ``left_in[0]`` and
+    ``right_in[0]`` on the pads, and, stepped by
+    ``helpers.stepped_detection_series``, for the detection series.
     """
     up, down, left_in, left_out, right_out, right_in = fields
     d, L = up.shape[0] - 1, left_in.shape[0]
     if left_out[L - 1] != 0 or right_out[L - 1] != 0:
-        raise TruncationError(f"outgoing amplitude reached the tail cut at length {L}")
+        raise AssertionError(f"outgoing amplitude reached the end of the stored tails at length {L}")
     new_up, new_down = concatenate_layer_walk(up, down, 1, c.r, c.t, b, left_in[0], right_in[0])[1]
     new_left_in, new_left_out, new_right_out, new_right_in = np.zeros((4, L), np.complex128)
     # Ballistic tails: one site per step, perfectly transmitting.

@@ -57,6 +57,6 @@ def test_paper_cli_never_calls_scatter_step(monkeypatch):
 
     monkeypatch.setattr(sqrw.scattering, "scatter_step", refuse)
     monkeypatch.setattr(sqrw, "scatter_step", refuse)
-    tailed = ("scatter", "--dim", "10", "--steps", "400", "--cumulative", "--tail-length", "399", "--out", "t.csv")
+    tailed = ("scatter", "--dim", "10", "--steps", "400", "--cumulative", "--out", "t.csv")
     for argv in [cmd.argv for cmd in workloads.commands("paper_cli", seed=0)] + [tailed]:
         assert main(list(argv)) == 0, argv

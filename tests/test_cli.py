@@ -287,12 +287,6 @@ def test_plot_script_missing_csv(tmp_path):
 def test_exit_codes(tmp_path, capsys):
     assert run(["layers", "--dim", 0, "--steps", 1, "--out", tmp_path / "x.csv"]) == 2
     assert run(["full", "--dim", 30, "--steps", 1, "--out", tmp_path / "x.csv"]) == 3
-    assert (
-        run(
-            ["scatter", "--dim", 4, "--steps", 60, "--tail-length", 5, "--out", tmp_path / "x.csv"]
-        )
-        == 4
-    )
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         run(["layers", "--bogus"])
@@ -516,12 +510,13 @@ def test_write_error_exit_2(tmp_path, args):
     assert limited.stderr.count("\n") == 1 and limited.stderr.startswith("error: ")
 
 
-def test_tail_length_is_a_number_not_an_allocation(tmp_path):
-    args = ["scatter", "--dim", 3, "--steps", 10, "--out"]
-    limited = run_limited(args + ["long.csv", "--tail-length", 10**9], tmp_path)
-    assert limited.returncode == 0, limited.stderr
-    assert run(args + [tmp_path / "default.csv"]) == 0
-    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+def test_tail_length_flag_is_refused(tmp_path, capsys):
+    # the tails are semi-infinite: there is no length to pass
+    with pytest.raises(SystemExit) as exc:
+        run(["scatter", "--dim", 4, "--steps", 60, "--tail-length", 5, "--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --tail-length 5\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_layer_coeffs, stacked
+from helpers import random_layer_coeffs, stacked, vertex_bits
 from oracles import extract_layer_state, where_embed_layer_state
 
 from sqrw.errors import MemoryCapError, ValidationError
@@ -17,7 +17,6 @@ from sqrw.hypercube import (
     ensure_full_state_fits,
     initial_symmetric_state,
     parse_vertex,
-    vertex_bits,
     vertex_weights,
     zero_full_state,
 )
@@ -117,6 +116,13 @@ def test_embed_origin_equals_initial_state():
 
 def test_embed_zero_state():
     assert not np.any(embed_layer_state(zero_layer_state(3)))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+def test_state_constructors_refuse_dtypes_the_walk_does_not_step_in(dtype):
+    for build in (zero_full_state, initial_symmetric_state, lambda d, dt: embed_layer_state(origin_state(d), dt)):
+        with pytest.raises(ValidationError, match="float64 or complex128"):
+            build(4, dtype)
 
 
 def test_embed_single_layer_coefficient():

@@ -74,7 +74,7 @@ def test_help_and_usage_bytes(monkeypatch, capsys):
         code, out, err = _main(argv, capsys)
         text.append(f"{out}{err}exit {code}\n")
     digest = hashlib.sha256("".join(text).encode()).hexdigest()
-    assert digest == "13fe03040ef409a5c41fb404c0e31f52c1d4816b2f118c6f436280933ea21a6e"
+    assert digest == "286a79d6204eecddecf804012e3dbd034e5a7b66793357492dda431ed4f58531"
 
 
 def test_command_errors_name_the_argument_command(capsys):
