@@ -45,7 +45,7 @@ from .scattering import (
     scatter_step,
 )
 from .circuit import apply_coin, apply_phicnot, circuit_step
-from .search import SearchConfig, SearchResult, run_search, uniform_edge_state
-from .spectral import block_matrix, full_spectrum_via_blocks, rotation_apply, translation_apply
+from .search import SearchConfig, run_search, uniform_edge_state
+from .spectral import block_matrix, rotation_apply, translation_apply
 
 __version__ = "0.1.0"

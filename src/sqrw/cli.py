@@ -91,16 +91,6 @@ def parse_multiport(spec: str, d: int) -> MultiportCoeffs:
     raise ValidationError(f"unknown multiport spec {spec!r}")
 
 
-def _layer_init(name: str, d: int):
-    if name == "origin":
-        return origin_state(d)
-    if name == "corners":
-        return corner_pair_state(d)
-    if name == "middle":
-        return middle_state(d)
-    raise ValidationError(f"unknown initial state {name!r}")
-
-
 def _write_rows(path: str, header: str, chunks: Iterator[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -128,7 +118,7 @@ def _table(*columns: np.ndarray, width: int = 1, first: int = 0) -> Iterator[str
 def _cmd_layers(args: argparse.Namespace) -> int:
     _binomials(args.dim)  # the dimension check, before any start state of 2d + 4 entries is built
     c = parse_multiport(args.multiport, args.dim)
-    init = _layer_init(args.init, args.dim)
+    init = _LAYER_INITS[args.init](args.dim)
     series = layer_distribution_series(args.dim, c, init, args.steps)
     _write_rows(args.out, "step,w,probability", _table(series.ravel(), width=args.dim + 1))
     return 0
@@ -145,7 +135,7 @@ def _cmd_full(args: argparse.Namespace) -> int:
     if args.init == "origin-symmetric":
         state = initial_symmetric_state(args.dim, dtype)
     else:
-        state = embed_layer_state(_layer_init(args.init, args.dim), dtype)
+        state = embed_layer_state(_LAYER_INITS[args.init](args.dim), dtype)
     series = np.empty((args.steps + 1, args.dim + 1))
     series[0] = layer_distribution_full(state)
     _full_walk(state, cfg, args.steps, series[1:])
@@ -201,9 +191,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cfg = SearchConfig(
         dim=args.dim, marked=marked, steps=args.steps, coeffs=c, metric=args.metric
     )
-    result = run_search(cfg)
-    _write_rows(args.out, "step,success_probability", _table(result.probabilities))
-    print(f"peak_step={result.peak_step} peak_probability={_fmt(result.peak_probability)}")
+    series = run_search(cfg)
+    _write_rows(args.out, "step,success_probability", _table(series))
+    peak = int(np.argmax(series))
+    print(f"peak_step={peak} peak_probability={_fmt(series[peak])}")
     return 0
 
 
@@ -341,8 +332,8 @@ _STEPS = ("--steps", dict(type=int, required=True))
 _OUT = ("--out", dict(required=True))
 _MULTIPORT_HELP = "grover | symmetric:p=<real> | custom:<re_r>,<im_r>,<re_t>,<im_t>"
 _MULTIPORT = ("--multiport", dict(default="grover", help=_MULTIPORT_HELP))
-_LAYER_INITS = ["origin", "corners", "middle"]
-_INIT = ("--init", dict(default="origin", choices=_LAYER_INITS))
+_LAYER_INITS = {"origin": origin_state, "corners": corner_pair_state, "middle": middle_state}
+_INIT = ("--init", dict(default="origin", choices=list(_LAYER_INITS)))
 _FULL_INIT = ("--init", dict(default="origin-symmetric", choices=["origin-symmetric", *_LAYER_INITS]))
 _ADD_CUMULATIVE = ("--cumulative", dict(action="store_true", help="add a running-sum column"))
 _PASS_CUMULATIVE = ("--cumulative", dict(action="store_true", help="passed on to the preset's command"))

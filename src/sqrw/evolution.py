@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import state_dimension
+from .hypercube import _require_walk_dtype, state_dimension
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -197,12 +197,13 @@ def step(state: NDArray, cfg: EvolutionConfig) -> NDArray:
 
 
 def evolve(state: NDArray, cfg: EvolutionConfig, n: int) -> NDArray:
-    """Apply the walk step n times to a copy of ``state``, in its dtype (n = 0 returns the copy)."""
+    """Apply the walk step n times to a copy of ``state``, float64 or complex128 (n = 0 returns the copy)."""
     if n < 0:
         raise ValidationError(f"step count must be >= 0 (got {n})")
     d = state_dimension(state)
     if d != cfg.dim:
         raise ValidationError(f"state dimension {d} != config dimension {cfg.dim}")
+    _require_walk_dtype(state.dtype)
     return _full_walk(state.T.copy().T, cfg, n)  # a direction-major copy: contiguous rows
 
 

@@ -177,7 +177,7 @@ def reduced_step(s: LayerState, c: MultiportCoeffs) -> LayerState:
     _require_closed(s)
     require_valid(c, degree=s.d)
     states = np.empty((2, len(s.line)), np.complex128)
-    return LayerState(s.d, _layer_walk(s.line, _layer_factors(s.d, c.r, c.t), states, lambda block, n: block)[1])
+    return LayerState(s.d, _layer_walk(s.line, _layer_factors(s.d, c.r, c.t), states, lambda block: block)[1])
 
 
 def _layer_factors(
@@ -222,14 +222,14 @@ def _layer_walk(
     line: NDArray[np.complex128],
     factors: tuple[NDArray[np.complex128], NDArray[np.complex128]],
     out: NDArray,
-    read: Callable[[NDArray[np.complex128], int], NDArray],
+    read: Callable[[NDArray[np.complex128]], NDArray],
 ) -> NDArray:
     """Walk ``line`` for ``len(out) - 1`` steps of the ``reduced_step`` formula; return ``out``.
 
     ``factors`` is ``(below, above)`` from ``_layer_factors``.  The states
     are stepped into one buffer of at most ``_WALK_BLOCK`` + 1 rows, and
     each block of k states, after n .. n + k - 1 steps, is read whole:
-    ``out[n : n + k] = read(block, n)``.  The next block overwrites it, so
+    ``out[n : n + k] = read(block)``.  The next block overwrites it, so
     a reader that keeps a block copies it.  The caller allocates ``out``,
     so a step count too large to store fails before any step.  The pads of
     ``line`` enter on the first step only; a step leaves them zero.  No
@@ -253,7 +253,7 @@ def _layer_walk(
         for x, y in zip(src[:k], dst[1 : k + 1]):
             np.multiply(fac, x, out=prod)
             np.add(below_term, above_term, out=y)
-        out[done + first : done + k + 1] = read(buf[first : k + 1, :width], done + first)
+        out[done + first : done + k + 1] = read(buf[first : k + 1, :width])
         done += k
         if done == steps:
             return out
@@ -279,7 +279,7 @@ def layer_distribution_series(
     b = _binomials(d)
     series = np.empty((n_max + 1, d + 1), dtype=np.float64)
     return _layer_walk(
-        init.line, _layer_factors(d, c.r, c.t), series, lambda s, n: _distribution(s[:, 1 : d + 2], s[:, d + 2 : -1], b)
+        init.line, _layer_factors(d, c.r, c.t), series, lambda s: _distribution(s[:, 1 : d + 2], s[:, d + 2 : -1], b)
     )
 
 

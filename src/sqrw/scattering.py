@@ -87,7 +87,7 @@ def scatter_step(s: LayerState, c: MultiportCoeffs, b: MultiportCoeffs) -> Layer
     require_valid(c, degree=s.d)
     require_valid(b, degree=s.d + 1)
     states = np.empty((2, len(s.line)), np.complex128)
-    return LayerState(s.d, _layer_walk(s.line, _layer_factors(s.d, c.r, c.t, b), states, lambda block, n: block)[1])
+    return LayerState(s.d, _layer_walk(s.line, _layer_factors(s.d, c.r, c.t, b), states, lambda block: block)[1])
 
 
 def detection_probability_series(
@@ -109,7 +109,7 @@ def detection_probability_series(
         initial_tail_photon(d).line,
         _layer_factors(d, c.r, c.t, b),
         np.empty(n_max + 1),
-        lambda block, n: np.float_power(_abs(block[:, d + 1]), 2),  # column d + 1 is up[d]
+        lambda block: np.float_power(_abs(block[:, d + 1]), 2),  # column d + 1 is up[d]
     )
 
 

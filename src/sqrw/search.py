@@ -38,15 +38,10 @@ from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_val
 
 __all__ = [
     "SearchConfig",
-    "SearchResult",
     "uniform_edge_state",
     "success_probability",
     "run_search",
-    "MAX_SEARCH_DIM",
 ]
-
-# Largest dimension ``run_search`` accepts: it runs on the layer walk.
-MAX_SEARCH_DIM = MAX_LAYER_DIM
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,8 @@ class SearchConfig:
     metric: str = "out"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_SEARCH_DIM:
-            raise ValidationError(f"search dimension must be in 1..{MAX_SEARCH_DIM} (got {self.dim})")
+        if not 1 <= self.dim <= MAX_LAYER_DIM:  # it runs on the layer walk
+            raise ValidationError(f"search dimension must be in 1..{MAX_LAYER_DIM} (got {self.dim})")
         if not 0 <= self.marked < (1 << self.dim):
             raise ValidationError(f"marked vertex {self.marked} out of range for d={self.dim}")
         if self.steps < 0:
@@ -81,13 +76,6 @@ class SearchConfig:
         require_valid(self.coeffs, degree=self.dim)
         if self.metric not in ("out", "in"):
             raise ValidationError(f"metric must be 'out' or 'in' (got {self.metric!r})")
-
-
-@dataclass(frozen=True, eq=False)
-class SearchResult:
-    probabilities: NDArray[np.float64]
-    peak_step: int
-    peak_probability: float
 
 
 def uniform_edge_state(d: int) -> NDArray[np.complex128]:
@@ -108,8 +96,8 @@ def success_probability(state: NDArray[np.complex128], cfg: SearchConfig) -> flo
     return total
 
 
-def run_search(cfg: SearchConfig) -> SearchResult:
-    """Walk from the uniform state on the layer reduction, tracking success per step."""
+def run_search(cfg: SearchConfig) -> NDArray[np.float64]:
+    """Success probability after steps 0 .. ``cfg.steps`` on the layer reduction; the peak is its argmax."""
     d = cfg.dim
     r = np.full(d + 1, cfg.coeffs.r, dtype=np.complex128)
     t = np.full(d + 1, cfg.coeffs.t, dtype=np.complex128)
@@ -118,7 +106,5 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     start.up[:d] = start.down[1:] = 1.0 / math.sqrt(d * (1 << d))
     # the mark's d out-edges (up[0] = s[1]) or in-edges (down[1] = s[d + 3]) share one amplitude
     col = 1 if cfg.metric == "out" else d + 3
-    series = _layer_walk(start.line, _layer_factors(d, r, t), np.empty(cfg.steps + 1), lambda s, n: _abs(s[:, col]))
-    series = cfg.dim * series**2
-    peak_step = int(np.argmax(series))
-    return SearchResult(series, peak_step, float(series[peak_step]))
+    series = _layer_walk(start.line, _layer_factors(d, r, t), np.empty(cfg.steps + 1), lambda s: _abs(s[:, col]))
+    return cfg.dim * series**2

@@ -29,14 +29,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import ensure_full_state_fits, state_dimension, vertex_weights
-from .multiport import MultiportCoeffs, multiport_matrix, pseudo_eigensystem, require_valid
+from .hypercube import state_dimension
+from .multiport import MultiportCoeffs, multiport_matrix, pseudo_eigensystem
 
 __all__ = [
     "translation_apply",
     "block_matrix",
     "weight_class_spectra",
-    "full_spectrum_via_blocks",
     "rotation_apply",
 ]
 
@@ -94,13 +93,6 @@ def weight_class_spectra(c: MultiportCoeffs) -> list[NDArray[np.complex128]]:
         classes.append([r - t] * (d - m - 1) + [-(r - t)] * (m - 1) + [h + root, h - root])
     classes.append([-z for z in vertex])
     return [np.sort_complex(np.array([complex(z.real + 0.0, z.imag + 0.0) for z in vals])) for vals in classes]
-
-
-def full_spectrum_via_blocks(d: int, c: MultiportCoeffs) -> NDArray[np.complex128]:
-    """All d * 2**d eigenvalues of the step; entries k*d .. k*d + d - 1 belong to block k."""
-    ensure_full_state_fits(d)
-    require_valid(c, degree=d)
-    return np.stack(weight_class_spectra(c))[vertex_weights(d)].ravel()
 
 
 def rotation_apply(state: NDArray[np.complex128]) -> NDArray[np.complex128]:

@@ -11,11 +11,11 @@ import pytest
 from sqrw import evolution
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.errors import ValidationError
-from sqrw.hypercube import check_dimension, zero_full_state
+from sqrw.hypercube import check_dimension, vertex_weights, zero_full_state
 from sqrw.multiport import MultiportCoeffs
 from sqrw.layers import _layer_walk
 from sqrw.scattering import boundary_coeffs
-from sqrw.spectral import block_matrix
+from sqrw.spectral import block_matrix, weight_class_spectra
 
 
 def random_unit_state(d: int, seed: int) -> np.ndarray:
@@ -122,6 +122,11 @@ def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
     return np.array([np.sort_complex(np.linalg.eigvals(block_matrix(c, k))) for k in range(1 << d)])
 
 
+def block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
+    """Row k: the spectrum of block k, weight class |k| of ``weight_class_spectra``, as ``spectrum`` writes it."""
+    return np.stack(weight_class_spectra(c))[vertex_weights(d)]
+
+
 def stepped_detection_series(d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_max: int) -> np.ndarray:
     """Detection series with the tails stored, by stepping ``oracles.shifting_scatter_step``.
 
@@ -152,7 +157,7 @@ def walk_states(line: np.ndarray, steps: int, factors) -> np.ndarray:
 
     The walk reads each block into the returned rows before it overwrites it.
     """
-    return _layer_walk(line, factors, np.empty((steps + 1, len(line)), np.complex128), lambda block, n: block)
+    return _layer_walk(line, factors, np.empty((steps + 1, len(line)), np.complex128), lambda block: block)
 
 
 def count_local_maxima(series: np.ndarray, floor: float = 1e-12) -> int:

@@ -20,7 +20,6 @@ from sqrw.errors import ValidationError
 from sqrw.hypercube import MEMORY_ENV_VAR
 from sqrw.layers import MAX_HITTING_DIM, MAX_LAYER_DIM
 from sqrw.multiport import grover_coeffs, multiport_matrix
-from sqrw.search import MAX_SEARCH_DIM
 
 
 def run(args):
@@ -81,6 +80,17 @@ def test_full_matches_layers_for_every_init(tmp_path, init):
     b = np.loadtxt(fu, delimiter=",", skiprows=1)
     assert a.shape == b.shape == (26 * 11, 3)
     assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d,multiport", [(1, "grover"), (6, "grover"), (10, "grover"), (6, "symmetric:p=1"), (10, "symmetric:p=1")]
+)
+def test_both_spellings_of_the_origin_start_write_the_same_bytes(tmp_path, d, multiport):
+    # origin-symmetric builds the state directly, origin through the start table and the embedding
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for init, out in (("origin-symmetric", a), ("origin", b)):
+        assert run(["full", "--dim", d, "--steps", 20, "--init", init, "--multiport", multiport, "--out", out]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_determinism(tmp_path):
@@ -455,10 +465,10 @@ def test_layers_dim_cap_exit_2(tmp_path, capsys):
 
 
 def test_search_dim_cap_exit_2(tmp_path, capsys):
-    d = MAX_SEARCH_DIM + 1
+    d = MAX_LAYER_DIM + 1
     args = ["search", "--dim", d, "--marked", "0" * d, "--steps", 1, "--out", tmp_path / "x.csv"]
     assert run(args) == 2
-    assert str(MAX_SEARCH_DIM) in _error_line(capsys)
+    assert str(MAX_LAYER_DIM) in _error_line(capsys)
 
 
 def test_search_runs_past_the_full_state_memory_budget(tmp_path, capsys):

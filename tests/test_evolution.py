@@ -492,3 +492,12 @@ def test_config_validation():
 def test_step_rejects_mismatched_state():
     with pytest.raises(ValidationError):
         step(zero_full_state(3), EvolutionConfig(4, grover_coeffs(4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+@pytest.mark.parametrize("walk", [step, lambda state, cfg: evolve(state, cfg, 3)], ids=["step", "evolve"])
+def test_step_and_evolve_refuse_dtypes_the_walk_does_not_step_in(walk, dtype):
+    # the constructors' rule: a caller-built state is float64 or complex128 too
+    state = initial_symmetric_state(4, np.float64).astype(dtype)
+    with pytest.raises(ValidationError, match=rf"float64 or complex128, not {np.dtype(dtype)}$"):
+        walk(state, EvolutionConfig(4, grover_coeffs(4)))

@@ -1,6 +1,6 @@
 """Every name a module of ``sqrw`` exports resolves, star imports succeed, no
-private name of ``sqrw`` is left for the tests alone, and no module names
-``linalg``."""
+private name of ``sqrw`` is left for the tests alone, every import is used,
+and no module names ``linalg``."""
 
 import ast
 import importlib
@@ -59,6 +59,28 @@ def test_every_private_name_is_used_in_src():
             own = {id(n) for n in ast.walk(node)}
             if all(id(n) in own for n in uses.get(name, [])):
                 unused.append(f"{module}:{name}")
+    assert unused == []
+
+
+def test_src_imports_are_used():
+    # no linter runs here, so an import its last use left behind shows up nowhere else;
+    # the imports kept for the benchmark's spans are checked by test_tracer_bindings.py
+    unused = []
+    for path in sorted(Path(sqrw.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if "# noqa: F401  (perfbench/spans.py wraps" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.name}:{node.lineno}:{name}")
     assert unused == []
 
 

@@ -76,8 +76,7 @@ def test_blocked_step_equals_reference_bit_for_bit(case):
 @settings(max_examples=60, deadline=None)
 @given(search_configs())
 def test_layer_search_equals_full_state_oracle(cfg):
-    got = run_search(cfg)
-    assert np.max(np.abs(got.probabilities - full_search_series(cfg))) <= 1e-12
+    assert np.max(np.abs(run_search(cfg) - full_search_series(cfg))) <= 1e-12
 
 
 @st.composite

@@ -123,7 +123,7 @@ def test_scatter_step_is_one_layer_kernel_call(monkeypatch):
         s = scatter_step(s, c, b)
     assert calls == [1] * 9
     # a walk that moves nothing leaves nothing: no amplitude moves outside it
-    monkeypatch.setattr(sqrw.scattering, "_layer_walk", lambda line, factors, out, read: read(np.zeros_like(out), 0))
+    monkeypatch.setattr(sqrw.scattering, "_layer_walk", lambda line, factors, out, read: read(np.zeros_like(out)))
     s.line[:] = 1.0
     assert not np.any(scatter_step(s, c, b).line)
 

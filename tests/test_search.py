@@ -12,15 +12,9 @@ from oracles import full_search_series
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step, vertex_probability
 from sqrw.hypercube import direction_mask, zero_full_state
-from sqrw.layers import LayerState, _layer_factors, edge_counting_norm
+from sqrw.layers import MAX_LAYER_DIM, LayerState, _layer_factors, edge_counting_norm
 from sqrw.multiport import grover_coeffs, phase_coeffs, symmetric_coeffs
-from sqrw.search import (
-    MAX_SEARCH_DIM,
-    SearchConfig,
-    run_search,
-    success_probability,
-    uniform_edge_state,
-)
+from sqrw.search import SearchConfig, run_search, success_probability, uniform_edge_state
 
 
 def _marked_step(state, cfg):
@@ -86,17 +80,17 @@ def test_symmetry_breaking_onset():
 
 def test_run_search_starts_at_baseline_and_amplifies():
     d = 6
-    res = run_search(SearchConfig(dim=d, marked=9, steps=32))
-    assert res.probabilities[0] == pytest.approx(1 / (1 << d), abs=1e-12)
-    assert res.peak_probability > 25 / (1 << d)
-    assert res.peak_step > 0
+    series = run_search(SearchConfig(dim=d, marked=9, steps=32))
+    assert series[0] == pytest.approx(1 / (1 << d), abs=1e-12)
+    assert series.max() > 25 / (1 << d)
+    assert np.argmax(series) > 0
 
 
 def test_translation_covariance_of_success_series():
     d = 5
     a = run_search(SearchConfig(dim=d, marked=0, steps=24))
     b = run_search(SearchConfig(dim=d, marked=19, steps=24))
-    assert np.max(np.abs(a.probabilities - b.probabilities)) <= 1e-12
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_norm_conserved_with_marked_vertex():
@@ -122,9 +116,9 @@ def test_in_metric_counts_entering_edges():
 def test_custom_marked_phase():
     d = 4
     cfg = SearchConfig(dim=d, marked=1, steps=8, marked_coeffs=phase_coeffs(d, 1j))
-    res = run_search(cfg)
-    assert res.probabilities.shape == (9,)
-    assert np.all(res.probabilities >= 0)
+    series = run_search(cfg)
+    assert series.shape == (9,)
+    assert np.all(series >= 0)
 
 
 def test_config_validation():
@@ -135,7 +129,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SearchConfig(dim=3, marked=0, steps=5, metric="sideways")
     with pytest.raises(ValidationError):
-        SearchConfig(dim=MAX_SEARCH_DIM + 1, marked=0, steps=5)
+        SearchConfig(dim=MAX_LAYER_DIM + 1, marked=0, steps=5)
 
 
 @pytest.mark.parametrize("d", range(3, 11))
@@ -152,10 +146,7 @@ def test_layer_search_matches_full_state_oracle(d):
             coeffs=coeffs,
             metric=metric,
         )
-        got = run_search(cfg)
-        ref = full_search_series(cfg)
-        assert np.max(np.abs(got.probabilities - ref)) <= 1e-12
-        assert abs(got.peak_probability - ref.max()) <= 1e-12
+        assert np.max(np.abs(run_search(cfg) - full_search_series(cfg))) <= 1e-12
 
 
 def test_layer_search_state_keeps_unit_norm():
@@ -180,8 +171,9 @@ def test_search_peak_follows_the_skw_asymptotics(metric):
     peaks = []
     for d in range(20, 35, 2):
         t_skw = math.pi / 2 * math.sqrt(2 ** (d - 1))
-        res = run_search(SearchConfig(d, 0, math.ceil(1.3 * t_skw), metric=metric))
-        assert 0.45 <= d * (res.peak_step / t_skw - 1) <= 0.75, d
-        assert 0.48 <= d * (0.5 - res.peak_probability) <= 0.62, d
-        peaks.append(res.peak_probability)
+        series = run_search(SearchConfig(d, 0, math.ceil(1.3 * t_skw), metric=metric))
+        peak = int(np.argmax(series))
+        assert 0.45 <= d * (peak / t_skw - 1) <= 0.75, d
+        assert 0.48 <= d * (0.5 - series[peak]) <= 0.62, d
+        peaks.append(series[peak])
     assert all(a < b for a, b in zip(peaks, peaks[1:]))  # rising towards 1/2

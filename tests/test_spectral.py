@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from helpers import per_block_spectra, random_unit_state
+from helpers import block_spectra, per_block_spectra, random_unit_state
 from oracles import (
     dense_spectrum,
     fourier_basis_state,
@@ -18,11 +18,9 @@ from oracles import (
 from sqrw.errors import ValidationError
 from sqrw.evolution import EvolutionConfig, step
 from sqrw.hypercube import parse_vertex, zero_full_state
-from sqrw.errors import MemoryCapError
 from sqrw.multiport import MultiportCoeffs, grover_coeffs, symmetric_coeffs
 from sqrw.spectral import (
     block_matrix,
-    full_spectrum_via_blocks,
     rotation_apply,
     translation_apply,
     weight_class_spectra,
@@ -112,7 +110,7 @@ def test_blocks_reproduce_step_on_fourier_states():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_spectrum_assembly_matches_dense(family, d):
     c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
-    assembled = full_spectrum_via_blocks(d, c)
+    assembled = block_spectra(d, c).ravel()
     assert assembled.shape == (d * (1 << d),)
     assert np.max(np.abs(np.abs(assembled) - 1.0)) <= 1e-12
     assert spectrum_mismatch(assembled, dense_spectrum(d, c)) <= 1e-10
@@ -132,7 +130,7 @@ def test_weight_classes_match_per_block_oracle(family, d):
     c = family_coeffs(family, d)
     oracle = per_block_spectra(d, c)
     classes = weight_class_spectra(c)
-    assembled = full_spectrum_via_blocks(d, c).reshape(1 << d, d)
+    assembled = block_spectra(d, c)
     for m in range(d + 1):
         assert spectrum_mismatch(classes[m], oracle[(1 << m) - 1]) <= 1e-13, f"class {m}"
         assert np.max(np.abs(np.abs(classes[m]) - 1.0)) <= 1e-14, f"class {m}"
@@ -160,11 +158,6 @@ def test_repeated_values_are_one_float(family):
             assert np.count_nonzero(vals == c.t - c.r) >= (m - 1 if m else 0), f"d={d}, m={m}"
             assert not np.any(np.signbit(vals.real[vals.real == 0])), f"d={d}, m={m}"
             assert not np.any(np.signbit(vals.imag[vals.imag == 0])), f"d={d}, m={m}"
-
-
-def test_full_spectrum_via_blocks_refuses_oversized_dimension():
-    with pytest.raises(MemoryCapError):
-        full_spectrum_via_blocks(30, grover_coeffs(30))
 
 
 def test_offblock_elements_vanish():
