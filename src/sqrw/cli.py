@@ -24,7 +24,8 @@ from .circuit import operator_deviation
 from .errors import MemoryCapError, ValidationError
 from .evolution import EvolutionConfig, _full_walk, layer_distribution_full
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
-from .hypercube import embed_layer_state, ensure_full_state_fits, initial_symmetric_state, parse_vertex
+from .hypercube import embed_layer_state, ensure_full_state_fits, parse_vertex
+from .hypercube import initial_symmetric_state  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.initial_symmetric_state)
 from .layers import (
     _binomials,
     corner_pair_state,
@@ -125,17 +126,14 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 
 def _cmd_full(args: argparse.Namespace) -> int:
-    # d state rows plus four rows, all complex whatever the coin so admission does not depend
-    # on it; the four are slack over the walk's and the readings' blocks of 2**14 vertices
+    # d state rows plus four rows, all complex whatever the coin so admission does not depend on
+    # it; the four are slack over the 2**14-vertex blocks of the embedding, walk and readings
     ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)
     # every init is real, so real coefficients keep the walk real: half the bytes
     dtype = np.complex128 if c.r.imag or c.t.imag else np.float64
-    if args.init == "origin-symmetric":
-        state = initial_symmetric_state(args.dim, dtype)
-    else:
-        state = embed_layer_state(_LAYER_INITS[args.init](args.dim), dtype)
+    state = embed_layer_state(_FULL_INITS[args.init](args.dim), dtype)
     series = np.empty((args.steps + 1, args.dim + 1))
     series[0] = layer_distribution_full(state)
     _full_walk(state, cfg, args.steps, series[1:])
@@ -334,7 +332,8 @@ _MULTIPORT_HELP = "grover | symmetric:p=<real> | custom:<re_r>,<im_r>,<re_t>,<im
 _MULTIPORT = ("--multiport", dict(default="grover", help=_MULTIPORT_HELP))
 _LAYER_INITS = {"origin": origin_state, "corners": corner_pair_state, "middle": middle_state}
 _INIT = ("--init", dict(default="origin", choices=list(_LAYER_INITS)))
-_FULL_INIT = ("--init", dict(default="origin-symmetric", choices=["origin-symmetric", *_LAYER_INITS]))
+_FULL_INITS = {"origin-symmetric": origin_state, **_LAYER_INITS}
+_FULL_INIT = ("--init", dict(default="origin-symmetric", choices=list(_FULL_INITS)))
 _ADD_CUMULATIVE = ("--cumulative", dict(action="store_true", help="add a running-sum column"))
 _PASS_CUMULATIVE = ("--cumulative", dict(action="store_true", help="passed on to the preset's command"))
 _GAMMA = ("--gamma", dict(required=True, help="file with one 're' or 're,im' row per direction"))

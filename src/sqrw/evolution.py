@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import _require_walk_dtype, state_dimension
+from .hypercube import _BLOCK, _block_weights, _require_walk_dtype, state_dimension
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -69,9 +69,6 @@ def gather_incoming(state: NDArray) -> NDArray:
     for j in range(d):
         inc_cube[..., j] = np.flip(cube[..., j], axis=j)
     return incoming
-
-
-_BLOCK = 1 << 14  # vertices per block of the walk: 256 KiB of complex
 
 
 def _add_probability(
@@ -107,10 +104,8 @@ def _layer_fold(size: int):
     order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
     """
     k = size.bit_length()
-    buf, idx = np.zeros(k + size), np.zeros(k + size, np.int64)
-    idx[:k] = range(k)
-    for b in range(k - 1):  # vertex_weights' doubling, in place: bit b adds one to every smaller vertex
-        np.add(idx[k : k + (1 << b)], 1, out=idx[k + (1 << b) : k + (2 << b)])
+    idx = np.concatenate((np.arange(k), _block_weights(size)))
+    buf = np.zeros(k + size)  # after the index row: the weights, index row and tile are never all live
 
     def fold(out: NDArray[np.float64], lo: int) -> None:
         c = lo.bit_count()

@@ -11,7 +11,8 @@ Flattening in C order gives the linear layout index(x, a) = x*d + (a - 1).
 The constructors here store that array direction-major, so ``state.T``
 is a C-contiguous (d, 2**d) array whose row j holds direction j + 1: the
 layout the in-place step kernel (``sqrw.evolution``) works in.  Indexing
-and ``np.ravel`` see the same (2**d, d) values either way.
+and ``np.ravel`` see the same (2**d, d) values either way.  Every nonzero state
+built here comes from ``embed_layer_state``; ``initial_symmetric_state`` embeds the origin.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable, counted in
@@ -22,14 +23,13 @@ With the default budget the largest usable dimension is d = 21.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 from numpy.typing import DTypeLike, NDArray
 
 from .errors import MemoryCapError, ValidationError
-from .layers import LayerState, _require_closed
+from .layers import LayerState, _require_closed, origin_state
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
@@ -40,7 +40,6 @@ __all__ = [
     "direction_mask",
     "state_dimension",
     "parse_vertex",
-    "vertex_weights",
     "zero_full_state",
     "initial_symmetric_state",
     "embed_layer_state",
@@ -108,13 +107,14 @@ def parse_vertex(d: int, bits: str) -> int:
     return int(bits, 2)
 
 
-def vertex_weights(d: int) -> NDArray[np.int64]:
-    """Hamming weight of every vertex 0 .. 2**d - 1, in a new array the caller owns (no cache)."""
-    check_dimension(d)
-    w = np.zeros(1 << d, dtype=np.int64)
-    for k in range(d):
-        # setting bit k adds one to the weight of every smaller vertex
-        np.add(w[: 1 << k], 1, out=w[1 << k : 2 << k])
+_BLOCK = 1 << 14  # vertices per block of the walk and the embedding: 256 KiB of complex
+
+
+def _block_weights(size: int) -> NDArray[np.int64]:
+    """Hamming weight of each vertex 0 .. size - 1 of a block of ``size`` = 2**b vertices."""
+    w = np.zeros(size, dtype=np.int64)
+    for b in range(size.bit_length() - 1):  # setting bit b adds one to the weight of every smaller vertex
+        np.add(w[: 1 << b], 1, out=w[1 << b : 2 << b])
     return w
 
 
@@ -131,10 +131,9 @@ def zero_full_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
 
 
 def initial_symmetric_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
-    """Amplitude 1/sqrt(d) on each edge leaving the all-zeros vertex."""
-    state = zero_full_state(d, dtype)
-    state[0, :] = 1.0 / math.sqrt(d)
-    return state
+    """Amplitude 1/sqrt(d) on each edge leaving the all-zeros vertex: the embedded ``origin_state``."""
+    ensure_full_state_fits(d)  # before the layer line of 2d + 4 entries
+    return embed_layer_state(origin_state(d), dtype)
 
 
 def state_dimension(state: NDArray) -> int:
@@ -148,23 +147,35 @@ def state_dimension(state: NDArray) -> int:
 
 
 def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
-    """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``."""
+    """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``.
+
+    Per block of 2**(k - 1) vertices at ``lo``, c = popcount(lo): the windows up[c : c + k]
+    and down[c : c + k] gathered by the block's weight row are two tiles that every row's
+    block is copied from.  A block whose windows hold only zero bits is left untouched.
+    """
     _require_closed(s)
-    _require_walk_dtype(dtype)
-    d = s.d
-    ensure_full_state_fits(d)
-    up, down = s.up, s.down
-    if np.dtype(dtype).kind != "c":  # a real state takes the real parts, and only those
-        if s.line.imag.any():
-            raise ValidationError(f"a {np.dtype(dtype)} state cannot hold an imaginary layer amplitude")
-        up, down = up.real, down.real
-    w = vertex_weights(d)
-    psi = np.empty((d, 1 << d), dtype=dtype)
-    for j in range(d):
-        # the middle axis is the bit direction j + 1 flips: 0 on up edges, 1 on
-        # down edges; mode="clip" (indices are in range) writes without a buffer
-        halves = psi[j].reshape(1 << j, 2, -1)
-        weights = w.reshape(halves.shape)
-        np.take(up, weights[:, 0], out=halves[:, 0], mode="clip")
-        np.take(down, weights[:, 1], out=halves[:, 1], mode="clip")
+    psi = zero_full_state(s.d, dtype).T
+    pair = s.line[1:-1].reshape(2, -1)  # [up; down]
+    if psi.dtype.kind != "c":  # a real state takes the real parts, and only those
+        if pair.imag.any():
+            raise ValidationError(f"a {psi.dtype} state cannot hold an imaginary layer amplitude")
+        pair = pair.real
+    d, n = psi.shape
+    size = min(n, _BLOCK)
+    k, w = size.bit_length(), _block_weights(size)
+    tiles = np.empty((2, size), psi.dtype)  # [up; down] of the block's vertices
+    for lo in range(0, n, size):
+        c = lo.bit_count()
+        window = pair[:, c : c + k]
+        if not window.view(np.uint64).any():  # bits, so a -0.0 is written
+            continue
+        np.take(window, w, axis=1, out=tiles, mode="clip")  # indices are in range; no buffer
+        for j in range(d):
+            m = 1 << (d - 1 - j)  # the bit direction j + 1 flips: clear on up edges, set on down edges
+            row = psi[j, lo : lo + size]
+            if m >= size:
+                np.copyto(row, tiles[1 if lo & m else 0])
+            else:
+                for side in (0, 1):
+                    np.copyto(row.reshape(-1, 2, m)[:, side], tiles[side].reshape(-1, 2, m)[:, side])
     return psi.T

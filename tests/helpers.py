@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from contextlib import contextmanager
 from typing import Mapping
 
 import numpy as np
 import pytest
 
-from sqrw import evolution
+import sqrw
 from sqrw.evolution import EvolutionConfig, gather_incoming
 from sqrw.errors import ValidationError
-from sqrw.hypercube import check_dimension, vertex_weights, zero_full_state
+from sqrw.hypercube import check_dimension, zero_full_state
 from sqrw.multiport import MultiportCoeffs
 from sqrw.layers import _layer_walk
 from sqrw.scattering import boundary_coeffs
@@ -68,9 +70,15 @@ def reference_step(
 
 @contextmanager
 def small_blocks(size: int = 4):
-    """Step-kernel blocks of ``size`` vertices, so d <= 8 mixes bits above and inside a block."""
+    """Blocks of ``size`` vertices for the walk and the embedding, so d <= 8 mixes bits above and inside a block.
+
+    Sets ``_BLOCK`` in every ``sqrw`` module that binds it, the defining one and each importer.
+    """
+    modules = [importlib.import_module(f"sqrw.{m.name}") for m in pkgutil.iter_modules(sqrw.__path__)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_BLOCK", size)
+        for module in modules:
+            if hasattr(module, "_BLOCK"):
+                mp.setattr(module, "_BLOCK", size)
         yield
 
 
@@ -124,6 +132,8 @@ def per_block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
 
 def block_spectra(d: int, c: MultiportCoeffs) -> np.ndarray:
     """Row k: the spectrum of block k, weight class |k| of ``weight_class_spectra``, as ``spectrum`` writes it."""
+    from oracles import vertex_weights  # oracles imports this module
+
     return np.stack(weight_class_spectra(c))[vertex_weights(d)]
 
 

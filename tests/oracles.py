@@ -2,8 +2,9 @@
 
 The unitarity residuals of a coefficient pair, dense operators and dense
 spectra, the character basis, the basis-column circuit comparison, the
-flip-gate structure check, the audit and classical layer series, the layer
-distribution, layer embedding and layer extraction of a full state, the
+flip-gate structure check, the audit and classical layer series, the
+Hamming weight of every vertex, the origin state written directly, the layer
+distribution, layer embeddings and layer extraction of a full state, the
 tailed corner rows, the layer walk on two arrays, the tailed step on six
 arrays with shifting tails, the search stepped on the full state, the
 per-element Python readings of the search and detection series, and the
@@ -13,11 +14,12 @@ not part of its API.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import DTypeLike, NDArray
 
 from helpers import reference_step, stacked
 
@@ -28,7 +30,6 @@ from sqrw.hypercube import (
     check_dimension,
     initial_symmetric_state,
     state_dimension,
-    vertex_weights,
     zero_full_state,
 )
 from sqrw.layers import LayerState, _binomials, edge_counting_norm, reduced_step
@@ -116,6 +117,26 @@ def verify_ca_eigenstructure(d: int, tol: float = 1e-12) -> CaReport:
                 max_resid = max(max_resid, float(np.max(np.abs(resid))))
     passed = max_comm <= tol and max_resid <= tol
     return CaReport(d, max_comm, max_resid, passed)
+
+
+def vertex_weights(d: int) -> NDArray[np.int64]:
+    """Hamming weight of every vertex 0 .. 2**d - 1, in a new array the caller owns (no cache)."""
+    check_dimension(d)
+    w = np.zeros(1 << d, dtype=np.int64)
+    for k in range(d):
+        # setting bit k adds one to the weight of every smaller vertex
+        np.add(w[: 1 << k], 1, out=w[1 << k : 2 << k])
+    return w
+
+
+def direct_symmetric_state(d: int, dtype: DTypeLike = np.complex128) -> NDArray:
+    """Amplitude 1/sqrt(d) on each edge leaving the all-zeros vertex, written directly.
+
+    Reference for ``sqrw.hypercube.initial_symmetric_state``, which embeds ``origin_state``.
+    """
+    state = zero_full_state(d, dtype)
+    state[0, :] = 1.0 / math.sqrt(d)
+    return state
 
 
 def _sign_characters(d: int, k: int) -> NDArray[np.float64]:
@@ -334,6 +355,28 @@ def where_embed_layer_state(s: LayerState) -> NDArray[np.complex128]:
     for j in range(d):
         bit = (x >> (d - 1 - j)) & 1
         psi[j] = np.where(bit == 0, s.up[w], s.down[w])
+    return psi.T
+
+
+def gather_embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
+    """Full state of a layer state, each direction row one gather over all 2**d vertices.
+
+    Reference for the block-wise ``sqrw.hypercube.embed_layer_state``: the same
+    amplitudes copied, so the two must match byte for byte, strides included.
+    """
+    d = s.d
+    up, down = s.up, s.down
+    if np.dtype(dtype).kind != "c":  # a real state takes the real parts
+        up, down = up.real, down.real
+    w = vertex_weights(d)
+    psi = np.empty((d, 1 << d), dtype=dtype)
+    for j in range(d):
+        # the middle axis is the bit direction j + 1 flips: 0 on up edges, 1 on
+        # down edges; mode="clip" (indices are in range) writes without a buffer
+        halves = psi[j].reshape(1 << j, 2, -1)
+        weights = w.reshape(halves.shape)
+        np.take(up, weights[:, 0], out=halves[:, 0], mode="clip")
+        np.take(down, weights[:, 1], out=halves[:, 1], mode="clip")
     return psi.T
 
 

@@ -15,6 +15,7 @@ from helpers import per_block_spectra
 from oracles import spectrum_mismatch
 
 import sqrw.circuit
+import sqrw.cli
 from sqrw.cli import emit_plot_script, main, parse_multiport
 from sqrw.errors import ValidationError
 from sqrw.hypercube import MEMORY_ENV_VAR
@@ -86,11 +87,21 @@ def test_full_matches_layers_for_every_init(tmp_path, init):
     "d,multiport", [(1, "grover"), (6, "grover"), (10, "grover"), (6, "symmetric:p=1"), (10, "symmetric:p=1")]
 )
 def test_both_spellings_of_the_origin_start_write_the_same_bytes(tmp_path, d, multiport):
-    # origin-symmetric builds the state directly, origin through the start table and the embedding
+    # two names of one start: both go through the start table to the same layer state and embedding
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for init, out in (("origin-symmetric", a), ("origin", b)):
         assert run(["full", "--dim", d, "--steps", 20, "--init", init, "--multiport", multiport, "--out", out]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("init", ["origin-symmetric", "origin", "corners", "middle"])
+def test_every_full_start_is_one_embedding(tmp_path, monkeypatch, init):
+    calls = []
+    embed = sqrw.cli.embed_layer_state
+    monkeypatch.setattr(sqrw.cli, "embed_layer_state", lambda *a: calls.append("embed") or embed(*a))
+    monkeypatch.setattr(sqrw.cli, "initial_symmetric_state", lambda *a: calls.append("direct"))
+    assert run(["full", "--dim", 5, "--steps", 3, "--init", init, "--out", tmp_path / "f.csv"]) == 0
+    assert calls == ["embed"]
 
 
 def test_csv_determinism(tmp_path):

@@ -15,6 +15,7 @@ from oracles import (
     extract_layer_state,
     quantum_hitting_probability,
     rowwise_layer_distribution,
+    vertex_weights,
 )
 
 from sqrw import evolution
@@ -33,7 +34,6 @@ from sqrw.hypercube import (
     embed_layer_state,
     initial_symmetric_state,
     parse_vertex,
-    vertex_weights,
     zero_full_state,
 )
 from sqrw.layers import (

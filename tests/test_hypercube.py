@@ -1,23 +1,35 @@
 """Indexing, layers, state construction and embedding."""
 
+import importlib
+import itertools
 import math
+import pkgutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_layer_coeffs, stacked, vertex_bits
-from oracles import extract_layer_state, where_embed_layer_state
+from helpers import random_layer_coeffs, small_blocks, stacked, vertex_bits
+from oracles import (
+    direct_symmetric_state,
+    extract_layer_state,
+    gather_embed_layer_state,
+    vertex_weights,
+    where_embed_layer_state,
+)
 
+import sqrw
+from sqrw import hypercube
 from sqrw.errors import MemoryCapError, ValidationError
 from sqrw.hypercube import (
     MEMORY_ENV_VAR,
+    _block_weights,
     direction_mask,
     embed_layer_state,
     ensure_full_state_fits,
     initial_symmetric_state,
     parse_vertex,
-    vertex_weights,
     zero_full_state,
 )
 from sqrw.layers import (
@@ -48,36 +60,36 @@ def test_flat_index_bijection(d):
 
 
 def test_hamming_layer_examples():
-    w = vertex_weights(4)
+    w = _block_weights(16)
     assert w[parse_vertex(4, "0000")] == 0
     assert w[parse_vertex(4, "1011")] == 3
     assert w[parse_vertex(4, "1111")] == 4
 
 
-def test_vertex_weights_matches_scalar():
-    w = vertex_weights(6)
+def test_block_weights_match_scalar():
+    w = _block_weights(64)
     assert all(w[x] == x.bit_count() for x in range(64))
-    for d in (1, 20):
-        w = vertex_weights(d)
+    for d in (0, 1, 20):  # a block of one vertex too, as small_blocks(1) makes
+        w = _block_weights(1 << d)
         assert w.shape == (1 << d,) and w.dtype == np.int64
         # bit by bit, the way the weights were built before the doubling
         x = np.arange(1 << d, dtype=np.int64)
-        want = sum((x >> shift) & 1 for shift in range(d))
+        want = sum(((x >> shift) & 1 for shift in range(d)), np.zeros(1 << d, np.int64))
         assert np.array_equal(w, want)
+        assert d == 0 or np.array_equal(vertex_weights(d), want)  # the oracle the tests share
         # no cache: each call returns a new array, and a caller's writes stay its own
-        again = vertex_weights(d)
+        again = _block_weights(1 << d)
         assert again is not w and not np.shares_memory(again, w)
         w[:] = -1
-        assert np.array_equal(vertex_weights(d), want)
+        assert np.array_equal(_block_weights(1 << d), want)
 
 
 @pytest.mark.parametrize("d", [16, 18])
-def test_vertex_weights_allocates_only_its_result(d):
-    # every call builds its row (no cache), and a temporary of half the row
-    # (w[: 1 << k] + 1 at the top bit) would exceed the slack
+def test_block_weights_allocate_only_their_result(d):
+    # a temporary of half the row (w[: 1 << k] + 1 at the top bit) would exceed the slack
     tracemalloc.start()
     try:
-        vertex_weights(d)
+        _block_weights(1 << d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -110,8 +122,11 @@ def test_initial_symmetric_state_values():
 
 
 def test_embed_origin_equals_initial_state():
-    for d in (2, 5):
-        assert np.array_equal(embed_layer_state(origin_state(d)), initial_symmetric_state(d))
+    # both against the state written directly, byte for byte and stride for stride
+    for d, dtype in itertools.product(range(1, 19), (np.float64, np.complex128)):
+        want = direct_symmetric_state(d, dtype)
+        for got in (embed_layer_state(origin_state(d), dtype), initial_symmetric_state(d, dtype)):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, (d, dtype)
 
 
 def test_embed_zero_state():
@@ -146,6 +161,65 @@ def test_embed_matches_where_construction(init):
         got = embed_layer_state(s)
         assert np.array_equal(got, where_embed_layer_state(s))
         assert got.T.flags.c_contiguous  # direction-major, as the step kernel reads it
+
+
+def _embed_starts(d):
+    """The three starts, zeros, a dense random closed state, and every class amplitude -0.0 - 0.0j."""
+    signed = zero_layer_state(d)
+    signed.up[:d] = signed.down[1:] = complex(-0.0, -0.0)
+    dense = LayerState(d, stacked(*random_layer_coeffs(d, d)))
+    return [origin_state(d), corner_pair_state(d), middle_state(d), zero_layer_state(d), dense, signed]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("d", range(1, 18))
+def test_embed_matches_the_gather_byte_for_byte(d, dtype):
+    # blocks of one vertex up to every row's bit inside the block, and the production block
+    # (from d = 15 on, rows above it); at most 2**11 blocks per embedding, to bound the time.
+    # The signed zeros fail a zero-block skip that tests values instead of bits
+    blocks = [b for b in (1, 2, 4, 16, 64) if (1 << d) // b <= 1 << 11] + [hypercube._BLOCK]
+    sizes = []
+
+    def block_weights(size):
+        sizes.append(size)
+        return _block_weights(size)
+
+    for s in _embed_starts(d):
+        if dtype is np.float64:
+            s = LayerState(d, s.line.real)
+        want = gather_embed_layer_state(s, dtype)
+        for block in blocks:
+            with small_blocks(block), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hypercube, "_block_weights", block_weights)
+                got = embed_layer_state(s, dtype)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, block
+            assert sizes.pop() == min(block, 1 << d)  # the embedding took the patched block
+
+
+def test_the_block_is_defined_once_and_small_blocks_reaches_every_binding():
+    defined = [p.name for p in Path(sqrw.__file__).parent.glob("*.py") if "\n_BLOCK = " in p.read_text()]
+    assert defined == ["hypercube.py"]
+    modules = [importlib.import_module(f"sqrw.{m.name}") for m in pkgutil.iter_modules(sqrw.__path__)]
+    bound = [m for m in modules if hasattr(m, "_BLOCK")]
+    assert {m.__name__ for m in bound} == {"sqrw.hypercube", "sqrw.evolution"}
+    with small_blocks(2):
+        assert [m._BLOCK for m in bound] == [2] * len(bound)
+    assert {m._BLOCK for m in bound} == {1 << 14}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("init", [origin_state, middle_state])
+def test_embed_scratch_does_not_grow_with_d(init, dtype):
+    # two tiles and the weight row of one block: 0.38 MiB (float64) and 0.63 MiB (complex128);
+    # one gather per row over the 2**d weight row took 4.0 and 5.0 MiB
+    s = init(18)
+    tracemalloc.start()
+    try:
+        state = embed_layer_state(s, dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - state.nbytes <= 1.5 * (1 << 20)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
