@@ -22,7 +22,8 @@ import numpy as np
 
 from .circuit import operator_deviation
 from .errors import MemoryCapError, ValidationError
-from .evolution import EvolutionConfig, _full_walk, layer_distribution_full
+from .evolution import EvolutionConfig, _full_walk
+from .evolution import layer_distribution_full  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.layer_distribution_full)
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
 from .hypercube import embed_layer_state, ensure_full_state_fits, parse_vertex
 from .hypercube import initial_symmetric_state  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.initial_symmetric_state)
@@ -126,16 +127,15 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 
 def _cmd_full(args: argparse.Namespace) -> int:
-    # d state rows plus four rows, all complex whatever the coin so admission does not depend on
-    # it; the four are slack over the 2**14-vertex blocks of the embedding, walk and readings
+    # d state rows plus four, all complex whatever the coin so admission does not depend on it; the
+    # four are slack over the 2**14-vertex blocks of the embedding and the walk, which read each step
     ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)
     # every init is real, so real coefficients keep the walk real: half the bytes
     dtype = np.complex128 if c.r.imag or c.t.imag else np.float64
-    state = embed_layer_state(_FULL_INITS[args.init](args.dim), dtype)
     series = np.empty((args.steps + 1, args.dim + 1))
-    series[0] = layer_distribution_full(state)
+    state = embed_layer_state(_FULL_INITS[args.init](args.dim), dtype, series[0])
     _full_walk(state, cfg, args.steps, series[1:])
     _write_rows(args.out, "step,w,probability", _table(series.ravel(), width=args.dim + 1))
     return 0

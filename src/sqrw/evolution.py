@@ -20,12 +20,12 @@ subtraction: (-1.0) * a is -a exactly and IEEE addition commutes, signed
 zeros included, so the bits are the same.  On request the walk also
 records each step's layer distribution: it sums each new |amplitude|**2
 into a block tile, as ``layer_distribution_full`` does, and folds the tile
-into the layers the block touches.  The scratch is two blocks in the
-state's kind and the fold's two block rows, whatever d.  The state's dtype
-follows the coefficients: real ones step a float64 state with float64
-scratch and scalars, bit for bit the real part of the complex walk.  Every
-vertex scatters with the same coefficients; the marked-vertex search runs
-on the layer walk (``sqrw.search``).
+into the layers the block touches (``embed_layer_state`` reads step 0 so).
+The scratch is two blocks in the state's kind and the fold's two block
+rows, whatever d.  The state's dtype follows the coefficients: real ones
+step a float64 state with float64 scratch and scalars, bit for bit the
+real part of the complex walk.  Every vertex scatters with the same
+coefficients; the marked-vertex search runs on the layer walk (``sqrw.search``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import _BLOCK, _block_weights, _require_walk_dtype, state_dimension
+from .hypercube import _BLOCK, _add_probability, _layer_fold, _require_walk_dtype, state_dimension
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -71,17 +71,6 @@ def gather_incoming(state: NDArray) -> NDArray:
     return incoming
 
 
-def _add_probability(
-    pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
-) -> None:
-    """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, squared in the float scratch ``edge``."""
-    if amps.dtype != np.float64:
-        np.abs(amps, out=edge)
-        amps = edge
-    np.square(amps, out=edge)  # x * x, which is |x| * |x| to the bit
-    np.add(pv, edge, out=pv)
-
-
 def _reverse(out: NDArray, row: NDArray, m: int) -> None:
     """out[v] = row[v ^ m] for the contiguous block ``out``; only bytes move.
 
@@ -94,25 +83,6 @@ def _reverse(out: NDArray, row: NDArray, m: int) -> None:
             np.copyto(cols[:, c], src[:, c ^ m])
     else:
         np.copyto(out.reshape(-1, 2, m), row.reshape(-1, 2, m)[:, ::-1])
-
-
-def _layer_fold(size: int):
-    """A zero float64 tile for ``size`` = 2**(k - 1) vertices, and ``fold(out, lo)``.
-
-    The fold bincounts [out[c : c + k] | tile] by [0 .. k - 1 | weights in the block]
-    into out[c : c + k], c = popcount(lo), and zeroes the tile.  bincount adds in index
-    order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
-    """
-    k = size.bit_length()
-    idx = np.concatenate((np.arange(k), _block_weights(size)))
-    buf = np.zeros(k + size)  # after the index row: the weights, index row and tile are never all live
-
-    def fold(out: NDArray[np.float64], lo: int) -> None:
-        c = lo.bit_count()
-        buf[:k] = out[c : c + k]
-        out[c : c + k] = np.bincount(idx, weights=buf, minlength=k)
-        buf.fill(0.0)
-    return buf[k:], fold
 
 
 def _full_walk(
@@ -147,7 +117,7 @@ def _full_walk(
     totals, block = np.empty(size, dtype), np.empty(size, dtype)
     edge = block.view(np.float64)[:size]
     if series is not None:  # each block's probabilities, folded into the zeroed rows
-        acc, fold = _layer_fold(size)
+        acc, _, fold = _layer_fold(size)
         series[:steps] = 0.0
     bits = [1 << (d - 1 - j) for j in range(d)]
     swapped = False  # the rows with a bit above the block hold their halves swapped
@@ -206,7 +176,7 @@ def layer_distribution_full(state: NDArray) -> NDArray[np.float64]:
     """Probability per Hamming layer, summed over all edges leaving that layer."""
     d = state_dimension(state)
     size = min(1 << d, _BLOCK)
-    acc, fold = _layer_fold(size)
+    acc, _, fold = _layer_fold(size)
     edge, out = np.empty(size), np.zeros(d + 1)
     for lo in range(0, 1 << d, size):  # block by block, so the tile stays in cache
         for j in range(d):

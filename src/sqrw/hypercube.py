@@ -12,7 +12,8 @@ The constructors here store that array direction-major, so ``state.T``
 is a C-contiguous (d, 2**d) array whose row j holds direction j + 1: the
 layout the in-place step kernel (``sqrw.evolution``) works in.  Indexing
 and ``np.ravel`` see the same (2**d, d) values either way.  Every nonzero state
-built here comes from ``embed_layer_state``; ``initial_symmetric_state`` embeds the origin.
+built here comes from ``embed_layer_state``, which can read its layer distribution as it
+writes it (so ``full`` has no step-0 pass); ``initial_symmetric_state`` embeds the origin.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable, counted in
@@ -118,6 +119,37 @@ def _block_weights(size: int) -> NDArray[np.int64]:
     return w
 
 
+def _add_probability(
+    pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
+) -> None:
+    """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, squared in the float scratch ``edge``."""
+    if amps.dtype != np.float64:
+        np.abs(amps, out=edge)
+        amps = edge
+    np.square(amps, out=edge)  # x * x, which is |x| * |x| to the bit
+    np.add(pv, edge, out=pv)
+
+
+def _layer_fold(size: int):
+    """A zero float64 tile for ``size`` = 2**(k - 1) vertices, the block's weight row, and ``fold(out, lo)``.
+
+    The fold bincounts [out[c : c + k] | tile] by [0 .. k - 1 | weights in the block]
+    into out[c : c + k], c = popcount(lo), and zeroes the tile.  bincount adds in index
+    order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
+    The weight row is the tail of that index row, so a caller that gathers by it holds no copy.
+    """
+    k = size.bit_length()
+    idx = np.concatenate((np.arange(k), _block_weights(size)))
+    buf = np.zeros(k + size)  # after the index row: the weights, index row and tile are never all live
+
+    def fold(out: NDArray[np.float64], lo: int) -> None:
+        c = lo.bit_count()
+        buf[:k] = out[c : c + k]
+        out[c : c + k] = np.bincount(idx, weights=buf, minlength=k)
+        buf.fill(0.0)
+    return buf[k:], idx[k:], fold
+
+
 def _require_walk_dtype(dtype: DTypeLike) -> None:
     if np.dtype(dtype) not in (np.float64, np.complex128):
         raise ValidationError(f"a full state is float64 or complex128, not {np.dtype(dtype)}")
@@ -146,12 +178,16 @@ def state_dimension(state: NDArray) -> int:
     return d
 
 
-def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
+def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128, reading: NDArray | None = None) -> NDArray:
     """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``.
 
     Per block of 2**(k - 1) vertices at ``lo``, c = popcount(lo): the windows up[c : c + k]
     and down[c : c + k] gathered by the block's weight row are two tiles that every row's
     block is copied from.  A block whose windows hold only zero bits is left untouched.
+    If ``reading`` (d + 1) is given, it gets the state's layer distribution, the bits of
+    ``layer_distribution_full``: once a block's rows are written, they are squared into a
+    ``_layer_fold`` tile while in cache, with the spent tiles as scratch, and folded.  A skipped
+    block is not read: its squares are +0.0, and adding +0.0 leaves a sum of squares as it is.
     """
     _require_closed(s)
     psi = zero_full_state(s.d, dtype).T
@@ -162,8 +198,10 @@ def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArra
         pair = pair.real
     d, n = psi.shape
     size = min(n, _BLOCK)
-    k, w = size.bit_length(), _block_weights(size)
+    k, (acc, w, fold) = size.bit_length(), _layer_fold(size)
     tiles = np.empty((2, size), psi.dtype)  # [up; down] of the block's vertices
+    if reading is not None:
+        reading[:] = 0.0
     for lo in range(0, n, size):
         c = lo.bit_count()
         window = pair[:, c : c + k]
@@ -178,4 +216,8 @@ def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArra
             else:
                 for side in (0, 1):
                     np.copyto(row.reshape(-1, 2, m)[:, side], tiles[side].reshape(-1, 2, m)[:, side])
+        if reading is not None:
+            for j in range(d):
+                _add_probability(acc, psi[j, lo : lo + size], tiles.view(np.float64)[0, :size])
+            fold(reading, lo)
     return psi.T

@@ -100,6 +100,8 @@ def test_every_full_start_is_one_embedding(tmp_path, monkeypatch, init):
     embed = sqrw.cli.embed_layer_state
     monkeypatch.setattr(sqrw.cli, "embed_layer_state", lambda *a: calls.append("embed") or embed(*a))
     monkeypatch.setattr(sqrw.cli, "initial_symmetric_state", lambda *a: calls.append("direct"))
+    # step 0 is read inside the embedding: no separate pass over the state
+    monkeypatch.setattr(sqrw.cli, "layer_distribution_full", lambda *a: calls.append("read"))
     assert run(["full", "--dim", 5, "--steps", 3, "--init", init, "--out", tmp_path / "f.csv"]) == 0
     assert calls == ["embed"]
 

@@ -130,13 +130,13 @@ def _fold_windows():
     make = evolution._layer_fold
 
     def layer_fold(size):
-        tile, fold = make(size)
+        tile, weights, fold = make(size)
 
         def record(out, lo):
             windows.append((lo.bit_count(), size.bit_length()))
             fold(out, lo)
 
-        return tile, record
+        return tile, weights, record
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_layer_fold", layer_fold)
@@ -162,8 +162,9 @@ def test_layer_fold_sums_as_one_bincount_bit_for_bit(d):
     want = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
     for block in BLOCKS:
         size = min(block, 1 << d)
-        tile, fold = evolution._layer_fold(size)
+        tile, weights, fold = evolution._layer_fold(size)
         assert tile.shape == (size,) and not tile.any()
+        assert np.array_equal(weights, vertex_weights(d)[:size])  # the block's weight row
         out = np.zeros(d + 1)
         for lo in range(0, 1 << d, size):
             tile[:] = pv[lo : lo + size]
