@@ -25,7 +25,7 @@ from .errors import MemoryCapError, ValidationError
 from .evolution import EvolutionConfig, _full_walk
 from .evolution import layer_distribution_full  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.layer_distribution_full)
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.step)
-from .hypercube import embed_layer_state, ensure_full_state_fits, parse_vertex
+from .hypercube import _written_blocks, embed_layer_state, ensure_full_state_fits, parse_vertex
 from .hypercube import initial_symmetric_state  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.initial_symmetric_state)
 from .layers import (
     _binomials,
@@ -135,8 +135,10 @@ def _cmd_full(args: argparse.Namespace) -> int:
     # every init is real, so real coefficients keep the walk real: half the bytes
     dtype = np.complex128 if c.r.imag or c.t.imag else np.float64
     series = np.empty((args.steps + 1, args.dim + 1))
-    state = embed_layer_state(_FULL_INITS[args.init](args.dim), dtype, series[0])
-    _full_walk(state, cfg, args.steps, series[1:])
+    start = _FULL_INITS[args.init](args.dim)
+    state = embed_layer_state(start, dtype, series[0])
+    # only the blocks the embedding wrote hold a nonzero bit: the walk steps out from them
+    _full_walk(state, cfg, args.steps, series[1:], _written_blocks(start, dtype)[1])
     _write_rows(args.out, "step,w,probability", _table(series.ravel(), width=args.dim + 1))
     return 0
 
@@ -411,9 +413,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "steps", 0) < 0:
             raise ValidationError(f"step count must be >= 0 (got {args.steps})")
         # fail before the computation, not when the CSV is opened after it
-        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        out = getattr(args, "out", None) or ""
+        out_dir = os.path.dirname(out) or "."
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

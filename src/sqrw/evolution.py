@@ -21,6 +21,17 @@ zeros included, so the bits are the same.  On request the walk also
 records each step's layer distribution: it sums each new |amplitude|**2
 into a block tile, as ``layer_distribution_full`` does, and folds the tile
 into the layers the block touches (``embed_layer_state`` reads step 0 so).
+One step moves amplitude by one Hamming layer, so the walk can keep the
+set of live blocks, the block starts that may hold a nonzero bit: before
+each step it adds lo ^ m for each live lo and each row bit m at least the
+block size (the partner its arrivals come from), and steps and reads only
+the live blocks, in ascending order.  A skipped block holds +0.0 only and
+would step to +0.0 and add +0.0 squares, so the bits are those of the
+every-block walk, provided the coin steps +0.0 arrivals to +0.0: that is
+tried once per walk on a zero tile, and a coin that writes -0.0 there,
+such as r = -1, t = -0.0, steps every block.  ``full`` starts the set
+from the blocks the embedding writes; ``step`` and ``evolve`` step every
+block.
 The scratch is two blocks in the state's kind and the fold's two block
 rows, whatever d.  The state's dtype follows the coefficients: real ones
 step a float64 state with float64 scratch and scalars, bit for bit the
@@ -31,6 +42,7 @@ coefficients; the marked-vertex search runs on the layer walk (``sqrw.search``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,7 +98,8 @@ def _reverse(out: NDArray, row: NDArray, m: int) -> None:
 
 
 def _full_walk(
-    state: NDArray, cfg: EvolutionConfig, steps: int, series: NDArray[np.float64] | None = None
+    state: NDArray, cfg: EvolutionConfig, steps: int, series: NDArray[np.float64] | None = None,
+    live: Iterable[int] | None = None,
 ) -> NDArray:
     """Step ``state`` (2**d, d) in place ``steps`` times and return it, in vertex order.
 
@@ -103,6 +116,9 @@ def _full_walk(
     reads it, through the tile and fold of ``_layer_fold``.  The rows whose
     bit m = 2**(d - 1 - j) is at least the block size hold their halves
     across m swapped after an odd step; the walk swaps them back before it returns.
+    ``live`` names the block starts that may hold a nonzero bit, every block by
+    default; every other block must hold +0.0 only.  The walk grows the set one
+    layer per step and steps only its blocks (see the module docstring).
     """
     r, t = cfg.coeffs.r, cfg.coeffs.t
     dtype = np.complex128
@@ -114,15 +130,27 @@ def _full_walk(
     psi = state.T
     d, n = psi.shape
     size = min(n, _BLOCK)
-    totals, block = np.empty(size, dtype), np.empty(size, dtype)
+    totals, block = np.zeros(size, dtype), np.zeros(size, dtype)
     edge = block.view(np.float64)[:size]
+
+    def combine(row: NDArray) -> None:  # row = (r - t) * row + totals, totals = t * total
+        if invert:
+            np.subtract(totals, row, row)
+        else:
+            np.multiply(row, r - t, row)
+            np.add(row, totals, row)
+
+    np.multiply(totals, t, totals)
+    combine(block)  # +0.0 arrivals: a block left unstepped must hold what stepping would write
+    live = set(range(0, n, size) if live is None or block.view(np.uint64).any() else live)
     if series is not None:  # each block's probabilities, folded into the zeroed rows
         acc, _, fold = _layer_fold(size)
         series[:steps] = 0.0
     bits = [1 << (d - 1 - j) for j in range(d)]
     swapped = False  # the rows with a bit above the block hold their halves swapped
     for done in range(steps):
-        for lo in range(0, n, size):
+        live |= {lo ^ m for lo in live for m in bits if m >= size}  # a row above the block arrives from lo ^ m
+        for lo in sorted(live):
             rows = []
             for j, m in enumerate(bits):
                 at = lo ^ m if m >= size and not swapped else lo
@@ -135,11 +163,7 @@ def _full_walk(
                 np.add(totals, row, totals)
             np.multiply(totals, t, totals)
             for row in rows:
-                if invert:
-                    np.subtract(totals, row, row)
-                else:
-                    np.multiply(row, r - t, row)
-                    np.add(row, totals, row)
+                combine(row)
                 if series is not None:
                     _add_probability(acc, row, edge)
             if series is not None:
@@ -148,7 +172,7 @@ def _full_walk(
     if swapped:  # after an odd count: swap back the halves of every row above the block
         for j, m in enumerate(bits):
             for lo in range(0, n, size):
-                if m >= size and not lo & m:
+                if m >= size and not lo & m and (lo in live or lo + m in live):
                     a, b = psi[j, lo : lo + size], psi[j, lo + m : lo + m + size]
                     np.copyto(block, a)
                     np.copyto(a, b)

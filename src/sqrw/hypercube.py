@@ -14,6 +14,7 @@ layout the in-place step kernel (``sqrw.evolution``) works in.  Indexing
 and ``np.ravel`` see the same (2**d, d) values either way.  Every nonzero state
 built here comes from ``embed_layer_state``, which can read its layer distribution as it
 writes it (so ``full`` has no step-0 pass); ``initial_symmetric_state`` embeds the origin.
+``_written_blocks`` names the blocks the embedding writes, which ``full``'s walk steps out from.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable, counted in
@@ -178,12 +179,30 @@ def state_dimension(state: NDArray) -> int:
     return d
 
 
+def _written_blocks(s: LayerState, dtype: DTypeLike) -> tuple[NDArray, list[int]]:
+    """``s``'s [up; down] in the kind of ``dtype``, and the starts of the blocks ``embed_layer_state`` writes.
+
+    A block at ``lo`` is written when its windows [up; down][:, c : c + k], c = popcount(lo),
+    k = log2(block size) + 1, hold a nonzero bit (bits, so a -0.0 counts).  Every other block
+    of the embedded state holds +0.0 only, so these are the walk's live blocks (``_full_walk``).
+    """
+    pair = s.line[1:-1].reshape(2, -1)  # [up; down]
+    if np.dtype(dtype).kind != "c":  # a real state takes the real parts, and only those
+        if pair.imag.any():
+            raise ValidationError(f"a {np.dtype(dtype)} state cannot hold an imaginary layer amplitude")
+        pair = pair.real
+    size = min(1 << s.d, _BLOCK)
+    k = size.bit_length()
+    hot = [pair[:, c : c + k].view(np.uint64).any() for c in range(s.d + 1)]
+    return pair, [lo for lo in range(0, 1 << s.d, size) if hot[lo.bit_count()]]
+
+
 def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128, reading: NDArray | None = None) -> NDArray:
     """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``.
 
     Per block of 2**(k - 1) vertices at ``lo``, c = popcount(lo): the windows up[c : c + k]
     and down[c : c + k] gathered by the block's weight row are two tiles that every row's
-    block is copied from.  A block whose windows hold only zero bits is left untouched.
+    block is copied from.  Only the blocks of ``_written_blocks`` are written; the rest stay +0.0.
     If ``reading`` (d + 1) is given, it gets the state's layer distribution, the bits of
     ``layer_distribution_full``: once a block's rows are written, they are squared into a
     ``_layer_fold`` tile while in cache, with the spent tiles as scratch, and folded.  A skipped
@@ -191,23 +210,16 @@ def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128, reading: 
     """
     _require_closed(s)
     psi = zero_full_state(s.d, dtype).T
-    pair = s.line[1:-1].reshape(2, -1)  # [up; down]
-    if psi.dtype.kind != "c":  # a real state takes the real parts, and only those
-        if pair.imag.any():
-            raise ValidationError(f"a {psi.dtype} state cannot hold an imaginary layer amplitude")
-        pair = pair.real
+    pair, written = _written_blocks(s, dtype)
     d, n = psi.shape
     size = min(n, _BLOCK)
     k, (acc, w, fold) = size.bit_length(), _layer_fold(size)
     tiles = np.empty((2, size), psi.dtype)  # [up; down] of the block's vertices
     if reading is not None:
         reading[:] = 0.0
-    for lo in range(0, n, size):
+    for lo in written:
         c = lo.bit_count()
-        window = pair[:, c : c + k]
-        if not window.view(np.uint64).any():  # bits, so a -0.0 is written
-            continue
-        np.take(window, w, axis=1, out=tiles, mode="clip")  # indices are in range; no buffer
+        np.take(pair[:, c : c + k], w, axis=1, out=tiles, mode="clip")  # indices are in range; no buffer
         for j in range(d):
             m = 1 << (d - 1 - j)  # the bit direction j + 1 flips: clear on up edges, set on down edges
             row = psi[j, lo : lo + size]

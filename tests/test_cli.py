@@ -1,5 +1,6 @@
 """CLI: outputs, determinism, presets, exit codes."""
 
+import errno
 import math
 import os
 import resource
@@ -429,6 +430,15 @@ def test_missing_output_directory_fails_before_the_walk(tmp_path, capsys, monkey
     out = tmp_path / "missing" / "x.csv"
     assert run(["full", "--dim", 20, "--steps", 2, "--out", out]) == 2
     assert "No such file or directory" in _error_line(capsys)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command,walk", [("full", "_full_walk"), ("layers", "layer_distribution_series")])
+def test_output_that_is_a_directory_fails_before_the_walk(tmp_path, capsys, monkeypatch, command, walk):
+    calls = []
+    monkeypatch.setattr(sqrw.cli, walk, lambda *args: calls.append(args))
+    assert run([command, "--dim", 20, "--steps", 2, "--out", tmp_path]) == 2
+    assert f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'" in _error_line(capsys)
     assert calls == []
 
 

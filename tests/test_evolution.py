@@ -30,6 +30,7 @@ from sqrw.evolution import (
     vertex_probability,
 )
 from sqrw.hypercube import (
+    _written_blocks,
     direction_mask,
     embed_layer_state,
     initial_symmetric_state,
@@ -42,6 +43,7 @@ from sqrw.layers import (
     middle_state,
     origin_state,
     reduced_step,
+    zero_layer_state,
 )
 from sqrw.multiport import MultiportCoeffs, grover_coeffs
 from sqrw.spectral import translation_apply
@@ -124,29 +126,29 @@ def _layouts(state):
 
 
 @contextmanager
-def _fold_windows():
-    """Record the first layer c and layer count k of every block the walk and the reading fold."""
-    windows = []
+def _folds():
+    """Record the address of the row, the block start and the block size of every fold of the walk and the reading."""
+    folds = []
     make = evolution._layer_fold
 
     def layer_fold(size):
         tile, weights, fold = make(size)
 
         def record(out, lo):
-            windows.append((lo.bit_count(), size.bit_length()))
+            folds.append((out.ctypes.data, lo, size))
             fold(out, lo)
 
         return tile, weights, record
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_layer_fold", layer_fold)
-        yield windows
+        yield folds
 
 
-def _assert_every_window(windows, d):
-    # every offset c of the block's k layers is folded, up to the last window c + k = d + 1
-    (k,) = {k for _, k in windows}
-    assert {c for c, _ in windows} == set(range(d + 2 - k))
+def _assert_every_window(folds, d):
+    # every offset c = popcount(lo) of the block's k layers is folded, up to the last window c + k = d + 1
+    (k,) = {size.bit_length() for _, _, size in folds}
+    assert {lo.bit_count() for _, lo, _ in folds} == set(range(d + 2 - k))
 
 
 # from one vertex per block to every bit inside it (d <= 4 at 16, d <= 6 at 64); 64 also
@@ -185,9 +187,9 @@ def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
     for block, steps in itertools.product(BLOCKS, (1, 2, 3)):
         psi = _layouts(state)[strided]  # never a view of state
         series = np.full((steps, d + 1), np.nan)  # the walk must overwrite every row
-        with small_blocks(block), _fold_windows() as windows:
+        with small_blocks(block), _folds() as folds:
             assert _full_walk(psi, cfg, steps, series) is psi
-        _assert_every_window(windows, d)
+        _assert_every_window(folds, d)
         assert np.array_equal(series[-1], rowwise_layer_distribution(psi)), (block, steps)
         if block == 1:  # numpy's in-place complex multiply rounds a one-element row its own way
             np.testing.assert_allclose(psi, want[steps], rtol=0, atol=1e-15)
@@ -252,6 +254,87 @@ def test_grover_subtraction_has_the_bytes_of_multiply_then_add(d, strided):
             assert series[k - 1].tobytes() == rowwise_layer_distribution(want[k]).tobytes(), (block, k)
 
 
+def _cone_starts(d, dtype):
+    """(name, state, live blocks) for the light-cone sweep, in the walk's storage.
+
+    The three layer starts are embedded, with the blocks ``_written_blocks`` gives.  One vertex's
+    edges start from that vertex's block.  Zeros but for a -0.0 on the all-ones vertex's edges,
+    which are down edges of layer d, start from the blocks ``_written_blocks`` gives for that
+    layer state: the last block only, which a test of values instead of bits would miss.
+    """
+    for name, s in (("origin", origin_state(d)), ("corners", corner_pair_state(d)), ("middle", middle_state(d))):
+        yield name, embed_layer_state(s, dtype), _written_blocks(s, dtype)[1]
+    neg_zero, state = zero_layer_state(d), zero_full_state(d, dtype)
+    neg_zero.down[d] = state[-1] = -0.0
+    yield "-0.0", state, _written_blocks(neg_zero, dtype)[1]
+    x = (1 << d) // 3  # 0101...: inside a middle block
+    vertex = zero_full_state(d, dtype)
+    vertex[x] = random_unit_state(d, 90 + d)[x] if dtype == np.complex128 else 0.5
+    yield "vertex", vertex, [x - x % min(evolution._BLOCK, 1 << d)]
+
+
+def _assert_the_cone_is_exact(d, block):
+    """The walk from the live blocks has the bytes of the every-block walk, state and series,
+    for every count up to one past the steps that fill the cone."""
+    with small_blocks(block):
+        above = d - min(block, 1 << d).bit_length() + 1  # bits above the block
+        for dtype, coeffs in ((np.float64, grover_coeffs(d)), (np.complex128, _unitary_coeffs(d, 0.7, 2.1))):
+            cfg = EvolutionConfig(d, coeffs)
+            for (name, start, live), steps in itertools.product(_cone_starts(d, dtype), range(above + 2)):
+                want, want_series = start.T.copy().T, np.full((steps, d + 1), np.nan)
+                _full_walk(want, cfg, steps, want_series)
+                for series in (None, np.full((steps, d + 1), np.nan)):
+                    got = start.T.copy().T
+                    _full_walk(got, cfg, steps, series, live)
+                    why = (name, np.dtype(dtype).name, steps, series is not None)
+                    assert got.tobytes() == want.tobytes(), why
+                    assert series is None or series.tobytes() == want_series.tobytes(), why
+
+
+# the sweep is for d = 1..12 at blocks 1, 2, 4 and 16; past 2**6 blocks (the production count at
+# d = 20) a pair takes up to minutes (d = 12 at block 1: 7), so the suite stops there
+CONE_GRID = [(d, b) for d in range(1, 13) for b in (1, 2, 4, 16) if d - min(b, 1 << d).bit_length() + 1 <= 6]
+
+
+@pytest.mark.parametrize("d,block", CONE_GRID)
+def test_the_light_cone_has_the_bytes_of_every_block(d, block):
+    _assert_the_cone_is_exact(d, block)
+
+
+def test_the_walk_steps_the_light_cone_only():
+    # d = 10 at blocks of 16 has 64 blocks, as production at d = 20: from the origin, step 1
+    # steps block 0 and its 6 partners, step 2 every block with popcount(lo / 16) <= 2
+    d = 10
+    with small_blocks(16), _folds() as folds:
+        state = embed_layer_state(origin_state(d), np.float64)
+        _full_walk(state, EvolutionConfig(d, grover_coeffs(d)), 2, np.empty((2, d + 1)),
+                   _written_blocks(origin_state(d), np.float64)[1])
+    per_step = [[lo for _, lo, _ in row] for _, row in itertools.groupby(folds, key=lambda f: f[0])]
+    assert [len(blocks) for blocks in per_step] == [7, 22]
+    assert per_step == [[lo for lo in range(0, 1 << d, 16) if (lo >> 4).bit_count() <= n] for n in (1, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_coin_that_steps_zeros_to_minus_zero_steps_every_block(dtype):
+    # custom:-1,0,-0,0: t * 0 is -0.0, so +0.0 arrivals step to -0.0 and no block may be skipped
+    d = 10
+    cfg = EvolutionConfig(d, MultiportCoeffs(complex(-1.0, 0.0), complex(-0.0, 0.0), d))
+    start = embed_layer_state(origin_state(d), dtype)
+    for steps in (1, 2, 3):
+        want, zeros_want = start.T.copy().T, zero_full_state(d, dtype)
+        with small_blocks(16):
+            _full_walk(want, cfg, steps)
+            _full_walk(zeros_want, cfg, steps)
+            got, zeros = start.T.copy().T, zero_full_state(d, dtype)
+            with _folds() as folds:
+                _full_walk(got, cfg, steps, np.empty((steps, d + 1)), _written_blocks(origin_state(d), dtype)[1])
+            _full_walk(zeros, cfg, steps, None, [])
+        assert len(folds) == 64 * steps
+        assert got.tobytes() == want.tobytes(), steps
+        assert zeros.tobytes() == zeros_want.tobytes(), steps
+        assert steps > 1 or np.signbit(zeros.real).all()  # step 1 writes -0.0 over every +0.0
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("strided", [False, True])
 def test_reverse_moves_the_bytes_of_the_reversed_view(dtype, strided):
@@ -313,9 +396,9 @@ def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
         want = rowwise_layer_distribution(layout)
         assert np.array_equal(layer_distribution_full(layout), want)
         for block in BLOCKS:
-            with small_blocks(block), _fold_windows() as windows:
+            with small_blocks(block), _folds() as folds:
                 assert np.array_equal(layer_distribution_full(layout), want), block
-            _assert_every_window(windows, d)
+            _assert_every_window(folds, d)
 
 
 # bookkeeping (about 5 KiB): the walk's operands are contiguous, so numpy allocates no
