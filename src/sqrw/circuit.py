@@ -22,7 +22,7 @@ from .multiport import MultiportCoeffs, multiport_matrix
 
 __all__ = ["apply_phicnot", "apply_coin", "circuit_step", "operator_deviation"]
 
-_GOLDEN = (5**0.5 - 1) / 2
+_GOLDEN = (np.sqrt(5.0) - 1) / 2
 
 
 def apply_phicnot(state: NDArray[np.complex128], a: int) -> NDArray[np.complex128]:

@@ -28,6 +28,7 @@ from .evolution import step  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.st
 from .hypercube import _written_blocks, embed_layer_state, ensure_full_state_fits, parse_vertex
 from .hypercube import initial_symmetric_state  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.initial_symmetric_state)
 from .layers import (
+    _abs2,
     _binomials,
     corner_pair_state,
     hitting_ratio_table,
@@ -181,7 +182,7 @@ def _cmd_mz(args: argparse.Namespace) -> int:
     amp = interferometer_amplitude(args.dim, np.array(gamma), c)
     print(f"amplitude_re={_fmt(amp.real)}")
     print(f"amplitude_im={_fmt(amp.imag)}")
-    print(f"probability={_fmt(abs(amp) ** 2)}")
+    print(f"probability={_fmt(_abs2(amp))}")
     return 0
 
 

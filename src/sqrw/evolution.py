@@ -49,6 +49,7 @@ from numpy.typing import NDArray
 
 from .errors import ValidationError
 from .hypercube import _BLOCK, _add_probability, _layer_fold, _require_walk_dtype, state_dimension
+from .layers import _abs2
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -131,7 +132,7 @@ def _full_walk(
     d, n = psi.shape
     size = min(n, _BLOCK)
     totals, block = np.zeros(size, dtype), np.zeros(size, dtype)
-    edge = block.view(np.float64)[:size]
+    edge = block.view(np.float64)
 
     def combine(row: NDArray) -> None:  # row = (r - t) * row + totals, totals = t * total
         if invert:
@@ -201,7 +202,7 @@ def layer_distribution_full(state: NDArray) -> NDArray[np.float64]:
     d = state_dimension(state)
     size = min(1 << d, _BLOCK)
     acc, _, fold = _layer_fold(size)
-    edge, out = np.empty(size), np.zeros(d + 1)
+    edge, out = np.empty(max(size, 2)), np.zeros(d + 1)  # a complex state squares half of it a pass
     for lo in range(0, 1 << d, size):  # block by block, so the tile stays in cache
         for j in range(d):
             _add_probability(acc, state[lo : lo + size, j], edge)
@@ -214,4 +215,4 @@ def vertex_probability(state: NDArray, x: int) -> float:
     d = state_dimension(state)
     if not 0 <= x < (1 << d):
         raise ValidationError(f"vertex {x} out of range for d={d}")
-    return float(np.sum(np.abs(state[x, :]) ** 2))
+    return float(np.sum(_abs2(state[x, :])))

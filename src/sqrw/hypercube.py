@@ -123,12 +123,22 @@ def _block_weights(size: int) -> NDArray[np.int64]:
 def _add_probability(
     pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
 ) -> None:
-    """``pv += abs(amps) ** 2`` for a float64 or complex128 tile, squared in the float scratch ``edge``."""
-    if amps.dtype != np.float64:
-        np.abs(amps, out=edge)
-        amps = edge
-    np.square(amps, out=edge)  # x * x, which is |x| * |x| to the bit
-    np.add(pv, edge, out=pv)
+    """``pv += _abs2(amps)`` for a float64 or complex128 tile, squared in the float scratch ``edge``; allocates nothing.
+
+    A complex tile, contiguous or strided, squares its two parts into the halves of ``edge``, a half's worth a pass.
+    """
+    if amps.dtype == np.float64:
+        np.square(amps, out=edge[: len(amps)])
+        np.add(pv, edge[: len(amps)], out=pv)
+        return
+    h = len(edge) // 2
+    for lo in range(0, len(amps), h):
+        z, p = amps[lo : lo + h], pv[lo : lo + h]
+        re, im = edge[: len(z)], edge[h : h + len(z)]
+        np.square(z.real, out=re)
+        np.square(z.imag, out=im)
+        np.add(re, im, out=re)
+        np.add(p, re, out=p)
 
 
 def _layer_fold(size: int):
@@ -230,6 +240,6 @@ def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128, reading: 
                     np.copyto(row.reshape(-1, 2, m)[:, side], tiles[side].reshape(-1, 2, m)[:, side])
         if reading is not None:
             for j in range(d):
-                _add_probability(acc, psi[j, lo : lo + size], tiles.view(np.float64)[0, :size])
+                _add_probability(acc, psi[j, lo : lo + size], tiles.view(np.float64)[0])
             fold(reading, lo)
     return psi.T

@@ -26,14 +26,11 @@ tails keeps all four zero (``_require_closed``).
 detection series, the search, ``reduced_step`` and ``scatter_step`` are each
 one call of it.  It steps into one preallocated block of states, two ufunc
 calls and no allocation per step, and each reader takes a block whole with
-one array expression.  The search and detection readings use ``_abs``
-(libm ``hypot``) and ``np.float_power(x, 2)`` (libm ``pow``), which round as
-Python's ``abs(z)`` and ``x ** 2`` do, where numpy's ``abs`` and ``** 2`` do not.
+one array expression.  Every reading takes |z|^2 as ``_abs2``, re*re + im*im.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -152,12 +149,12 @@ def _distribution(
     """C(d,w)[(d-w)|up[w]|^2 + w|down[w]|^2] along the last axis, ``b`` = ``_binomials(d)``."""
     d = up.shape[-1] - 1
     w = np.arange(d + 1, dtype=np.float64)
-    return b * ((d - w) * np.abs(up) ** 2 + w * np.abs(down) ** 2)
+    return b * ((d - w) * _abs2(up) + w * _abs2(down))
 
 
-def _abs(z: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """|z| per element, rounded as Python's ``abs(complex)``: both are libm ``hypot``."""
-    return np.hypot(z.real, z.imag)
+def _abs2(z: complex | NDArray) -> float | NDArray[np.float64]:
+    """|z|^2 as re*re + im*im, for a Python or numpy scalar or array: the one reading of every probability."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def edge_counting_norm(s: LayerState) -> float:
@@ -283,30 +280,34 @@ def layer_distribution_series(
     )
 
 
+def _path_product(d: int, t: complex) -> complex:
+    """(d - 1)! * t**(d - 1), the sum over the shortest paths, as the factors k * (d - k) * t * t, k < d - k.
+
+    An even d adds the unpaired middle factor (d / 2) * t.  Every unitary coin has
+    |t| <= 2/d, so no factor exceeds 1 in modulus and no partial product grows:
+    the product underflows only where the result does.
+    """
+    out = d // 2 * t if d % 2 == 0 else 1.0
+    t2 = t * t
+    for k in range(1, (d + 1) // 2):
+        out *= k * (d - k) * t2
+    return out
+
+
 def hitting_amplitude_closed_form(d: int, c: MultiportCoeffs) -> complex:
     """Amplitude on one far-corner down-edge after exactly d steps from ``origin_state``.
 
-    Equals [t(d-1) + r] * (d-1)! * t**(d-1) / sqrt(d).  Above d = 20 the
-    factorial is folded into log space to avoid float overflow.
+    Equals [t(d-1) + r] * (d-1)! * t**(d-1) / sqrt(d), the paths' product from ``_path_product``.
     """
     require_valid(c, degree=d)
-    r, t = c.r, c.t
-    front = t * (d - 1) + r
-    if d <= 20:
-        return front * math.factorial(d - 1) * t ** (d - 1) / math.sqrt(d)
-    if t == 0:
-        return 0.0j
-    log_term = math.lgamma(d) + (d - 1) * cmath.log(t) - 0.5 * math.log(d)
-    return front * cmath.exp(log_term)
+    return (c.t * (d - 1) + c.r) * _path_product(d, c.t) / math.sqrt(d)
 
 
 def classical_hitting_probability(d: int) -> float:
-    """Probability d!/d**d of the classical walk crossing corner to corner in d steps."""
+    """Probability d!/d**d = (d-1)!/d**(d-1) of the classical walk crossing corner to corner in d steps."""
     if d < 1:
         raise ValidationError(f"dimension must be >= 1 (got {d})")
-    if d <= 20:
-        return math.factorial(d) / d**d
-    return math.exp(math.lgamma(d + 1) - d * math.log(d))
+    return _path_product(d, 1.0 / d)
 
 
 def hitting_ratio_table(d_max: int) -> NDArray[np.float64]:
@@ -320,6 +321,6 @@ def hitting_ratio_table(d_max: int) -> NDArray[np.float64]:
     rows = np.empty((d_max - 1, 4), dtype=np.float64)
     for i, d in enumerate(range(2, d_max + 1)):
         p_c = classical_hitting_probability(d)
-        p_q = abs(hitting_amplitude_closed_form(d, grover_coeffs(d))) ** 2
+        p_q = _abs2(hitting_amplitude_closed_form(d, grover_coeffs(d)))
         rows[i] = (d, p_c, p_q, p_q / p_c)
     return rows

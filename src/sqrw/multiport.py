@@ -13,8 +13,8 @@ Two ready-made families are provided:
 
 - ``grover_coeffs(d)``: r = 2/d - 1, t = 2/d.  The vertex matrix equals the
   diffusion operator 2|s><s| - 1 over the uniform port state |s>.
-- ``symmetric_coeffs(d, p)``: t = d**(-p) with the reflection phase fixed so
-  the unitarity relations hold (non-negative imaginary part by convention).
+- ``symmetric_coeffs(d, p)``: t = d**(-p), with Re r from the cross relation
+  and Im r >= 0 from the norm relation.
 
 Every ``MultiportCoeffs`` is checked against these relations once, when it
 is built, so an arbitrary user-supplied pair is constructed directly and no
@@ -106,10 +106,10 @@ def grover_coeffs(d: int) -> MultiportCoeffs:
 def symmetric_coeffs(d: int, p: float) -> MultiportCoeffs:
     """Return the weak-transmission family t = d**(-p).
 
-    The reflection amplitude is ``sqrt(1 - (d-1)/d**(2p)) * exp(i*theta)``
-    with ``cos(theta) = (1 - d/2) / sqrt(d**(2p) - d + 1)``.  Only the
-    cosine is determined by unitarity; the branch with ``sin(theta) >= 0``
-    is chosen so results are reproducible.
+    With t real, the cross relation fixes Re r = -(d - 2) t / 2, and the norm
+    relation then fixes Im r = sqrt(1 - (d - 1) t**2 - (Re r)**2) up to its
+    sign; the branch Im r >= 0 is chosen so results are reproducible.  The
+    radicand is 1 - (d t / 2)**2, so a phase exists exactly when t <= 2/d.
 
     Parameters
     ----------
@@ -122,25 +122,19 @@ def symmetric_coeffs(d: int, p: float) -> MultiportCoeffs:
     Raises
     ------
     ValidationError
-        If d < 2, p <= 1/2, or the phase equation has no solution
-        (|cos(theta)| > 1, which happens for p barely above 1/2 at
-        large d).
+        If d < 2, p <= 1/2, or the radicand is negative (t > 2/d, which
+        happens for p barely above 1/2 at large d).
     """
     if d < 2:
         raise ValidationError(f"symmetric coefficients need degree >= 2 (got {d})")
     if not p > 0.5:  # also rejects NaN
         raise ValidationError(f"transmission exponent must exceed 1/2 (got {p})")
     t = float(d) ** (-p)
-    magnitude = math.sqrt(1.0 - (d - 1) * t * t)
-    cos_theta = (1.0 - d / 2.0) / math.sqrt(float(d) ** (2 * p) - d + 1.0)
-    if abs(cos_theta) > 1.0 + 1e-12:
-        raise ValidationError(
-            f"no reflection phase exists for d={d}, p={p} (|cos theta| = {abs(cos_theta):.6g} > 1)"
-        )
-    cos_theta = max(-1.0, min(1.0, cos_theta))
-    theta = math.acos(cos_theta)  # in [0, pi], so sin(theta) >= 0
-    r = magnitude * complex(math.cos(theta), math.sin(theta))
-    return MultiportCoeffs(r=r, t=t, degree=d)
+    re = -(d - 2) * t / 2
+    radicand = 1.0 - (d - 1) * t * t - re * re
+    if radicand < 0.0:
+        raise ValidationError(f"no reflection phase exists for d={d}, p={p} (Im r**2 would be {radicand:.6g})")
+    return MultiportCoeffs(r=complex(re, math.sqrt(radicand)), t=t, degree=d)
 
 
 def phase_coeffs(d: int, phase: complex = -1.0) -> MultiportCoeffs:

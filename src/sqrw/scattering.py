@@ -45,14 +45,11 @@ the layer walk from ``origin_state`` (gamma_j = 1/sqrt(d));
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .layers import LayerState, _abs, _layer_factors, _layer_walk, zero_layer_state
+from .layers import LayerState, _abs2, _layer_factors, _layer_walk, _path_product, zero_layer_state
 from .multiport import MultiportCoeffs, require_valid
 
 __all__ = [
@@ -109,7 +106,7 @@ def detection_probability_series(
         initial_tail_photon(d).line,
         _layer_factors(d, c.r, c.t, b),
         np.empty(n_max + 1),
-        lambda block: np.float_power(_abs(block[:, d + 1]), 2),  # column d + 1 is up[d]
+        lambda block: _abs2(block[:, d + 1]),  # column d + 1 is up[d]
     )
 
 
@@ -124,22 +121,15 @@ def interferometer_amplitude(d: int, gamma: NDArray[np.complex128], c: Multiport
         sum_j gamma_j * (d-1)! * t**(d-1) * tb
 
     and depends on gamma only through its sum, which is what makes the
-    tailed hypercube act as a two-arm interferometer.  Above d = 20 the
-    factorial is folded into log space to avoid float overflow.
+    tailed hypercube act as a two-arm interferometer (``_path_product`` is (d-1)! * t**(d-1)).
     """
     gamma = np.asarray(gamma, dtype=np.complex128)
     if gamma.shape != (d,):
         raise ValidationError(f"gamma must have shape ({d},), got {gamma.shape}")
     require_valid(c, degree=d)
-    tb = boundary_coeffs(d).t
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        total = np.sum(gamma)
-        if d <= 20:
-            amp = complex(total * math.factorial(d - 1) * c.t ** (d - 1) * tb)
-        elif c.t == 0:
-            amp = 0j
-        else:
-            amp = complex(total * cmath.exp(math.lgamma(d) + (d - 1) * cmath.log(c.t)) * tb)
-        if not (np.isfinite(total) and np.isfinite(np.abs(amp) ** 2)):
-            raise ValidationError("gamma must be finite, and so must its sum and |amplitude|**2")
+        total = complex(np.sum(gamma))
+    amp = total * _path_product(d, c.t) * boundary_coeffs(d).t
+    if not (np.isfinite(total) and np.isfinite(_abs2(amp))):
+        raise ValidationError("gamma must be finite, and so must its sum and |amplitude|**2")
     return amp

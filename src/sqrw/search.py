@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .evolution import vertex_probability
 from .evolution import step  # noqa: F401  (perfbench/spans.py wraps it)
 from .hypercube import direction_mask, ensure_full_state_fits
-from .layers import MAX_LAYER_DIM, _abs, _layer_factors, _layer_walk, zero_layer_state
+from .layers import MAX_LAYER_DIM, _abs2, _layer_factors, _layer_walk, zero_layer_state
 from .multiport import MultiportCoeffs, grover_coeffs, phase_coeffs, require_valid
 
 __all__ = [
@@ -92,7 +92,7 @@ def success_probability(state: NDArray[np.complex128], cfg: SearchConfig) -> flo
     d = cfg.dim
     total = 0.0
     for a in range(1, d + 1):
-        total += abs(state[cfg.marked ^ direction_mask(d, a), a - 1]) ** 2
+        total += _abs2(state[cfg.marked ^ direction_mask(d, a), a - 1])
     return total
 
 
@@ -106,5 +106,5 @@ def run_search(cfg: SearchConfig) -> NDArray[np.float64]:
     start.up[:d] = start.down[1:] = 1.0 / math.sqrt(d * (1 << d))
     # the mark's d out-edges (up[0] = s[1]) or in-edges (down[1] = s[d + 3]) share one amplitude
     col = 1 if cfg.metric == "out" else d + 3
-    series = _layer_walk(start.line, _layer_factors(d, r, t), np.empty(cfg.steps + 1), lambda s: _abs(s[:, col]))
-    return cfg.dim * series**2
+    series = _layer_walk(start.line, _layer_factors(d, r, t), np.empty(cfg.steps + 1), lambda s: _abs2(s[:, col]))
+    return d * series

@@ -67,8 +67,8 @@ def _sqrt(z: complex) -> complex:
 
     z is never 0 here: the two roots would coincide, which needs t = 0, and there z = r**2."""
     x, y = z.real, z.imag
-    s = math.sqrt((math.sqrt(x * x + y * y) + abs(x)) / 2)
-    return complex(s, y / (2 * s)) if x >= 0 else complex(abs(y) / (2 * s), s if y >= 0 else -s)
+    s = math.sqrt((math.sqrt(x * x + y * y) + (x if x >= 0 else -x)) / 2)
+    return complex(s, y / (2 * s)) if x >= 0 else complex((y if y >= 0 else -y) / (2 * s), s if y >= 0 else -s)
 
 
 def weight_class_spectra(c: MultiportCoeffs) -> list[NDArray[np.complex128]]:

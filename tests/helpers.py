@@ -153,7 +153,8 @@ def stepped_detection_series(d: int, c: MultiportCoeffs, b: MultiportCoeffs, n_m
     series = np.zeros(n_max + 1, dtype=np.float64)
     for n in range(1, n_max + 1):
         fields = shifting_scatter_step(fields, c, b)
-        series[n] = abs(fields[0][d]) ** 2
+        z = fields[0][d]
+        series[n] = z.real * z.real + z.imag * z.imag
     return series
 
 

@@ -1,21 +1,25 @@
 """Reference code that only the tests call.
 
-The unitarity residuals of a coefficient pair, dense operators and dense
-spectra, the character basis, the basis-column circuit comparison, the
-flip-gate structure check, the audit and classical layer series, the
-Hamming weight of every vertex, the origin state written directly, the layer
-distribution, layer embeddings and layer extraction of a full state, the
-tailed corner rows, the layer walk on two arrays, the tailed step on six
-arrays with shifting tails, the search stepped on the full state, the
-per-element Python readings of the search and detection series, and the
-one-row-at-a-time CSV writer.  They check the library from outside and are
-not part of its API.
+The unitarity residuals of a coefficient pair, the symmetric coin built
+through its phase angle, dense operators and dense spectra, the character
+basis, the basis-column circuit comparison, the flip-gate structure check,
+the audit and classical layer series, the Hamming weight of every vertex,
+the origin state written directly, the layer distribution, layer embeddings
+and layer extraction of a full state, the tailed corner rows, the layer walk
+on two arrays, the tailed step on six arrays with shifting tails, the search
+stepped on the full state, the per-element Python readings of the search and
+detection series, the one-row-at-a-time CSV writer, and the 50-digit
+reference: the layer walk in ``decimal`` and the hitting table in
+``fractions``, with the standard library alone.  They check the library from
+outside and are not part of its API.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,6 +48,23 @@ def unitarity_residuals(c: MultiportCoeffs) -> tuple[float, float]:
     norm = abs(r) ** 2 + (d - 1) * abs(t) ** 2 - 1.0
     cross = (d - 2) * abs(t) ** 2 + 2.0 * (r.conjugate() * t).real
     return abs(norm), abs(cross)
+
+
+def acos_symmetric_coeffs(d: int, p: float) -> MultiportCoeffs:
+    """The symmetric coin t = d**(-p) as it was built through the phase angle: the reference for its refusals.
+
+    r = sqrt(1 - (d-1) t**2) exp(i theta) with cos(theta) = (1 - d/2) / sqrt(d**(2p) - d + 1),
+    refused when |cos(theta)| > 1 + 1e-12 and clamped to [-1, 1] otherwise.
+    """
+    if d < 2 or not p > 0.5:
+        raise ValidationError(f"no symmetric coefficients at d={d}, p={p}")
+    t = float(d) ** (-p)
+    magnitude = math.sqrt(1.0 - (d - 1) * t * t)
+    cos_theta = (1.0 - d / 2.0) / math.sqrt(float(d) ** (2 * p) - d + 1.0)
+    if abs(cos_theta) > 1.0 + 1e-12:
+        raise ValidationError(f"no reflection phase exists for d={d}, p={p}")
+    theta = math.acos(max(-1.0, min(1.0, cos_theta)))
+    return MultiportCoeffs(magnitude * complex(math.cos(theta), math.sin(theta)), t, d)
 
 
 def coin_fourier_vector(d: int, k: int) -> NDArray[np.complex128]:
@@ -337,8 +358,8 @@ def rowwise_layer_distribution(state: NDArray[np.complex128]) -> NDArray[np.floa
     d = state_dimension(state)
     per_vertex = np.zeros(1 << d)
     for j in range(d):
-        edge = np.abs(state[:, j])
-        per_vertex += edge * edge
+        edge = state[:, j]
+        per_vertex += edge.real * edge.real + edge.imag * edge.imag
     return np.bincount(vertex_weights(d), weights=per_vertex, minlength=d + 1)
 
 
@@ -564,14 +585,9 @@ def full_search_series(cfg: SearchConfig) -> NDArray[np.float64]:
     return series
 
 
-def scalar_abs(z: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """``abs`` of each element as a Python ``complex``: libm ``hypot``."""
-    return np.array([abs(x) for x in z.tolist()], dtype=np.float64)
-
-
-def scalar_square(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``** 2`` of each element as a Python ``float``: libm ``pow``."""
-    return np.array([v**2 for v in x.tolist()], dtype=np.float64)
+def scalar_abs2(z: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """re * re + im * im of each element as a Python ``complex``, one scalar at a time."""
+    return np.array([x.real * x.real + x.imag * x.imag for x in z.tolist()], dtype=np.float64)
 
 
 def scalar_search_series(states: NDArray[np.complex128], col: int) -> NDArray[np.float64]:
@@ -581,13 +597,13 @@ def scalar_search_series(states: NDArray[np.complex128], col: int) -> NDArray[np
     in-edges); each of the d edges carries the amplitude read there.
     """
     d = (states.shape[1] - 4) // 2
-    return d * scalar_abs(states[:, col]) ** 2
+    return d * scalar_abs2(states[:, col])
 
 
 def scalar_detection_series(states: NDArray[np.complex128]) -> NDArray[np.float64]:
     """``detection_probability_series`` read per element: |up[d]|**2 of each padded state."""
     d = (states.shape[1] - 4) // 2
-    return scalar_square(scalar_abs(states[:, d + 1]))
+    return scalar_abs2(states[:, d + 1])
 
 
 def _fmt(x: float) -> str:
@@ -624,3 +640,160 @@ def rowwise_spectrum_rows(d: int, spectra: list[NDArray[np.complex128]]) -> Iter
     for k in range(1 << d):
         bits = format(k, f"0{d}b")
         yield "\n".join([bits + tail for tail in cached[k.bit_count()]])
+
+
+# The 50-digit reference: the paper's coins, starts and readings in ``decimal`` and ``fractions`` alone.
+
+REFERENCE_DIGITS = 50
+
+
+class DecimalComplex:
+    """re + i im as two ``Decimal``s, for + and * with each other, ``Decimal`` and ``int``."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Decimal, im: Decimal) -> None:
+        self.re, self.im = re, im
+
+    def __add__(self, o):
+        if isinstance(o, DecimalComplex):
+            return DecimalComplex(self.re + o.re, self.im + o.im)
+        return DecimalComplex(self.re + o, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + (-1) * o
+
+    def __rsub__(self, o):
+        return (-1) * self + o
+
+    def __mul__(self, o):
+        if isinstance(o, DecimalComplex):
+            return DecimalComplex(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return DecimalComplex(self.re * o, self.im * o)
+
+    __rmul__ = __mul__
+
+
+def decimal_abs2(z) -> Decimal:
+    """|z|**2 of a ``Decimal`` or a ``DecimalComplex``."""
+    return z.re * z.re + z.im * z.im if isinstance(z, DecimalComplex) else z * z
+
+
+def decimal_coin(spec: str, d: int):
+    """(r, t) of a ``--multiport`` spec at degree d, in the current ``decimal`` context.
+
+    grover is r = 2/d - 1, t = 2/d.  ``symmetric:p`` is t = d**(-p), Re r =
+    -(d - 2) t / 2 and Im r = sqrt(1 - (d - 1) t**2 - (Re r)**2), so p = 1
+    gives t = 1/d and r = (2 - d)/(2d) + i sqrt(3)/2; p is the double the
+    CLI parses.  A ``custom:`` pair is the doubles it names.
+    """
+    if spec == "grover":
+        return Decimal(2) / d - 1, Decimal(2) / d
+    if spec.startswith("symmetric"):
+        t = Decimal(d) ** -Decimal(float(spec.partition("p=")[2] or 1))
+        re = -(d - 2) * t / 2
+        return DecimalComplex(re, (1 - (d - 1) * t * t - re * re).sqrt()), t
+    re_r, im_r, re_t, im_t = (Decimal(float(x)) for x in spec[len("custom:") :].split(","))
+    if im_r or im_t:
+        return DecimalComplex(re_r, im_r), DecimalComplex(re_t, im_t)
+    return re_r, re_t
+
+
+def decimal_start(init: str, d: int) -> tuple[list, list]:
+    """(up, down) of ``origin``, ``corners``, ``middle`` or the search's ``uniform`` start."""
+    zero = Decimal(0)
+    up, down = [zero] * (d + 1), [zero] * (d + 1)
+    if init in ("origin", "origin-symmetric"):
+        up[0] = 1 / Decimal(d).sqrt()
+    elif init == "corners":
+        up[0] = down[d] = 1 / Decimal(2 * d).sqrt()
+    elif init == "middle":
+        w0 = d // 2 + 1
+        c = math.comb(d, w0)
+        amp = 1 / Decimal(c * w0 + (c * (d - w0) if w0 < d else 0)).sqrt()
+        if w0 < d:
+            up[w0] = amp
+        down[w0] = amp
+    else:  # uniform over all d * 2**d edges
+        amp = 1 / Decimal(d << d).sqrt()
+        up[:d] = [amp] * d
+        down[1:] = [amp] * d
+    return up, down
+
+
+def decimal_layer_walk(d: int, coins: list, up: list, down: list, steps: int, left_in=0, tails=None):
+    """Yield (up, down) after 0 .. ``steps`` steps of the layer walk, vertex by vertex.
+
+    ``coins[w]`` is the (r, t) of every weight-w vertex.  Such a vertex has w
+    ports toward w - 1, on which up[w - 1] arrives, and d - w toward w + 1,
+    on which down[w + 1] arrives; each port sends (r - t) times its own
+    arrival plus t times the vertex's total.  With ``tails``, the (r, t) of
+    the two (d + 1)-port corners, vertex 0...0 has one more port toward
+    w - 1, the left tail, on which ``left_in`` arrives on the first step and
+    down[0] leaves; vertex 1...1 has one toward w + 1, on which up[d] leaves.
+    """
+    zero = Decimal(0)
+    coins = list(coins)
+    if tails is not None:
+        coins[0] = coins[d] = tails
+    ports = [(w or int(tails is not None), d - w or int(tails is not None)) for w in range(d + 1)]
+    for n in range(steps + 1):
+        yield up, down
+        if n == steps:
+            return
+        new_up, new_down = [zero] * (d + 1), [zero] * (d + 1)
+        for w, ((r, t), (below, above)) in enumerate(zip(coins, ports)):
+            a = up[w - 1] if w else left_in  # arriving from below, per port
+            b = down[w + 1] if w < d else zero  # arriving from above: nothing comes in from the right tail
+            total = below * a + above * b
+            if above:
+                new_up[w] = (r - t) * b + t * total
+            if below:
+                new_down[w] = (r - t) * a + t * total
+        up, down, left_in = new_up, new_down, zero
+
+
+def decimal_layer_series(d: int, spec: str, init: str, steps: int) -> list[list[Decimal]]:
+    """Rows C(d, w) [(d - w) |up[w]|**2 + w |down[w]|**2] of the ``layers`` and ``full`` commands."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        coin = decimal_coin(spec, d)
+        binom = [math.comb(d, w) for w in range(d + 1)]
+        return [
+            [binom[w] * ((d - w) * decimal_abs2(up[w]) + w * decimal_abs2(down[w])) for w in range(d + 1)]
+            for up, down in decimal_layer_walk(d, [coin] * (d + 1), *decimal_start(init, d), steps)
+        ]
+
+
+def decimal_detection_series(d: int, spec: str, steps: int) -> list[Decimal]:
+    """|up[d]|**2 after 0 .. ``steps`` steps of the tailed cube, from a photon on left-tail site -1."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        tails = (Decimal(2) / (d + 1) - 1, Decimal(2) / (d + 1))
+        zeros = [Decimal(0)] * (d + 1)
+        walk = decimal_layer_walk(d, [decimal_coin(spec, d)] * (d + 1), zeros, zeros, steps, 1, tails)
+        return [decimal_abs2(up[d]) for up, _ in walk]
+
+
+def decimal_search_series(d: int, spec: str, steps: int, metric: str = "out") -> list[Decimal]:
+    """d |up[0]|**2 (out) or d |down[1]|**2 (in) of the search with the mark, r = -1 and t = 0, at 0...0."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        coins = [(Decimal(-1), Decimal(0))] + [decimal_coin(spec, d)] * d
+        walk = decimal_layer_walk(d, coins, *decimal_start("uniform", d), steps)
+        return [d * decimal_abs2(up[0] if metric == "out" else down[1]) for up, down in walk]
+
+
+def fraction_hitting_table(d_max: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Rows (p_c, p_q, ratio) of ``hitting``, d = 2 .. d_max, as exact fractions.
+
+    p_c = d!/d**d; with grover, t(d - 1) + r = 1, so p_q = ((d - 1)! (2/d)**(d - 1))**2 / d.
+    """
+    rows = []
+    for d in range(2, d_max + 1):
+        p_c = Fraction(math.factorial(d), d**d)
+        p_q = (math.factorial(d - 1) * Fraction(2, d) ** (d - 1)) ** 2 / d
+        rows.append((p_c, p_q, p_q / p_c))
+    return rows

@@ -101,3 +101,47 @@ def test_src_reaches_no_linalg():
                 continue
             found += [f"{path.name}:{n.lineno}" for name in names if name == "linalg"]
     assert found == []
+
+
+# Calls whose values are not IEEE + - * / and sqrt, and the readings of |z| that are not re*re + im*im
+TRANSCENDENTAL = {
+    f"{m}.{f}" for m in ("math", "np") for f in ("lgamma", "factorial", "acos", "cos", "sin", "exp", "log", "hypot")
+}
+TRANSCENDENTAL |= {"np.float_power", "np.power", "math.pow", "pow"}
+ABS = {"abs", "np.abs", "np.absolute"}
+# the two that may still take abs: the unitarity residuals of a coin, and verify-circuit's deviation
+# from probe phases exp(2 pi i theta), a check compared against 1e-12 rather than a result
+ABS_OWNERS = {"MultiportCoeffs", "operator_deviation"}
+
+
+def test_src_computes_every_number_from_the_five_operations():
+    # every number sqrw writes comes from + - * / and sqrt, which IEEE rounds alike on every CPU;
+    # t = d**(-p) of the symmetric coin is the one power
+    found = []
+    for path in sorted(Path(sqrw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", "")
+            for n in ast.walk(top):
+                at = f"{path.name}:{getattr(n, 'lineno', 0)}"
+                if isinstance(n, ast.Import) and any(a.name == "cmath" for a in n.names) or (
+                    isinstance(n, ast.ImportFrom) and n.module == "cmath"
+                ):
+                    found.append(f"{at} imports cmath")
+                if isinstance(n, ast.ImportFrom) and n.module in ("math", "numpy"):
+                    names = [a.name for a in n.names if {f"math.{a.name}", f"np.{a.name}"} & TRANSCENDENTAL]
+                    found += [f"{at} imports {name}" for name in names]
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and owner != "symmetric_coeffs":
+                    if not (isinstance(n.right, ast.Constant) and isinstance(n.right.value, int)):
+                        found.append(f"{at} takes a power")
+                if not isinstance(n, ast.Call):
+                    continue
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else ""
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                    name = f"{f.value.id}.{f.attr}"
+                if name in TRANSCENDENTAL and not (name == "np.exp" and owner == "operator_deviation"):
+                    found.append(f"{at} calls {name}")
+                if name in ABS and owner not in ABS_OWNERS:
+                    found.append(f"{at} calls {name} in {owner}")
+    assert found == []

@@ -141,8 +141,8 @@ def test_closed_form_matches_iteration(family, d):
     assert abs(final.down[d] - hitting_amplitude_closed_form(d, c)) <= 1e-10
 
 
-def test_closed_form_log_branch_agrees_with_direct():
-    # d = 25 is cheap enough to iterate, exercising the lgamma path
+def test_closed_form_past_the_exact_factorial_agrees_with_direct():
+    # d = 25 is cheap enough to iterate, and (d - 1)! = 24! is past 2**53, where a float stops holding it exactly
     d = 25
     c = grover_coeffs(d)
     final = evolve_layers(origin_state(d), c, d)

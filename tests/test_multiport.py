@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import unitarity_residuals
+from oracles import acos_symmetric_coeffs, unitarity_residuals
 from sqrw.errors import ValidationError
 from sqrw.multiport import (
     MultiportCoeffs,
@@ -43,7 +43,7 @@ def test_grover_always_unitary(d):
 def test_symmetric_d2_p1():
     c = symmetric_coeffs(2, 1.0)
     assert c.t == pytest.approx(0.5, abs=1e-15)
-    # cos(theta) = 0 here, so r is purely imaginary with |r| = sqrt(3)/2
+    # Re r = -(d - 2) t / 2 = 0 here, so r is purely imaginary with |r| = sqrt(3)/2
     assert c.r == pytest.approx(1j * math.sqrt(3) / 2, abs=1e-14)
 
 
@@ -51,7 +51,7 @@ def test_symmetric_d3_p1():
     c = symmetric_coeffs(3, 1.0)
     assert c.t == pytest.approx(1 / 3, abs=1e-15)
     assert abs(c.r) == pytest.approx(math.sqrt(7) / 3, abs=1e-14)
-    # real part = |r| cos(theta) = -1/6, imaginary part = sqrt(3)/2
+    # Re r = -(d - 2) t / 2 = -1/6, Im r = sqrt(1 - 2/9 - 1/36) = sqrt(3)/2
     assert c.r == pytest.approx(complex(-1 / 6, math.sqrt(3) / 2), abs=1e-14)
 
 
@@ -69,12 +69,35 @@ def test_symmetric_family_unitary(d, p):
     assert norm <= 1e-12 and cross <= 1e-12
 
 
+def test_symmetric_coin_accepts_and_refuses_as_the_phase_angle_did():
+    # d = 2..299 and 299 exponents in (1/2, 2): 89,102 pairs, around the boundary t = 2/d at every d.
+    # Where both build a coin, r moves by a few units in the last place; near t = 2/d, where Im r is
+    # the root of a radicand that cancels to near 0, both lose half their digits
+    worst = [0.0, 0.0]
+    for d in range(2, 300):
+        for p in np.linspace(0.5, 2.0, 301)[1:-1].tolist():
+            try:
+                old = acos_symmetric_coeffs(d, p)
+            except ValidationError:
+                old = None
+            try:
+                new = symmetric_coeffs(d, p)
+            except ValidationError:
+                new = None
+            assert (old is None) == (new is None), (d, p)
+            if new is not None:
+                assert new.t == old.t
+                k = int(new.r.imag >= 0.01)
+                worst[k] = max(worst[k], abs(new.r - old.r))
+    assert worst[0] <= 1e-8 and worst[1] <= 1e-14
+
+
 def test_symmetric_rejects_bad_parameters():
     with pytest.raises(ValidationError):
         symmetric_coeffs(3, 0.5)
     with pytest.raises(ValidationError):
         symmetric_coeffs(1, 1.0)
-    # p barely above 1/2 at large d leaves |cos theta| > 1
+    # p barely above 1/2 at large d makes t > 2/d: Im r**2 would be negative
     with pytest.raises(ValidationError):
         symmetric_coeffs(16, 0.6)
 

@@ -246,8 +246,8 @@ def test_interferometer_depends_only_on_gamma_sum():
 @pytest.mark.parametrize("d", [20, 21, 200])
 @pytest.mark.parametrize("family", ["grover", "symmetric"])
 def test_interferometer_matches_exact_factorial_formula(family, d):
-    # d = 20 takes the float factorial, d >= 21 the log-space form; the
-    # reference is sum(gamma) (d-1)! t**(d-1) tb in exact rationals
+    # (d-1)! is past 2**53 from d = 20 on and overflows a float from d = 172 on; the reference is
+    # sum(gamma) (d-1)! t**(d-1) tb in exact rationals
     c = grover_coeffs(d) if family == "grover" else symmetric_coeffs(d, 1.0)
     gamma = np.linspace(0.5, 1.5, d)
     b = boundary_coeffs(d)
