@@ -786,6 +786,37 @@ def decimal_search_series(d: int, spec: str, steps: int, metric: str = "out") ->
         return [d * decimal_abs2(up[0] if metric == "out" else down[1]) for up, down in walk]
 
 
+def _decimal_sqrt(z: DecimalComplex) -> DecimalComplex:
+    """The principal square root."""
+    x, y = z.re, z.im
+    s = (((x * x + y * y).sqrt() + abs(x)) / 2).sqrt()
+    if x >= 0:
+        return DecimalComplex(s, y / (2 * s))
+    return DecimalComplex(abs(y) / (2 * s), s if y >= 0 else -s)
+
+
+def decimal_weight_class_spectra(d: int, spec: str) -> list[list[DecimalComplex]]:
+    """Eigenvalues of the momentum blocks of weight m = 0..d, each class sorted by real, then imaginary part.
+
+    m = 0 is the vertex matrix, r + (d - 1) t once and r - t d - 1 times, and m = d its negative.
+    For 0 < m < d: r - t (d - m - 1 times), -(r - t) (m - 1 times) and h +- sqrt(h**2 + (r - t)(r + (d - 1) t)),
+    h = t (d - 2m) / 2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        r, t = decimal_coin(spec, d)
+        zero = DecimalComplex(Decimal(0), Decimal(0))  # adding it makes every value a DecimalComplex
+        minus, uniform = zero + (r - t), zero + (r + (d - 1) * t)
+        vertex = [uniform] + [minus] * (d - 1)
+        classes = [vertex]
+        for m in range(1, d):
+            h = t * (d - 2 * m) * Decimal("0.5")
+            root = _decimal_sqrt(zero + (h * h + minus * uniform))
+            classes.append([minus] * (d - m - 1) + [(-1) * minus] * (m - 1) + [h + root, h - root])
+        classes.append([(-1) * z for z in vertex])
+        return [sorted(vals, key=lambda z: (z.re, z.im)) for vals in classes]
+
+
 def fraction_hitting_table(d_max: int) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Rows (p_c, p_q, ratio) of ``hitting``, d = 2 .. d_max, as exact fractions.
 
