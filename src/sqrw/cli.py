@@ -29,7 +29,7 @@ from .hypercube import _written_blocks, embed_layer_state, ensure_full_state_fit
 from .hypercube import initial_symmetric_state  # noqa: F401  (perfbench/spans.py wraps sqrw.cli.initial_symmetric_state)
 from .layers import (
     _abs2,
-    _binomials,
+    _require_layer_dim,
     corner_pair_state,
     hitting_ratio_table,
     layer_distribution_series,
@@ -119,7 +119,7 @@ def _table(*columns: np.ndarray, width: int = 1, first: int = 0) -> Iterator[str
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
-    _binomials(args.dim)  # the dimension check, before any start state of 2d + 4 entries is built
+    _require_layer_dim(args.dim)  # before any start state of 2d + 4 entries is built
     c = parse_multiport(args.multiport, args.dim)
     init = _LAYER_INITS[args.init](args.dim)
     series = layer_distribution_series(args.dim, c, init, args.steps)
@@ -129,7 +129,8 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 def _cmd_full(args: argparse.Namespace) -> int:
     # d state rows plus four, all complex whatever the coin so admission does not depend on it; the
-    # four are slack over the 2**14-vertex blocks of the embedding and the walk, which read each step
+    # four are slack over the 2**14-vertex blocks of the embedding, which only writes, and of the
+    # walk, which reads every step, step 0 included
     ensure_full_state_fits(args.dim, columns=args.dim + 4)
     c = parse_multiport(args.multiport, args.dim)
     cfg = EvolutionConfig(args.dim, c)
@@ -137,9 +138,9 @@ def _cmd_full(args: argparse.Namespace) -> int:
     dtype = np.complex128 if c.r.imag or c.t.imag else np.float64
     series = np.empty((args.steps + 1, args.dim + 1))
     start = _FULL_INITS[args.init](args.dim)
-    state = embed_layer_state(start, dtype, series[0])
-    # only the blocks the embedding wrote hold a nonzero bit: the walk steps out from them
-    _full_walk(state, cfg, args.steps, series[1:], _written_blocks(start, dtype)[1])
+    state = embed_layer_state(start, dtype)
+    # only the blocks the embedding wrote hold a nonzero bit: the walk reads step 0 from them and steps out
+    _full_walk(state, cfg, args.steps, series, _written_blocks(start, dtype)[1])
     _write_rows(args.out, "step,w,probability", _table(series.ravel(), width=args.dim + 1))
     return 0
 

@@ -18,20 +18,21 @@ T = t * total.  Grover's coefficients have r - t = -1.0 exactly at every d,
 and a float64 walk with them writes T - a, inversion about the mean, in one
 subtraction: (-1.0) * a is -a exactly and IEEE addition commutes, signed
 zeros included, so the bits are the same.  On request the walk also
-records each step's layer distribution: it sums each new |amplitude|**2
-into a block tile, as ``layer_distribution_full`` does, and folds the tile
-into the layers the block touches (``embed_layer_state`` reads step 0 so).
+records the layer distribution before the first step and after each step:
+it sums each |amplitude|**2 into a block tile, as ``layer_distribution_full``
+does, and folds the tile into the layers the block touches.  It is the
+only reader of ``full``'s series; ``embed_layer_state`` only writes.
 One step moves amplitude by one Hamming layer, so the walk can keep the
 set of live blocks, the block starts that may hold a nonzero bit: before
 each step it adds lo ^ m for each live lo and each row bit m at least the
 block size (the partner its arrivals come from), and steps and reads only
-the live blocks, in ascending order.  A skipped block holds +0.0 only and
-would step to +0.0 and add +0.0 squares, so the bits are those of the
-every-block walk, provided the coin steps +0.0 arrivals to +0.0: that is
-tried once per walk on a zero tile, and a coin that writes -0.0 there,
-such as r = -1, t = -0.0, steps every block.  ``full`` starts the set
-from the blocks the embedding writes; ``step`` and ``evolve`` step every
-block.
+the live blocks, in ascending order, step 0 from the starting ones.  A
+skipped block holds +0.0 only and would step to +0.0 and add +0.0
+squares, so the bits are those of the every-block walk, provided the
+coin steps +0.0 arrivals to +0.0: that is tried once per walk on a zero
+tile, and a coin that writes -0.0 there, such as r = -1, t = -0.0, steps
+every block.  ``full`` starts the set from the blocks the embedding
+writes; ``step`` and ``evolve`` step every block.
 The scratch is two blocks in the state's kind and the fold's two block
 rows, whatever d.  The state's dtype follows the coefficients: real ones
 step a float64 state with float64 scratch and scalars, bit for bit the
@@ -112,9 +113,10 @@ def _full_walk(
     The scratch is two blocks of at most 2**14 vertices, the totals and the
     reversal (whose float view also squares the probabilities), in float64
     for a real ``state`` and in complex128 for any complex one.  If
-    ``series`` (steps, d + 1) is given, row n - 1 gets the layer
-    distribution after step n, read per block as ``layer_distribution_full``
-    reads it, through the tile and fold of ``_layer_fold``.  The rows whose
+    ``series`` (steps + 1, d + 1) is given, row n gets the layer
+    distribution after n steps, read per block as ``layer_distribution_full``
+    reads it, through the tile and fold of ``_layer_fold``; row 0 is read
+    from the starting live blocks, in ascending order.  The rows whose
     bit m = 2**(d - 1 - j) is at least the block size hold their halves
     across m swapped after an odd step; the walk swaps them back before it returns.
     ``live`` names the block starts that may hold a nonzero bit, every block by
@@ -144,9 +146,13 @@ def _full_walk(
     np.multiply(totals, t, totals)
     combine(block)  # +0.0 arrivals: a block left unstepped must hold what stepping would write
     live = set(range(0, n, size) if live is None or block.view(np.uint64).any() else live)
-    if series is not None:  # each block's probabilities, folded into the zeroed rows
-        acc, _, fold = _layer_fold(size)
-        series[:steps] = 0.0
+    if series is not None:  # each block's probabilities, folded into the zeroed rows; row 0 first
+        acc, fold = _layer_fold(size)
+        series[:] = 0.0
+        for lo in sorted(live):
+            for j in range(d):
+                _add_probability(acc, psi[j, lo : lo + size], edge)
+            fold(series[0], lo)
     bits = [1 << (d - 1 - j) for j in range(d)]
     swapped = False  # the rows with a bit above the block hold their halves swapped
     for done in range(steps):
@@ -168,7 +174,7 @@ def _full_walk(
                 if series is not None:
                     _add_probability(acc, row, edge)
             if series is not None:
-                fold(series[done], lo)
+                fold(series[done + 1], lo)
         swapped = not swapped
     if swapped:  # after an odd count: swap back the halves of every row above the block
         for j, m in enumerate(bits):
@@ -201,7 +207,7 @@ def layer_distribution_full(state: NDArray) -> NDArray[np.float64]:
     """Probability per Hamming layer, summed over all edges leaving that layer."""
     d = state_dimension(state)
     size = min(1 << d, _BLOCK)
-    acc, _, fold = _layer_fold(size)
+    acc, fold = _layer_fold(size)
     edge, out = np.empty(max(size, 2)), np.zeros(d + 1)  # a complex state squares half of it a pass
     for lo in range(0, 1 << d, size):  # block by block, so the tile stays in cache
         for j in range(d):

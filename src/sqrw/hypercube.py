@@ -12,9 +12,9 @@ The constructors here store that array direction-major, so ``state.T``
 is a C-contiguous (d, 2**d) array whose row j holds direction j + 1: the
 layout the in-place step kernel (``sqrw.evolution``) works in.  Indexing
 and ``np.ravel`` see the same (2**d, d) values either way.  Every nonzero state
-built here comes from ``embed_layer_state``, which can read its layer distribution as it
-writes it (so ``full`` has no step-0 pass); ``initial_symmetric_state`` embeds the origin.
-``_written_blocks`` names the blocks the embedding writes, which ``full``'s walk steps out from.
+built here comes from ``embed_layer_state``, which only writes (``full``'s walk reads
+every step, step 0 included); ``initial_symmetric_state`` embeds the origin.
+``_written_blocks`` names the blocks the embedding writes, which the walk starts from.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable, counted in
@@ -142,12 +142,11 @@ def _add_probability(
 
 
 def _layer_fold(size: int):
-    """A zero float64 tile for ``size`` = 2**(k - 1) vertices, the block's weight row, and ``fold(out, lo)``.
+    """A zero float64 tile for ``size`` = 2**(k - 1) vertices and ``fold(out, lo)``.
 
     The fold bincounts [out[c : c + k] | tile] by [0 .. k - 1 | weights in the block]
     into out[c : c + k], c = popcount(lo), and zeroes the tile.  bincount adds in index
     order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
-    The weight row is the tail of that index row, so a caller that gathers by it holds no copy.
     """
     k = size.bit_length()
     idx = np.concatenate((np.arange(k), _block_weights(size)))
@@ -158,7 +157,7 @@ def _layer_fold(size: int):
         buf[:k] = out[c : c + k]
         out[c : c + k] = np.bincount(idx, weights=buf, minlength=k)
         buf.fill(0.0)
-    return buf[k:], idx[k:], fold
+    return buf[k:], fold
 
 
 def _require_walk_dtype(dtype: DTypeLike) -> None:
@@ -207,26 +206,20 @@ def _written_blocks(s: LayerState, dtype: DTypeLike) -> tuple[NDArray, list[int]
     return pair, [lo for lo in range(0, 1 << s.d, size) if hot[lo.bit_count()]]
 
 
-def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128, reading: NDArray | None = None) -> NDArray:
+def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128) -> NDArray:
     """Spread layer coefficients over every edge of their (layer, direction) class, as ``dtype``.
 
     Per block of 2**(k - 1) vertices at ``lo``, c = popcount(lo): the windows up[c : c + k]
     and down[c : c + k] gathered by the block's weight row are two tiles that every row's
     block is copied from.  Only the blocks of ``_written_blocks`` are written; the rest stay +0.0.
-    If ``reading`` (d + 1) is given, it gets the state's layer distribution, the bits of
-    ``layer_distribution_full``: once a block's rows are written, they are squared into a
-    ``_layer_fold`` tile while in cache, with the spent tiles as scratch, and folded.  A skipped
-    block is not read: its squares are +0.0, and adding +0.0 leaves a sum of squares as it is.
     """
     _require_closed(s)
     psi = zero_full_state(s.d, dtype).T
     pair, written = _written_blocks(s, dtype)
     d, n = psi.shape
     size = min(n, _BLOCK)
-    k, (acc, w, fold) = size.bit_length(), _layer_fold(size)
+    k, w = size.bit_length(), _block_weights(size)
     tiles = np.empty((2, size), psi.dtype)  # [up; down] of the block's vertices
-    if reading is not None:
-        reading[:] = 0.0
     for lo in written:
         c = lo.bit_count()
         np.take(pair[:, c : c + k], w, axis=1, out=tiles, mode="clip")  # indices are in range; no buffer
@@ -238,8 +231,4 @@ def embed_layer_state(s: LayerState, dtype: DTypeLike = np.complex128, reading: 
             else:
                 for side in (0, 1):
                     np.copyto(row.reshape(-1, 2, m)[:, side], tiles[side].reshape(-1, 2, m)[:, side])
-        if reading is not None:
-            for j in range(d):
-                _add_probability(acc, psi[j, lo : lo + size], tiles.view(np.float64)[0])
-            fold(reading, lo)
     return psi.T

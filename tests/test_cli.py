@@ -74,14 +74,16 @@ def test_full_and_layers_agree(tmp_path):
 
 @pytest.mark.parametrize("init", ["origin-symmetric", "origin", "corners", "middle"])
 def test_full_matches_layers_for_every_init(tmp_path, init):
+    # 0 steps too: the walk reads row 0 itself, from the blocks the embedding wrote
     la, fu = tmp_path / "a.csv", tmp_path / "b.csv"
     layer_init = "origin" if init == "origin-symmetric" else init
-    assert run(["layers", "--dim", 10, "--steps", 25, "--init", layer_init, "--out", la]) == 0
-    assert run(["full", "--dim", 10, "--steps", 25, "--init", init, "--out", fu]) == 0
-    a = np.loadtxt(la, delimiter=",", skiprows=1)
-    b = np.loadtxt(fu, delimiter=",", skiprows=1)
-    assert a.shape == b.shape == (26 * 11, 3)
-    assert np.max(np.abs(a - b)) <= 1e-12
+    for steps in (0, 25):
+        assert run(["layers", "--dim", 10, "--steps", steps, "--init", layer_init, "--out", la]) == 0
+        assert run(["full", "--dim", 10, "--steps", steps, "--init", init, "--out", fu]) == 0
+        a = np.loadtxt(la, delimiter=",", skiprows=1)
+        b = np.loadtxt(fu, delimiter=",", skiprows=1)
+        assert a.shape == b.shape == ((steps + 1) * 11, 3), steps
+        assert np.max(np.abs(a - b)) <= 1e-12, steps
 
 
 @pytest.mark.parametrize(
@@ -101,7 +103,7 @@ def test_every_full_start_is_one_embedding(tmp_path, monkeypatch, init):
     embed = sqrw.cli.embed_layer_state
     monkeypatch.setattr(sqrw.cli, "embed_layer_state", lambda *a: calls.append("embed") or embed(*a))
     monkeypatch.setattr(sqrw.cli, "initial_symmetric_state", lambda *a: calls.append("direct"))
-    # step 0 is read inside the embedding: no separate pass over the state
+    # the embedding only writes, and the walk reads step 0 from its live blocks: no separate pass over the state
     monkeypatch.setattr(sqrw.cli, "layer_distribution_full", lambda *a: calls.append("read"))
     assert run(["full", "--dim", 5, "--steps", 3, "--init", init, "--out", tmp_path / "f.csv"]) == 0
     assert calls == ["embed"]
@@ -485,6 +487,15 @@ def test_layers_dim_cap_exit_2(tmp_path, capsys):
     assert run(["layers", "--dim", 10**8, "--steps", 1, "--init", "middle", "--out", out]) == 2
     assert str(MAX_LAYER_DIM) in _error_line(capsys)
     assert not out.exists()
+
+
+def test_layers_builds_the_binomial_row_once(tmp_path, monkeypatch):
+    # the dimension check builds no C(d, w) row: the series' reading is the only one
+    d, calls = 8, []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    assert run(["layers", "--dim", d, "--steps", 2, "--init", "origin", "--out", tmp_path / "x.csv"]) == 0
+    assert sorted(calls) == [(d, w) for w in range(d + 1)]
 
 
 def test_search_dim_cap_exit_2(tmp_path, capsys):

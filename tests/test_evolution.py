@@ -127,18 +127,18 @@ def _layouts(state):
 
 @contextmanager
 def _folds():
-    """Record the address of the row, the block start and the block size of every fold of the walk and the reading."""
+    """Record the address of the row, the block start and the block size of every fold of the walk and of the full reading."""
     folds = []
     make = evolution._layer_fold
 
     def layer_fold(size):
-        tile, weights, fold = make(size)
+        tile, fold = make(size)
 
         def record(out, lo):
             folds.append((out.ctypes.data, lo, size))
             fold(out, lo)
 
-        return tile, weights, record
+        return tile, record
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_layer_fold", layer_fold)
@@ -164,9 +164,8 @@ def test_layer_fold_sums_as_one_bincount_bit_for_bit(d):
     want = np.bincount(vertex_weights(d), weights=pv, minlength=d + 1)
     for block in BLOCKS:
         size = min(block, 1 << d)
-        tile, weights, fold = evolution._layer_fold(size)
+        tile, fold = evolution._layer_fold(size)
         assert tile.shape == (size,) and not tile.any()
-        assert np.array_equal(weights, vertex_weights(d)[:size])  # the block's weight row
         out = np.zeros(d + 1)
         for lo in range(0, 1 << d, size):
             tile[:] = pv[lo : lo + size]
@@ -180,13 +179,13 @@ def test_layer_fold_sums_as_one_bincount_bit_for_bit(d):
 def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
     # blocks of 1, 2, 4 and 16 put some bits above the block and the rest inside it
     # (every bit inside at block 16 and d <= 4); walks of 1, 2 and 3 steps end
-    # with the rows above the block swapped and not swapped
+    # with the rows above the block swapped and not swapped, and 0 steps reads the start
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     state = random_unit_state(d, d)
     want = _chained_reference(state, cfg, 3)
-    for block, steps in itertools.product(BLOCKS, (1, 2, 3)):
+    for block, steps in itertools.product(BLOCKS, (0, 1, 2, 3)):
         psi = _layouts(state)[strided]  # never a view of state
-        series = np.full((steps, d + 1), np.nan)  # the walk must overwrite every row
+        series = np.full((steps + 1, d + 1), np.nan)  # the walk must overwrite every row
         with small_blocks(block), _folds() as folds:
             assert _full_walk(psi, cfg, steps, series) is psi
         _assert_every_window(folds, d)
@@ -194,8 +193,8 @@ def test_blocked_kernel_equals_reference_bit_for_bit(d, strided):
         if block == 1:  # numpy's in-place complex multiply rounds a one-element row its own way
             np.testing.assert_allclose(psi, want[steps], rtol=0, atol=1e-15)
             continue
-        for k in range(1, steps + 1):
-            assert np.array_equal(series[k - 1], rowwise_layer_distribution(want[k])), (block, k)
+        for k in range(steps + 1):
+            assert np.array_equal(series[k], rowwise_layer_distribution(want[k])), (block, k)
         assert np.array_equal(psi, want[steps]), (block, steps)
 
 
@@ -209,14 +208,14 @@ def test_real_state_steps_as_the_complex_state_bit_for_bit(d, strided):
         want = _chained_reference(real.astype(np.complex128), cfg, 3)
         for block, steps in itertools.product(BLOCKS, (1, 2, 3)):
             psis = [_layouts(real.astype(dtype))[strided] for dtype in (np.float64, np.complex128)]
-            series = [np.full((steps, d + 1), np.nan), np.full((steps, d + 1), np.nan)]
+            series = [np.full((steps + 1, d + 1), np.nan), np.full((steps + 1, d + 1), np.nan)]
             with small_blocks(block):
                 for psi, rows in zip(psis, series):
                     assert _full_walk(psi, cfg, steps, rows) is psi
             sf, sc = series
             assert np.array_equal(sf, sc), (block, steps)
-            for k in range(1, steps + 1):
-                assert np.array_equal(sf[k - 1], rowwise_layer_distribution(want[k])), (block, k)
+            for k in range(steps + 1):
+                assert np.array_equal(sf[k], rowwise_layer_distribution(want[k])), (block, k)
             f, c = psis
             assert f.dtype == np.float64 and c.dtype == np.complex128
             assert np.array_equal(c, want[steps]), (block, steps)
@@ -246,12 +245,12 @@ def test_grover_subtraction_has_the_bytes_of_multiply_then_add(d, strided):
     assert {w.dtype for w in want} == {np.dtype(np.float64)}
     for block, steps, with_series in itertools.product(BLOCKS, (1, 2, 3), (False, True)):
         psi = _layouts(start)[strided]
-        series = np.full((steps, d + 1), np.nan) if with_series else None
+        series = np.full((steps + 1, d + 1), np.nan) if with_series else None
         with small_blocks(block):
             assert _full_walk(psi, cfg, steps, series) is psi
         assert psi.tobytes() == want[steps].tobytes(), (block, steps, with_series)
-        for k in range(1, steps + 1) if with_series else ():
-            assert series[k - 1].tobytes() == rowwise_layer_distribution(want[k]).tobytes(), (block, k)
+        for k in range(steps + 1) if with_series else ():
+            assert series[k].tobytes() == rowwise_layer_distribution(want[k]).tobytes(), (block, k)
 
 
 def _cone_starts(d, dtype):
@@ -281,9 +280,9 @@ def _assert_the_cone_is_exact(d, block):
         for dtype, coeffs in ((np.float64, grover_coeffs(d)), (np.complex128, _unitary_coeffs(d, 0.7, 2.1))):
             cfg = EvolutionConfig(d, coeffs)
             for (name, start, live), steps in itertools.product(_cone_starts(d, dtype), range(above + 2)):
-                want, want_series = start.T.copy().T, np.full((steps, d + 1), np.nan)
+                want, want_series = start.T.copy().T, np.full((steps + 1, d + 1), np.nan)
                 _full_walk(want, cfg, steps, want_series)
-                for series in (None, np.full((steps, d + 1), np.nan)):
+                for series in (None, np.full((steps + 1, d + 1), np.nan)):
                     got = start.T.copy().T
                     _full_walk(got, cfg, steps, series, live)
                     why = (name, np.dtype(dtype).name, steps, series is not None)
@@ -302,16 +301,27 @@ def test_the_light_cone_has_the_bytes_of_every_block(d, block):
 
 
 def test_the_walk_steps_the_light_cone_only():
-    # d = 10 at blocks of 16 has 64 blocks, as production at d = 20: from the origin, step 1
-    # steps block 0 and its 6 partners, step 2 every block with popcount(lo / 16) <= 2
+    # d = 10 at blocks of 16 has 64 blocks, as production at d = 20: from the origin, step 0
+    # reads block 0, step 1 steps it and its 6 partners, step 2 every block with popcount(lo / 16) <= 2
     d = 10
     with small_blocks(16), _folds() as folds:
         state = embed_layer_state(origin_state(d), np.float64)
-        _full_walk(state, EvolutionConfig(d, grover_coeffs(d)), 2, np.empty((2, d + 1)),
+        _full_walk(state, EvolutionConfig(d, grover_coeffs(d)), 2, np.empty((3, d + 1)),
                    _written_blocks(origin_state(d), np.float64)[1])
     per_step = [[lo for _, lo, _ in row] for _, row in itertools.groupby(folds, key=lambda f: f[0])]
-    assert [len(blocks) for blocks in per_step] == [7, 22]
-    assert per_step == [[lo for lo in range(0, 1 << d, 16) if (lo >> 4).bit_count() <= n] for n in (1, 2)]
+    assert [len(blocks) for blocks in per_step] == [1, 7, 22]
+    assert per_step == [[lo for lo in range(0, 1 << d, 16) if (lo >> 4).bit_count() <= n] for n in (0, 1, 2)]
+
+
+def test_the_walks_step_0_read_squares_only_the_written_block(monkeypatch):
+    # the origin at d = 18 writes one of its 16 production blocks: one tile sum per row, none for a zero block
+    d, calls = 18, []
+    add = evolution._add_probability
+    monkeypatch.setattr(evolution, "_add_probability", lambda *a: calls.append(a[1].size) or add(*a))
+    state, row = embed_layer_state(origin_state(d), np.float64), np.empty((1, d + 1))
+    _full_walk(state, EvolutionConfig(d, grover_coeffs(d)), 0, row, _written_blocks(origin_state(d), np.float64)[1])
+    assert calls == [evolution._BLOCK] * d
+    assert row[0].tobytes() == layer_distribution_full(state).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -327,9 +337,9 @@ def test_a_coin_that_steps_zeros_to_minus_zero_steps_every_block(dtype):
             _full_walk(zeros_want, cfg, steps)
             got, zeros = start.T.copy().T, zero_full_state(d, dtype)
             with _folds() as folds:
-                _full_walk(got, cfg, steps, np.empty((steps, d + 1)), _written_blocks(origin_state(d), dtype)[1])
+                _full_walk(got, cfg, steps, np.empty((steps + 1, d + 1)), _written_blocks(origin_state(d), dtype)[1])
             _full_walk(zeros, cfg, steps, None, [])
-        assert len(folds) == 64 * steps
+        assert len(folds) == 64 * (steps + 1)  # step 0 is read from every block too
         assert got.tobytes() == want.tobytes(), steps
         assert zeros.tobytes() == zeros_want.tobytes(), steps
         assert steps > 1 or np.signbit(zeros.real).all()  # step 1 writes -0.0 over every +0.0
@@ -384,7 +394,7 @@ def test_real_state_refuses_a_complex_coefficient():
     state = np.ones((1 << d, d))
     cfg = EvolutionConfig(d, _unitary_coeffs(d, 0.7, 2.1))
     with pytest.raises(ValidationError, match="real state"):
-        _full_walk(state, cfg, 1, np.empty((1, d + 1)))
+        _full_walk(state, cfg, 1, np.empty((2, d + 1)))
     assert np.array_equal(state, np.ones((1 << d, d)))  # refused before any write
 
 
@@ -415,7 +425,7 @@ def test_walk_step_allocates_two_blocks_in_the_state_kind(d, with_series, dtype)
     # one step, so the rows above the block are swapped back through a block too.
     # A series adds the fold's two block rows, and no 2**d row
     state = initial_symmetric_state(d, dtype)
-    series = np.empty((1, d + 1)) if with_series else None
+    series = np.empty((2, d + 1)) if with_series else None
     cfg = EvolutionConfig(d, grover_coeffs(d))
     tracemalloc.start()
     try:

@@ -22,10 +22,11 @@ from oracles import (
 import sqrw
 from sqrw import hypercube
 from sqrw.errors import MemoryCapError, ValidationError
-from sqrw.evolution import layer_distribution_full
+from sqrw.evolution import EvolutionConfig, _full_walk, layer_distribution_full
 from sqrw.hypercube import (
     MEMORY_ENV_VAR,
     _block_weights,
+    _written_blocks,
     direction_mask,
     embed_layer_state,
     ensure_full_state_fits,
@@ -41,6 +42,7 @@ from sqrw.layers import (
     origin_state,
     zero_layer_state,
 )
+from sqrw.multiport import grover_coeffs
 
 
 def test_flat_index_examples():
@@ -177,9 +179,10 @@ def _embed_starts(d):
 def test_embed_matches_the_gather_byte_for_byte(d, dtype):
     # blocks of one vertex up to every row's bit inside the block, and the production block
     # (from d = 15 on, rows above it); at most 2**11 blocks per embedding, to bound the time.
-    # The signed zeros fail a zero-block skip that tests values instead of bits.  The reading
-    # squares only the blocks the embedding writes; the all -0.0 start writes every block
+    # The signed zeros fail a zero-block skip that tests values instead of bits.  The walk's
+    # step-0 read squares only the blocks the embedding writes; the all -0.0 start writes every block
     blocks = [b for b in (1, 2, 4, 16, 64) if (1 << d) // b <= 1 << 11] + [hypercube._BLOCK]
+    cfg = EvolutionConfig(d, grover_coeffs(d))
     sizes = []
 
     def block_weights(size):
@@ -190,26 +193,18 @@ def test_embed_matches_the_gather_byte_for_byte(d, dtype):
         if dtype is np.float64:
             s = LayerState(d, s.line.real)
         want = gather_embed_layer_state(s, dtype)
-        want_reading = layer_distribution_full(want).tobytes()
+        want_row = layer_distribution_full(want).tobytes()
         for block in blocks:
-            reading = np.full(d + 1, np.nan)  # zeroed by the embedding
-            with small_blocks(block), pytest.MonkeyPatch.context() as mp:
-                mp.setattr(hypercube, "_block_weights", block_weights)
-                got = embed_layer_state(s, dtype, reading)
+            row = np.full((1, d + 1), np.nan)  # zeroed by the walk
+            with small_blocks(block):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(hypercube, "_block_weights", block_weights)
+                    got = embed_layer_state(s, dtype)
+                assert _full_walk(got, cfg, 0, row, _written_blocks(s, dtype)[1]) is got
             assert got.tobytes() == want.tobytes() and got.strides == want.strides, block
-            assert reading.tobytes() == want_reading, block
-            assert sizes.pop() == min(block, 1 << d)  # the embedding took the patched block
-
-
-def test_embed_reading_squares_only_the_written_block(monkeypatch):
-    # the origin at d = 18 writes one of its 16 production blocks: one tile sum per row, none for a zero block
-    calls = []
-    add = hypercube._add_probability
-    monkeypatch.setattr(hypercube, "_add_probability", lambda *a: calls.append(a[1].size) or add(*a))
-    row = np.empty(19)
-    state = embed_layer_state(origin_state(18), np.float64, row)
-    assert calls == [hypercube._BLOCK] * 18
-    assert row.tobytes() == layer_distribution_full(state).tobytes()
+            assert row.tobytes() == want_row, block
+            assert sizes == [min(block, 1 << d)], block  # the embedding took the patched block
+            sizes.clear()
 
 
 def test_the_block_is_defined_once_and_small_blocks_reaches_every_binding():
@@ -226,18 +221,20 @@ def test_the_block_is_defined_once_and_small_blocks_reaches_every_binding():
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("init", [origin_state, middle_state])
 def test_embed_scratch_does_not_grow_with_d(init, dtype):
-    # two tiles and the fold's index row (whose tail is the weight row) and tile, all of one block:
-    # 0.50 MiB (float64) and 0.75 MiB (complex128), with or without the reading, which squares into
-    # the spent tiles; one gather per row over the 2**d weight row took 4.0 and 5.0 MiB
-    s, reading = init(18), np.empty(19)
+    # two tiles and the block's weight row, 0.38 MiB (float64) and 0.63 MiB (complex128), then the
+    # walk's step-0 read: its two blocks and the fold's tile and index row, 0.50 and 0.75 MiB, all of
+    # one block; one gather per row over the 2**d weight row took 4.0 and 5.0 MiB
+    s, row = init(18), np.empty((1, 19))
+    cfg = EvolutionConfig(18, grover_coeffs(18))
     tracemalloc.start()
     try:
-        state = embed_layer_state(s, dtype, reading)
+        state = embed_layer_state(s, dtype)
+        _full_walk(state, cfg, 0, row, _written_blocks(s, dtype)[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - state.nbytes <= 1.5 * (1 << 20)
-    assert reading.tobytes() == layer_distribution_full(state).tobytes()
+    assert row[0].tobytes() == layer_distribution_full(state).tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, 9))
