@@ -66,13 +66,13 @@ def _fmt(x: float) -> str:
 
 
 def parse_multiport(spec: str, d: int) -> MultiportCoeffs:
-    """Parse ``grover``, ``symmetric:p=<real>``, or ``custom:<re_r>,<im_r>,<re_t>,<im_t>``."""
+    """Parse ``grover``, ``symmetric`` (p = 1), ``symmetric:p=<real>``, or ``custom:<re_r>,<im_r>,<re_t>,<im_t>``."""
     if spec == "grover":
         return grover_coeffs(d)
-    if spec.startswith("symmetric"):
+    name, colon, arg = spec.partition(":")
+    if name == "symmetric":
         p = 1.0
-        if ":" in spec:
-            _, _, arg = spec.partition(":")
+        if colon:
             if not arg.startswith("p="):
                 raise ValidationError(f"symmetric multiport takes p=<real>, got {arg!r}")
             try:

@@ -19,19 +19,19 @@ and a float64 walk with them writes T - a, inversion about the mean, in one
 subtraction: (-1.0) * a is -a exactly and IEEE addition commutes, signed
 zeros included, so the bits are the same.  On request the walk also
 records the layer distribution before the first step and after each step:
-it sums each |amplitude|**2 into a block tile, as ``layer_distribution_full``
-does, and folds the tile into the layers the block touches.  It is the
-only reader of ``full``'s series; ``embed_layer_state`` only writes.
-One step moves amplitude by one Hamming layer, so the walk can keep the
-set of live blocks, the block starts that may hold a nonzero bit: before
-each step it adds lo ^ m for each live lo and each row bit m at least the
-block size (the partner its arrivals come from), and steps and reads only
-the live blocks, in ascending order, step 0 from the starting ones.  A
-skipped block holds +0.0 only and would step to +0.0 and add +0.0
-squares, so the bits are those of the every-block walk, provided the
-coin steps +0.0 arrivals to +0.0: that is tried once per walk on a zero
-tile, and a coin that writes -0.0 there, such as r = -1, t = -0.0, steps
-every block.  ``full`` starts the set from the blocks the embedding
+it sums each |amplitude|**2 into a block tile and folds the tile into the
+layers the block touches, step 0 with the block reader of
+``layer_distribution_full``.  One step moves amplitude by one Hamming
+layer, so the walk can keep the set of live blocks, the block starts that
+may hold a nonzero bit: before each step it adds lo ^ m for each live lo
+and each row bit m at least the block size (the partner its arrivals come
+from), and steps and reads only the live blocks, in ascending order, step
+0 from the starting ones.  That is exact for every coin: each reading is a
+sum of squares from +0.0, the square of either zero is +0.0, x + (+-0) is
+x for any x != 0, and a block outside the cone never feeds one inside it,
+as its partners join the cone before each step.  So the series has the
+bytes of the every-block walk, and the state differs from it at most in
+the sign of a zero.  ``full`` starts the set from the blocks the embedding
 writes; ``step`` and ``evolve`` step every block.
 The scratch is two blocks in the state's kind and the fold's two block
 rows, whatever d.  The state's dtype follows the coefficients: real ones
@@ -49,7 +49,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ValidationError
-from .hypercube import _BLOCK, _add_probability, _layer_fold, _require_walk_dtype, state_dimension
+from .hypercube import _BLOCK, _block_weights, _require_walk_dtype, state_dimension
 from .layers import _abs2
 from .multiport import MultiportCoeffs, require_valid
 
@@ -99,6 +99,54 @@ def _reverse(out: NDArray, row: NDArray, m: int) -> None:
         np.copyto(out.reshape(-1, 2, m), row.reshape(-1, 2, m)[:, ::-1])
 
 
+def _add_probability(
+    pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
+) -> None:
+    """``pv += _abs2(amps)`` for a float64 or complex128 tile, squared in the float scratch ``edge``; allocates nothing.
+
+    A complex tile, contiguous or strided, squares its two parts into the halves of ``edge``, a half's worth a pass.
+    """
+    if amps.dtype == np.float64:
+        np.square(amps, out=edge[: len(amps)])
+        np.add(pv, edge[: len(amps)], out=pv)
+        return
+    h = len(edge) // 2
+    for lo in range(0, len(amps), h):
+        z, p = amps[lo : lo + h], pv[lo : lo + h]
+        re, im = edge[: len(z)], edge[h : h + len(z)]
+        np.square(z.real, out=re)
+        np.square(z.imag, out=im)
+        np.add(re, im, out=re)
+        np.add(p, re, out=p)
+
+
+def _layer_fold(size: int):
+    """A zero float64 tile for ``size`` = 2**(k - 1) vertices and ``fold(out, lo)``.
+
+    The fold bincounts [out[c : c + k] | tile] by [0 .. k - 1 | weights in the block]
+    into out[c : c + k], c = popcount(lo), and zeroes the tile.  bincount adds in index
+    order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
+    """
+    k = size.bit_length()
+    idx = np.concatenate((np.arange(k), _block_weights(size)))
+    buf = np.zeros(k + size)  # after the index row: the weights, index row and tile are never all live
+
+    def fold(out: NDArray[np.float64], lo: int) -> None:
+        c = lo.bit_count()
+        buf[:k] = out[c : c + k]
+        out[c : c + k] = np.bincount(idx, weights=buf, minlength=k)
+        buf.fill(0.0)
+    return buf[k:], fold
+
+
+def _read_blocks(out: NDArray[np.float64], psi: NDArray, blocks: Iterable[int], tile, fold, edge) -> None:
+    """Add the squares of the rows ``psi`` (d, 2**d) on ``blocks`` into ``out``: per block each row, then ``fold``."""
+    for lo in blocks:
+        for row in psi:
+            _add_probability(tile, row[lo : lo + len(tile)], edge)
+        fold(out, lo)
+
+
 def _full_walk(
     state: NDArray, cfg: EvolutionConfig, steps: int, series: NDArray[np.float64] | None = None,
     live: Iterable[int] | None = None,
@@ -114,14 +162,14 @@ def _full_walk(
     reversal (whose float view also squares the probabilities), in float64
     for a real ``state`` and in complex128 for any complex one.  If
     ``series`` (steps + 1, d + 1) is given, row n gets the layer
-    distribution after n steps, read per block as ``layer_distribution_full``
-    reads it, through the tile and fold of ``_layer_fold``; row 0 is read
-    from the starting live blocks, in ascending order.  The rows whose
+    distribution after n steps, read per block through the tile and fold of
+    ``_layer_fold``, row 0 by ``_read_blocks`` from the starting live blocks.  The rows whose
     bit m = 2**(d - 1 - j) is at least the block size hold their halves
     across m swapped after an odd step; the walk swaps them back before it returns.
     ``live`` names the block starts that may hold a nonzero bit, every block by
-    default; every other block must hold +0.0 only.  The walk grows the set one
-    layer per step and steps only its blocks (see the module docstring).
+    default; every other block must hold zeros, of either sign.  The walk grows
+    the set one layer per step and steps only its blocks; the state may differ from
+    the every-block walk only in the sign of its zeros, the series never (module docstring).
     """
     r, t = cfg.coeffs.r, cfg.coeffs.t
     dtype = np.complex128
@@ -133,26 +181,13 @@ def _full_walk(
     psi = state.T
     d, n = psi.shape
     size = min(n, _BLOCK)
-    totals, block = np.zeros(size, dtype), np.zeros(size, dtype)
+    totals, block = np.empty(size, dtype), np.empty(size, dtype)
     edge = block.view(np.float64)
-
-    def combine(row: NDArray) -> None:  # row = (r - t) * row + totals, totals = t * total
-        if invert:
-            np.subtract(totals, row, row)
-        else:
-            np.multiply(row, r - t, row)
-            np.add(row, totals, row)
-
-    np.multiply(totals, t, totals)
-    combine(block)  # +0.0 arrivals: a block left unstepped must hold what stepping would write
-    live = set(range(0, n, size) if live is None or block.view(np.uint64).any() else live)
+    live = set(range(0, n, size) if live is None else live)
     if series is not None:  # each block's probabilities, folded into the zeroed rows; row 0 first
         acc, fold = _layer_fold(size)
         series[:] = 0.0
-        for lo in sorted(live):
-            for j in range(d):
-                _add_probability(acc, psi[j, lo : lo + size], edge)
-            fold(series[0], lo)
+        _read_blocks(series[0], psi, sorted(live), acc, fold, edge)
     bits = [1 << (d - 1 - j) for j in range(d)]
     swapped = False  # the rows with a bit above the block hold their halves swapped
     for done in range(steps):
@@ -169,8 +204,12 @@ def _full_walk(
             for row in rows[1:]:
                 np.add(totals, row, totals)
             np.multiply(totals, t, totals)
-            for row in rows:
-                combine(row)
+            for row in rows:  # row = (r - t) * row + totals, totals = t * total
+                if invert:
+                    np.subtract(totals, row, row)
+                else:
+                    np.multiply(row, r - t, row)
+                    np.add(row, totals, row)
                 if series is not None:
                     _add_probability(acc, row, edge)
             if series is not None:
@@ -207,12 +246,9 @@ def layer_distribution_full(state: NDArray) -> NDArray[np.float64]:
     """Probability per Hamming layer, summed over all edges leaving that layer."""
     d = state_dimension(state)
     size = min(1 << d, _BLOCK)
-    acc, fold = _layer_fold(size)
-    edge, out = np.empty(max(size, 2)), np.zeros(d + 1)  # a complex state squares half of it a pass
-    for lo in range(0, 1 << d, size):  # block by block, so the tile stays in cache
-        for j in range(d):
-            _add_probability(acc, state[lo : lo + size, j], edge)
-        fold(out, lo)
+    out = np.zeros(d + 1)
+    edge = np.empty(max(size, 2))  # a complex state squares half of it a pass
+    _read_blocks(out, state.T, range(0, 1 << d, size), *_layer_fold(size), edge)
     return out
 
 

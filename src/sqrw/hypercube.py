@@ -12,9 +12,9 @@ The constructors here store that array direction-major, so ``state.T``
 is a C-contiguous (d, 2**d) array whose row j holds direction j + 1: the
 layout the in-place step kernel (``sqrw.evolution``) works in.  Indexing
 and ``np.ravel`` see the same (2**d, d) values either way.  Every nonzero state
-built here comes from ``embed_layer_state``, which only writes (``full``'s walk reads
-every step, step 0 included); ``initial_symmetric_state`` embeds the origin.
-``_written_blocks`` names the blocks the embedding writes, which the walk starts from.
+built here comes from ``embed_layer_state``, which only writes the blocks ``_written_blocks``
+names; ``initial_symmetric_state`` embeds the origin.  This module covers states only: the
+walk and every reading of a state are in ``sqrw.evolution``.
 
 Full-state allocations larger than the memory budget (default 2**30 bytes,
 overridable through the SQRW_MEMORY_BYTES environment variable, counted in
@@ -120,46 +120,6 @@ def _block_weights(size: int) -> NDArray[np.int64]:
     return w
 
 
-def _add_probability(
-    pv: NDArray[np.float64], amps: NDArray[np.float64 | np.complex128], edge: NDArray[np.float64]
-) -> None:
-    """``pv += _abs2(amps)`` for a float64 or complex128 tile, squared in the float scratch ``edge``; allocates nothing.
-
-    A complex tile, contiguous or strided, squares its two parts into the halves of ``edge``, a half's worth a pass.
-    """
-    if amps.dtype == np.float64:
-        np.square(amps, out=edge[: len(amps)])
-        np.add(pv, edge[: len(amps)], out=pv)
-        return
-    h = len(edge) // 2
-    for lo in range(0, len(amps), h):
-        z, p = amps[lo : lo + h], pv[lo : lo + h]
-        re, im = edge[: len(z)], edge[h : h + len(z)]
-        np.square(z.real, out=re)
-        np.square(z.imag, out=im)
-        np.add(re, im, out=re)
-        np.add(p, re, out=p)
-
-
-def _layer_fold(size: int):
-    """A zero float64 tile for ``size`` = 2**(k - 1) vertices and ``fold(out, lo)``.
-
-    The fold bincounts [out[c : c + k] | tile] by [0 .. k - 1 | weights in the block]
-    into out[c : c + k], c = popcount(lo), and zeroes the tile.  bincount adds in index
-    order, so ascending blocks from a zero ``out`` sum as one bincount of the 2**d row.
-    """
-    k = size.bit_length()
-    idx = np.concatenate((np.arange(k), _block_weights(size)))
-    buf = np.zeros(k + size)  # after the index row: the weights, index row and tile are never all live
-
-    def fold(out: NDArray[np.float64], lo: int) -> None:
-        c = lo.bit_count()
-        buf[:k] = out[c : c + k]
-        out[c : c + k] = np.bincount(idx, weights=buf, minlength=k)
-        buf.fill(0.0)
-    return buf[k:], fold
-
-
 def _require_walk_dtype(dtype: DTypeLike) -> None:
     if np.dtype(dtype) not in (np.float64, np.complex128):
         raise ValidationError(f"a full state is float64 or complex128, not {np.dtype(dtype)}")
@@ -192,8 +152,8 @@ def _written_blocks(s: LayerState, dtype: DTypeLike) -> tuple[NDArray, list[int]
     """``s``'s [up; down] in the kind of ``dtype``, and the starts of the blocks ``embed_layer_state`` writes.
 
     A block at ``lo`` is written when its windows [up; down][:, c : c + k], c = popcount(lo),
-    k = log2(block size) + 1, hold a nonzero bit (bits, so a -0.0 counts).  Every other block
-    of the embedded state holds +0.0 only, so these are the walk's live blocks (``_full_walk``).
+    k = log2(block size) + 1, hold a nonzero bit: a -0.0 counts, so the embedding writes it as
+    the gather does.  Every other block holds +0.0 only; the walk starts its live blocks here.
     """
     pair = s.line[1:-1].reshape(2, -1)  # [up; down]
     if np.dtype(dtype).kind != "c":  # a real state takes the real parts, and only those

@@ -37,9 +37,17 @@ def test_parse_multiport_forms():
     assert c.t == pytest.approx(0.25, abs=1e-15)
     c = parse_multiport("custom:0,0,1,0", 2)
     assert (c.r, c.t) == (0j, 1 + 0j)
-    for bad in ("magic", "symmetric:q=1", "custom:1,2,3", "custom:a,b,c,d"):
+    for bad in ("magic", "symmetric:q=1", "symmetric_p=3", "symmetricfoo", "custom:1,2,3", "custom:a,b,c,d"):
         with pytest.raises(ValidationError):
             parse_multiport(bad, 3)
+
+
+def test_a_spec_that_only_begins_with_symmetric_exits_2(tmp_path, capsys):
+    # such a spec once ran silently as p = 1
+    out = tmp_path / "x.csv"
+    assert run(["layers", "--dim", 4, "--steps", 2, "--multiport", "symmetric_p=3", "--out", out]) == 2
+    assert "unknown multiport spec 'symmetric_p=3'" in _error_line(capsys)
+    assert not out.exists()
 
 
 def test_layers_csv_shape_and_values(tmp_path):

@@ -272,12 +272,20 @@ def _cone_starts(d, dtype):
     yield "vertex", vertex, [x - x % min(evolution._BLOCK, 1 << d)]
 
 
+def _minus_zero_coeffs(d):
+    """custom:-1,0,-0,0: t * (+0.0) is -0.0, so the every-block walk writes -0.0 over the zeros a skipped block keeps."""
+    return MultiportCoeffs(complex(-1.0, 0.0), complex(-0.0, 0.0), d)
+
+
 def _assert_the_cone_is_exact(d, block):
-    """The walk from the live blocks has the bytes of the every-block walk, state and series,
-    for every count up to one past the steps that fill the cone."""
+    """The walk from the live blocks has the bytes of the every-block walk's series, for every
+    count up to one past the steps that fill the cone, and its state: bytes for coins that step
+    +0.0 to +0.0, and values up to the sign of a zero for r = -1, t = -0.0."""
+    coins = [(np.float64, grover_coeffs(d), True), (np.complex128, _unitary_coeffs(d, 0.7, 2.1), True)]
+    coins += [(dtype, _minus_zero_coeffs(d), False) for dtype in (np.float64, np.complex128)]
     with small_blocks(block):
         above = d - min(block, 1 << d).bit_length() + 1  # bits above the block
-        for dtype, coeffs in ((np.float64, grover_coeffs(d)), (np.complex128, _unitary_coeffs(d, 0.7, 2.1))):
+        for dtype, coeffs, state_bytes in coins:
             cfg = EvolutionConfig(d, coeffs)
             for (name, start, live), steps in itertools.product(_cone_starts(d, dtype), range(above + 2)):
                 want, want_series = start.T.copy().T, np.full((steps + 1, d + 1), np.nan)
@@ -285,8 +293,8 @@ def _assert_the_cone_is_exact(d, block):
                 for series in (None, np.full((steps + 1, d + 1), np.nan)):
                     got = start.T.copy().T
                     _full_walk(got, cfg, steps, series, live)
-                    why = (name, np.dtype(dtype).name, steps, series is not None)
-                    assert got.tobytes() == want.tobytes(), why
+                    why = (name, np.dtype(dtype).name, coeffs.t, steps, series is not None)
+                    assert got.tobytes() == want.tobytes() if state_bytes else np.array_equal(got, want), why
                     assert series is None or series.tobytes() == want_series.tobytes(), why
 
 
@@ -302,15 +310,17 @@ def test_the_light_cone_has_the_bytes_of_every_block(d, block):
 
 def test_the_walk_steps_the_light_cone_only():
     # d = 10 at blocks of 16 has 64 blocks, as production at d = 20: from the origin, step 0
-    # reads block 0, step 1 steps it and its 6 partners, step 2 every block with popcount(lo / 16) <= 2
+    # reads block 0, step 1 steps it and its 6 partners, step 2 every block with popcount(lo / 16) <= 2,
+    # whatever the coin steps +0.0 to
     d = 10
-    with small_blocks(16), _folds() as folds:
-        state = embed_layer_state(origin_state(d), np.float64)
-        _full_walk(state, EvolutionConfig(d, grover_coeffs(d)), 2, np.empty((3, d + 1)),
-                   _written_blocks(origin_state(d), np.float64)[1])
-    per_step = [[lo for _, lo, _ in row] for _, row in itertools.groupby(folds, key=lambda f: f[0])]
-    assert [len(blocks) for blocks in per_step] == [1, 7, 22]
-    assert per_step == [[lo for lo in range(0, 1 << d, 16) if (lo >> 4).bit_count() <= n] for n in (0, 1, 2)]
+    for coeffs in (grover_coeffs(d), _minus_zero_coeffs(d)):
+        with small_blocks(16), _folds() as folds:
+            state = embed_layer_state(origin_state(d), np.float64)
+            _full_walk(state, EvolutionConfig(d, coeffs), 2, np.empty((3, d + 1)),
+                       _written_blocks(origin_state(d), np.float64)[1])
+        per_step = [[lo for _, lo, _ in row] for _, row in itertools.groupby(folds, key=lambda f: f[0])]
+        assert [len(blocks) for blocks in per_step] == [1, 7, 22], coeffs.t
+        assert per_step == [[lo for lo in range(0, 1 << d, 16) if (lo >> 4).bit_count() <= n] for n in (0, 1, 2)]
 
 
 def test_the_walks_step_0_read_squares_only_the_written_block(monkeypatch):
@@ -322,27 +332,6 @@ def test_the_walks_step_0_read_squares_only_the_written_block(monkeypatch):
     _full_walk(state, EvolutionConfig(d, grover_coeffs(d)), 0, row, _written_blocks(origin_state(d), np.float64)[1])
     assert calls == [evolution._BLOCK] * d
     assert row[0].tobytes() == layer_distribution_full(state).tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_a_coin_that_steps_zeros_to_minus_zero_steps_every_block(dtype):
-    # custom:-1,0,-0,0: t * 0 is -0.0, so +0.0 arrivals step to -0.0 and no block may be skipped
-    d = 10
-    cfg = EvolutionConfig(d, MultiportCoeffs(complex(-1.0, 0.0), complex(-0.0, 0.0), d))
-    start = embed_layer_state(origin_state(d), dtype)
-    for steps in (1, 2, 3):
-        want, zeros_want = start.T.copy().T, zero_full_state(d, dtype)
-        with small_blocks(16):
-            _full_walk(want, cfg, steps)
-            _full_walk(zeros_want, cfg, steps)
-            got, zeros = start.T.copy().T, zero_full_state(d, dtype)
-            with _folds() as folds:
-                _full_walk(got, cfg, steps, np.empty((steps + 1, d + 1)), _written_blocks(origin_state(d), dtype)[1])
-            _full_walk(zeros, cfg, steps, None, [])
-        assert len(folds) == 64 * (steps + 1)  # step 0 is read from every block too
-        assert got.tobytes() == want.tobytes(), steps
-        assert zeros.tobytes() == zeros_want.tobytes(), steps
-        assert steps > 1 or np.signbit(zeros.real).all()  # step 1 writes -0.0 over every +0.0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -409,6 +398,28 @@ def test_layer_distribution_full_equals_rowwise_bit_for_bit(d):
             with small_blocks(block), _folds() as folds:
                 assert np.array_equal(layer_distribution_full(layout), want), block
             _assert_every_window(folds, d)
+
+
+@pytest.mark.parametrize("dtype,passes", [(np.float64, 1), (np.complex128, 1), (np.complex128, 2)])
+def test_add_probability_reads_re_re_plus_im_im_and_allocates_nothing(dtype, passes):
+    # the walk squares a complex block in one pass through its float view, layer_distribution_full
+    # in two through its one-block scratch; a strided column, as of a vertex-major state, reads the same bits
+    n = 1 << 14
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    block = block if dtype is np.complex128 else block.real.copy()
+    base = rng.random(n)
+    for amps in (np.ascontiguousarray(block[:, 1]), block[:, 1]):
+        want = base + (amps.real * amps.real + amps.imag * amps.imag)
+        pv, edge = base.copy(), np.empty(n * np.dtype(dtype).itemsize // 8 // passes)
+        tracemalloc.start()
+        try:
+            evolution._add_probability(pv, amps, edge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024, amps.strides
+        assert pv.tobytes() == want.tobytes(), amps.strides
 
 
 # bookkeeping (about 5 KiB): the walk's operands are contiguous, so numpy allocates no

@@ -145,3 +145,25 @@ def test_src_computes_every_number_from_the_five_operations():
                 if name in ABS and owner not in ABS_OWNERS:
                     found.append(f"{at} calls {name} in {owner}")
     assert found == []
+
+
+SIGN_READERS = {"signbit", "copysign"}
+FLOAT_VIEWS = {"np.float64", "np.complex128"}
+
+
+def test_the_walk_reads_no_sign_bit():
+    # the light cone is exact for every coin (see sqrw.evolution), so the walk decides nothing on
+    # the sign of a zero; the embedding's _written_blocks keeps its bit test, to write a -0.0
+    found = []
+    for n in ast.walk(ast.parse(Path(importlib.import_module("sqrw.evolution").__file__).read_text())):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            found += [f"{n.lineno} imports {a.name}" for a in n.names if a.name in SIGN_READERS]
+        if not isinstance(n, ast.Call):
+            continue
+        name = ast.unparse(n.func)
+        if name.rpartition(".")[2] in SIGN_READERS:
+            found.append(f"{n.lineno} calls {name}")
+        dtypes = {ast.unparse(a) for a in n.args + [k.value for k in n.keywords]}
+        if name.endswith(".view") and not dtypes <= FLOAT_VIEWS:
+            found.append(f"{n.lineno} reads bits: {ast.unparse(n)}")
+    assert found == []

@@ -298,26 +298,3 @@ def test_memory_env_override(monkeypatch):
     monkeypatch.setenv("SQRW_MEMORY_BYTES", "64")
     with pytest.raises(MemoryCapError):
         initial_symmetric_state(4)
-
-
-@pytest.mark.parametrize("dtype,passes", [(np.float64, 1), (np.complex128, 1), (np.complex128, 2)])
-def test_add_probability_reads_re_re_plus_im_im_and_allocates_nothing(dtype, passes):
-    # the walk and the embedding square a complex block in one pass through its float view,
-    # layer_distribution_full in two through its one-block scratch; a strided column, as of a
-    # vertex-major state, reads the same bits
-    n = 1 << 14
-    rng = np.random.default_rng(5)
-    block = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    block = block if dtype is np.complex128 else block.real.copy()
-    base = rng.random(n)
-    for amps in (np.ascontiguousarray(block[:, 1]), block[:, 1]):
-        want = base + (amps.real * amps.real + amps.imag * amps.imag)
-        pv, edge = base.copy(), np.empty(n * np.dtype(dtype).itemsize // 8 // passes)
-        tracemalloc.start()
-        try:
-            hypercube._add_probability(pv, amps, edge)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1024, amps.strides
-        assert pv.tobytes() == want.tobytes(), amps.strides
